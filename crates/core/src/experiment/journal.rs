@@ -163,33 +163,57 @@ enum JournalLine {
     },
 }
 
-/// One FNV-1a-style stream: xor the byte in, multiply by an odd
-/// constant. Parameterised over (offset basis, multiplier) so two
-/// independently-seeded streams can be combined into a wide digest.
-fn fnv1a64_stream(bytes: &[u8], basis: u64, prime: u64) -> u64 {
-    let mut h = basis;
+/// Two FNV-1a-style streams over `bytes`, advanced together: xor the
+/// byte into each, multiply each by its own odd constant. Parameterised
+/// over (offset basis, multiplier) per stream so the pair forms a wide
+/// digest; one loop lets the two multiply chains overlap.
+fn fnv1a64_pair(mut h: [u64; 2], bytes: &[u8]) -> [u64; 2] {
+    const PRIMES: [u64; 2] = [0x100_0000_01b3, 0x9e37_79b9_7f4a_7c15];
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(prime);
+        h[0] = (h[0] ^ b as u64).wrapping_mul(PRIMES[0]);
+        h[1] = (h[1] ^ b as u64).wrapping_mul(PRIMES[1]);
     }
     h
 }
 
 /// 128-bit content digest as 32 hex chars: two independent FNV-1a-style
 /// streams (the standard FNV-1a 64 parameters, and a second stream with
-/// a different basis and multiplier) over a length-prefixed copy of the
-/// input. A single 64-bit FNV is fine for "did the config change?" but
-/// too collision-weak to *address* a result cache with — birthday
+/// a different basis and multiplier) over the length-prefixed input. A
+/// single 64-bit FNV is fine for "did the config change?" but too
+/// collision-weak to *address* a result cache with — birthday
 /// collisions at ~2^32 keys, and FNV has known short-input weaknesses.
 /// The length prefix removes extension ambiguity; the second stream
 /// pushes accidental collision odds to ~2^-128 per pair.
 pub(crate) fn digest128_hex(bytes: &[u8]) -> String {
-    let mut prefixed = Vec::with_capacity(bytes.len() + 8);
-    prefixed.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    prefixed.extend_from_slice(bytes);
-    let lo = fnv1a64_stream(&prefixed, 0xcbf2_9ce4_8422_2325, 0x100_0000_01b3);
-    let hi = fnv1a64_stream(&prefixed, 0x6c62_272e_07bb_0145, 0x9e37_79b9_7f4a_7c15);
+    let bases = [0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0145];
+    let prefixed = fnv1a64_pair(bases, &(bytes.len() as u64).to_le_bytes());
+    let [lo, hi] = fnv1a64_pair(prefixed, bytes);
     format!("{hi:016x}{lo:016x}")
+}
+
+/// The key space a fingerprint addresses. Each space tags the hashed
+/// bytes differently, so sweep and oracle fingerprints can never collide
+/// in a shared cache.
+#[derive(Clone, Copy)]
+pub(crate) enum KeySpace {
+    Sweep,
+    Oracle,
+}
+
+/// 128-bit hex fingerprint of already-built canonical bytes (from
+/// [`canonical_sweep_bytes`] or [`canonical_oracle_bytes`]): the digest
+/// of the key-space tag, the journal-schema and crate versions, then the
+/// bytes. Callers that hold the canonical bytes hash them here instead
+/// of serialising the request a second time.
+pub(crate) fn fingerprint_canonical(space: KeySpace, canonical: &[u8]) -> String {
+    let space = match space {
+        KeySpace::Sweep => "",
+        KeySpace::Oracle => "oracle|",
+    };
+    let mut tagged =
+        format!("{space}v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
+    tagged.extend_from_slice(canonical);
+    digest128_hex(&tagged)
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -224,9 +248,7 @@ pub fn sweep_fingerprint(
     rule: &StoppingRule,
 ) -> io::Result<String> {
     let cfg = canonical_sweep_bytes(scenarios, base_seed, rule)?;
-    let mut tagged = format!("v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
-    tagged.extend_from_slice(&cfg);
-    Ok(digest128_hex(&tagged))
+    Ok(fingerprint_canonical(KeySpace::Sweep, &cfg))
 }
 
 /// Canonical byte encoding of an oracle computation: the `serde_json`
@@ -254,10 +276,7 @@ pub fn oracle_fingerprint(
     ocfg: &super::regret::OracleConfig,
 ) -> io::Result<String> {
     let cfg = canonical_oracle_bytes(scenarios, base_seed, rule, ocfg)?;
-    let mut tagged =
-        format!("oracle|v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
-    tagged.extend_from_slice(&cfg);
-    Ok(digest128_hex(&tagged))
+    Ok(fingerprint_canonical(KeySpace::Oracle, &cfg))
 }
 
 /// Shared mutable state of a sweep in progress: the append handle, the

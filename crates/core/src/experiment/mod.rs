@@ -17,6 +17,7 @@ pub use journal::{
     run_matrix_journaled_with, run_matrix_journaled_with_progress, run_scenario_journaled,
     sweep_fingerprint, JournalOutcome, JournalStats, RepGuard,
 };
+pub(crate) use journal::{fingerprint_canonical, KeySpace};
 pub use plot::{panel_chart, BarChart};
 pub use regret::{
     oracle_replication, run_matrix_regret, run_matrix_regret_journaled, OracleConfig,

@@ -385,7 +385,17 @@ pub fn http_request_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{
+        canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical, oracle_fingerprint,
+        sweep_fingerprint, KeySpace,
+    };
+    use crate::serve::server::check_request;
     use std::io::Cursor;
+    use std::time::{Duration, Instant};
+
+    /// Text that puts multi-byte UTF-8 right against every escape the
+    /// writer emits, so each unescaped run starts or ends at an escape.
+    const MIXED: &str = "é\"日本\\😀\nß\u{1}\t\"\"\\x\u{1f}€";
 
     #[test]
     fn request_round_trips_through_the_parser() {
@@ -441,6 +451,120 @@ mod tests {
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.contains("x-k: v\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn strings_round_trip_through_the_codec() {
+        for text in [
+            "",
+            "\"",
+            "\\",
+            "a",
+            "é",
+            "😀\"",
+            "\\😀",
+            MIXED,
+            &MIXED.repeat(3),
+        ] {
+            let wire = serde_json::to_string(text).unwrap();
+            let back: String = serde_json::from_str(&wire).unwrap();
+            assert_eq!(back, text, "via {wire}");
+            let back: String = serde_json::from_slice(wire.as_bytes()).unwrap();
+            assert_eq!(back, text, "via {wire}");
+        }
+        // Escapes the writer never emits: `\/`, `\b`, `\f`, `\u00XX` and
+        // a surrogate pair, at the start, middle and end of a string.
+        for (wire, want) in [
+            (r#""\u00e9""#, "é"),
+            (r#""\u00e9é\u00e9""#, "ééé"),
+            (r#""x\ud83d\ude00""#, "x😀"),
+            (r#""\ud83d\ude00😀\/""#, "😀😀/"),
+            (r#""\b\f\r日""#, "\u{8}\u{c}\r日"),
+            (r#""""#, ""),
+        ] {
+            let back: String = serde_json::from_str(wire).unwrap();
+            assert_eq!(back, want, "via {wire}");
+        }
+    }
+
+    #[test]
+    fn unterminated_strings_and_escapes_fail() {
+        for (wire, want) in [
+            (r#"""#, "unterminated string"),
+            (r#""abc"#, "unterminated string"),
+            (r#""é😀"#, "unterminated string"),
+            (r#""a\"b"#, "unterminated string"),
+            (r#""abc\"#, "unterminated escape"),
+            (r#""é\"#, "unterminated escape"),
+            (r#""\u00e"#, "\\u escape"),
+            (r#""\ud83d""#, "unpaired surrogate"),
+            (r#""\q""#, "invalid escape"),
+        ] {
+            let err = serde_json::from_str::<String>(wire).unwrap_err();
+            assert!(err.to_string().contains(want), "{wire}: {err}");
+        }
+    }
+
+    /// A request with escape- and UTF-8-heavy names and tenant.
+    fn mixed_request() -> SweepRequest {
+        let mut req = check_request();
+        for (i, s) in req.scenarios.iter_mut().enumerate() {
+            s.name = format!("{i}:{MIXED}{}", s.name);
+        }
+        req.tenant = Some(MIXED.to_string());
+        req
+    }
+
+    #[test]
+    fn decoded_requests_canonicalise_to_the_same_bytes() {
+        let req = mixed_request();
+        let wire = serde_json::to_vec(&req).unwrap();
+        let back: SweepRequest = serde_json::from_slice(&wire).unwrap();
+        assert_eq!(serde_json::to_vec(&back).unwrap(), wire);
+        assert_eq!(
+            canonical_sweep_bytes(&back.scenarios, back.base_seed, &back.rule).unwrap(),
+            canonical_sweep_bytes(&req.scenarios, req.base_seed, &req.rule).unwrap()
+        );
+    }
+
+    /// The daemon fingerprints the canonical bytes it already holds; the
+    /// answer must be the public functions' answer, and neither may
+    /// drift, or every cache entry on disk goes cold.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let req = check_request();
+        let (s, seed, rule) = (&req.scenarios, req.base_seed, &req.rule);
+        let ocfg = OracleConfig::default();
+        let sweep = sweep_fingerprint(s, seed, rule).unwrap();
+        let oracle = oracle_fingerprint(s, seed, rule, &ocfg).unwrap();
+        assert_eq!(sweep, "fb94d2ce12663213f2c7c6ece28fdc8b");
+        assert_eq!(oracle, "ddb2247a3fd31ca69994e462e6b1f5bc");
+        let canonical = canonical_sweep_bytes(s, seed, rule).unwrap();
+        assert_eq!(fingerprint_canonical(KeySpace::Sweep, &canonical), sweep);
+        let canonical = canonical_oracle_bytes(s, seed, rule, &ocfg).unwrap();
+        assert_eq!(fingerprint_canonical(KeySpace::Oracle, &canonical), oracle);
+    }
+
+    /// Decoding is linear in the body: a string-heavy ~1 MiB request
+    /// takes milliseconds. A decoder that rescans the rest of the input
+    /// per character needs tens of seconds.
+    #[test]
+    fn string_heavy_request_decodes_in_linear_time() {
+        let mut req = mixed_request();
+        for s in &mut req.scenarios {
+            s.name = s.name.repeat((512 << 10) / s.name.len());
+        }
+        let wire = serde_json::to_vec(&req).unwrap();
+        assert!(wire.len() > 1 << 20, "{} bytes", wire.len());
+        let start = Instant::now();
+        let back: SweepRequest = serde_json::from_slice(&wire).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back.scenarios[1].name, req.scenarios[1].name);
+        assert!(
+            took < Duration::from_secs(1),
+            "{} bytes took {took:?}",
+            wire.len()
+        );
     }
 
     #[test]

@@ -28,9 +28,9 @@ use super::protocol::{
 };
 use super::single_flight::{FlightRole, LeaderToken, SingleFlight};
 use crate::experiment::{
-    canonical_oracle_bytes, canonical_sweep_bytes, oracle_fingerprint,
-    run_matrix_journaled_with_progress, run_matrix_regret, run_matrix_regret_journaled,
-    sweep_fingerprint, RepGuard, Scenario, WorkloadKind,
+    canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical,
+    run_matrix_journaled_with_progress, run_matrix_regret, run_matrix_regret_journaled, KeySpace,
+    RepGuard, Scenario, WorkloadKind,
 };
 use crate::policy::PolicyKind;
 use crate::sim::SimConfig;
@@ -479,10 +479,7 @@ fn handle_sweep(
         Ok(b) => b,
         Err(e) => return conn.send_error(500, &e.to_string()),
     };
-    let fingerprint = match sweep_fingerprint(&req.scenarios, req.base_seed, &req.rule) {
-        Ok(f) => f,
-        Err(e) => return conn.send_error(500, &e.to_string()),
-    };
+    let fingerprint = fingerprint_canonical(KeySpace::Sweep, &canonical);
 
     match inner.cache.lookup(&fingerprint, &canonical) {
         CacheLookup::Hit(entry) => {
@@ -671,11 +668,7 @@ fn handle_oracle(
             Ok(b) => b,
             Err(e) => return conn.send_error(500, &e.to_string()),
         };
-    let fingerprint =
-        match oracle_fingerprint(&req.scenarios, req.base_seed, &req.rule, &req.oracle) {
-            Ok(f) => f,
-            Err(e) => return conn.send_error(500, &e.to_string()),
-        };
+    let fingerprint = fingerprint_canonical(KeySpace::Oracle, &canonical);
 
     match inner.cache.lookup(&fingerprint, &canonical) {
         CacheLookup::Hit(entry) => {
@@ -813,7 +806,7 @@ fn run_oracle_collision(
 
 /// A tiny, fast scenario pair for the `serve --check` self-test: small
 /// bags, two replications, milliseconds of compute.
-fn check_request() -> SweepRequest {
+pub(super) fn check_request() -> SweepRequest {
     let scenario = |name: &str, policy: PolicyKind| Scenario {
         name: name.to_string(),
         grid: GridConfig {

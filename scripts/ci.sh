@@ -47,6 +47,12 @@ DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test serve
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test serve
 cargo run --release -q -p dgsched-core --bin dgsched -- serve --check
 
+echo "==> codec gate: vendored serde/serde_json unit tests"
+# vendor/ is not a workspace member, so `cargo test` above never runs the
+# vendored codec's own tests: string decoding, the nesting cap that keeps
+# a hostile request from overflowing a daemon thread's stack, and errors.
+cargo test -q -p serde_json -p serde
+
 echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal batteries"
 # The witness must (a) catch the reconstructed PR-5 hold-and-wait cycle
 # deterministically (parking_lot unit tests + tests/lockcheck.rs), and

@@ -293,6 +293,27 @@ fn serve_check_self_test_passes() {
     assert!(stdout.contains("byte-identical hit"), "{stdout}");
 }
 
+/// One hostile body must not take the daemon down: 100 000 nested `[`
+/// (far under the body limit) would overflow a handler thread's stack —
+/// aborting every tenant's sweeps with it — if the decoder recursed
+/// without bound. It is answered 400, and the same daemon keeps serving.
+#[test]
+fn deeply_nested_request_is_rejected_and_the_daemon_survives() {
+    let dir = tmp_dir("deep-nesting");
+    let daemon = Daemon::start(&dir, "1");
+    let body = vec![b'['; 100_000];
+    let resp = http_request(&daemon.addr, "POST", "/sweep", &[], &body).expect("POST /sweep");
+    assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+    assert!(
+        String::from_utf8_lossy(&resp.body).contains("nesting"),
+        "{}",
+        String::from_utf8_lossy(&resp.body)
+    );
+    assert_eq!(daemon.counter("serve_bad_requests"), 1);
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Usage errors in the serve subcommand follow the CLI convention:
 /// unknown flags exit 2 with a pointer at the usage text.
 #[test]
