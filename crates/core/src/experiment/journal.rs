@@ -11,8 +11,9 @@
 //!   and journal-schema versions — so a journal can never be replayed
 //!   against a different experiment;
 //! * every following line is one completed [`RepSummary`]
-//!   (`{"kind":"rep","scenario":…,"rep":…,"summary":…}`), appended and
-//!   `fsync`ed before the result can influence anything downstream.
+//!   (`{"kind":"rep","scenario":…,"rep":…,"key":…,"summary":…}`),
+//!   appended and `fsync`ed before the result can influence anything
+//!   downstream. `key` is the replication key (see [`RepIndex`]).
 //!
 //! ## Resume = replay through the same fold
 //!
@@ -48,6 +49,17 @@
 //! The torn tail left by a crash mid-append (a final line without its
 //! newline, or one that no longer parses) is truncated away on open and
 //! its replication simply re-run.
+//!
+//! ## Reuse across sweeps
+//!
+//! Replication `r` of a scenario is a function of `(scenario, base_seed,
+//! r)` and the event clamp alone, never of the stopping rule or of the
+//! other scenarios in the sweep. A [`RepIndex`] maps each replication key
+//! (that triple minus `r`) to the journaled replications of every sweep
+//! it has seen, so a sweep that overlaps an earlier one takes the longer
+//! of its own journal prefix and the index's as its replay prefix and
+//! computes only the rest. The serve daemon keeps one index per cache
+//! directory; `dgsched run --journal` uses none.
 //!
 //! [`Welford`]: dgsched_des::stats::Welford
 
@@ -96,8 +108,12 @@ pub struct RepGuard {
 pub struct JournalStats {
     /// Replication records appended (and fsynced) this run.
     pub records_written: u64,
-    /// Replications served from the journal instead of recomputed.
+    /// Replications served from this sweep's own journal instead of
+    /// recomputed.
     pub records_replayed: u64,
+    /// Replications taken from the [`RepIndex`] (journaled by another
+    /// sweep) instead of recomputed.
+    pub records_reused: u64,
     /// 1 when an existing journal was resumed, else 0.
     pub resumes: u64,
     /// Torn tail records truncated away on open.
@@ -118,6 +134,7 @@ impl JournalStats {
         for (name, value) in [
             ("journal_records", self.records_written),
             ("journal_replayed", self.records_replayed),
+            ("journal_reused", self.records_reused),
             ("journal_resumes", self.resumes),
             ("journal_torn_tails", self.torn_tails),
             ("replication_panics", self.replication_panics),
@@ -159,6 +176,11 @@ enum JournalLine {
     Rep {
         scenario: String,
         rep: u64,
+        /// Replication key ([`rep_key`]). Absent from journals written
+        /// before keys existed and from sweeps under a wall-clock limit:
+        /// such records resume their own sweep but are never indexed.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        key: Option<String>,
         summary: RepSummary,
     },
 }
@@ -192,12 +214,17 @@ pub(crate) fn digest128_hex(bytes: &[u8]) -> String {
 }
 
 /// The key space a fingerprint addresses. Each space tags the hashed
-/// bytes differently, so sweep and oracle fingerprints can never collide
-/// in a shared cache.
+/// bytes differently, so sweep, oracle and replication fingerprints can
+/// never collide in a shared cache.
 #[derive(Clone, Copy)]
 pub(crate) enum KeySpace {
     Sweep,
+    /// A sweep served under a [`RepGuard::max_events`] clamp: the clamp
+    /// changes what the sweep computes, so it joins the tag.
+    ClampedSweep(u64),
     Oracle,
+    /// One scenario's replications (see [`rep_key`]).
+    Rep,
 }
 
 /// 128-bit hex fingerprint of already-built canonical bytes (from
@@ -207,8 +234,10 @@ pub(crate) enum KeySpace {
 /// of serialising the request a second time.
 pub(crate) fn fingerprint_canonical(space: KeySpace, canonical: &[u8]) -> String {
     let space = match space {
-        KeySpace::Sweep => "",
-        KeySpace::Oracle => "oracle|",
+        KeySpace::Sweep => String::new(),
+        KeySpace::ClampedSweep(max_events) => format!("max_events={max_events}|"),
+        KeySpace::Oracle => "oracle|".to_string(),
+        KeySpace::Rep => "rep|".to_string(),
     };
     let mut tagged =
         format!("{space}v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
@@ -279,24 +308,95 @@ pub fn oracle_fingerprint(
     Ok(fingerprint_canonical(KeySpace::Oracle, &cfg))
 }
 
+/// Replication key of a scenario: the [`KeySpace::Rep`] fingerprint of
+/// the serialised `(scenario, base_seed, max_events)`, everything a
+/// replication's summary depends on besides its index. The name is part
+/// of the scenario and so of the key: keys and sweep fingerprints come
+/// from one encoding, and two sweeps share replications only when they
+/// name the same scenario the same way.
+fn rep_key(scenario: &Scenario, base_seed: u64, max_events: Option<u64>) -> io::Result<String> {
+    let bytes = serde_json::to_vec(&(scenario, base_seed, max_events))
+        .map_err(|e| invalid(format!("scenario does not serialise: {e}")))?;
+    Ok(fingerprint_canonical(KeySpace::Rep, &bytes))
+}
+
+/// In-memory index of journaled replications, by replication key (see
+/// [`rep_key`]) and then replication index, gathered from any number of
+/// journals. It feeds [`run_matrix_journaled_indexed`]: a sweep whose
+/// scenario was journaled by an earlier sweep replays those replications
+/// instead of recomputing them. Memory grows with the number of
+/// replications indexed.
+#[derive(Default)]
+pub struct RepIndex {
+    reps: Mutex<BTreeMap<String, BTreeMap<u64, RepSummary>>>,
+}
+
+impl RepIndex {
+    /// Indexes every keyed replication record of the sweep journal at
+    /// `path`. A file that is not a sweep journal of this schema, or is
+    /// damaged anywhere but its final line, is an error and indexes
+    /// nothing.
+    pub fn load_journal(&self, path: &Path) -> io::Result<()> {
+        let (records, _) = parse_journal(&std::fs::read(path)?, None)?;
+        let mut reps = self.reps.lock();
+        for record in records {
+            if let Some(key) = record.key {
+                reps.entry(key)
+                    .or_default()
+                    .insert(record.rep, record.summary);
+            }
+        }
+        Ok(())
+    }
+
+    /// Replications indexed, over all keys.
+    pub fn len(&self) -> u64 {
+        self.reps.lock().values().map(|r| r.len() as u64).sum()
+    }
+
+    /// True when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.reps.lock().is_empty()
+    }
+
+    /// The contiguous run of replications `0, 1, …` indexed under `key`.
+    fn prefix(&self, key: &str) -> Vec<RepSummary> {
+        self.reps
+            .lock()
+            .get(key)
+            .map(contiguous)
+            .unwrap_or_default()
+    }
+
+    fn insert(&self, key: &str, rep: u64, summary: &RepSummary) {
+        self.reps
+            .lock()
+            .entry(key.to_string())
+            .or_default()
+            .insert(rep, summary.clone());
+    }
+}
+
 /// Shared mutable state of a sweep in progress: the append handle, the
-/// first write error (sticky — later appends are skipped), and the
-/// counters the parallel workers bump.
-struct Shared {
+/// first write error (sticky — later appends are skipped), the index
+/// fresh records join, and the counters the parallel workers bump.
+struct Shared<'a> {
     writer: Mutex<File>,
     write_error: Mutex<Option<io::Error>>,
+    index: Option<&'a RepIndex>,
     written: AtomicU64,
     replayed: AtomicU64,
+    reused: AtomicU64,
     panics: AtomicU64,
     retries: AtomicU64,
 }
 
-impl Shared {
-    /// Appends one replication record and makes it durable. A record is
-    /// only readable by a future resume once `sync_data` returned, so a
-    /// crash can tear at most the final line — which `load_journal`
-    /// truncates away.
-    fn append(&self, scenario: &str, rep: u64, summary: &RepSummary) {
+impl Shared<'_> {
+    /// Appends one replication record, makes it durable, then indexes
+    /// it. A record is only readable by a future resume once `sync_data`
+    /// returned, so a crash can tear at most the final line — which
+    /// `load_journal` truncates away.
+    fn append(&self, scenario: &str, key: Option<&str>, rep: u64, summary: &RepSummary) {
         let mut err_slot = self.write_error.lock();
         if err_slot.is_some() {
             return;
@@ -304,6 +404,7 @@ impl Shared {
         let line = JournalLine::Rep {
             scenario: scenario.to_string(),
             rep,
+            key: key.map(str::to_string),
             summary: summary.clone(),
         };
         let attempt = (|| -> io::Result<()> {
@@ -317,26 +418,46 @@ impl Shared {
         match attempt {
             Ok(()) => {
                 self.written.fetch_add(1, Ordering::Relaxed);
+                if let (Some(index), Some(key)) = (self.index, key) {
+                    index.insert(key, rep, summary);
+                }
             }
             Err(e) => *err_slot = Some(e),
         }
     }
 }
 
-/// Journaled replication summaries, keyed by scenario name, then by
-/// replication index.
-type RecordsByScenario = BTreeMap<String, BTreeMap<u64, RepSummary>>;
+/// The replications `0, 1, …` of `reps` up to the first gap. Only a
+/// contiguous prefix is replayable: replication r is replayable iff
+/// every replication before it is at hand too, because the sweep absorbs
+/// in index order.
+fn contiguous(reps: &BTreeMap<u64, RepSummary>) -> Vec<RepSummary> {
+    reps.iter()
+        .enumerate()
+        .take_while(|(i, (rep, _))| **rep == *i as u64)
+        .map(|(_, (_, summary))| summary.clone())
+        .collect()
+}
 
-/// Parses an existing journal: verifies the header, collects the
-/// contiguous per-scenario prefix of replication records, and reports how
-/// many bytes of the file are valid (anything past that is a torn tail).
+/// One replication record read back from a journal.
+struct RepRecord {
+    scenario: String,
+    rep: u64,
+    key: Option<String>,
+    summary: RepSummary,
+}
+
+/// Parses an existing journal: verifies the header (against
+/// `fingerprint`, or any sweep of this schema when `None`), collects the
+/// replication records, and reports how many bytes of the file are valid
+/// (anything past that is a torn tail).
 ///
 /// Only the *final* line may be damaged — that is the only line a crash
 /// mid-append can tear. Damage anywhere else means the file was edited or
 /// corrupted, and resuming from it would silently skew results, so it is
 /// an error.
-fn parse_journal(data: &[u8], fingerprint: &str) -> io::Result<(RecordsByScenario, usize)> {
-    let mut records: RecordsByScenario = BTreeMap::new();
+fn parse_journal(data: &[u8], fingerprint: Option<&str>) -> io::Result<(Vec<RepRecord>, usize)> {
+    let mut records = Vec::new();
     let mut valid_len = 0usize;
     let mut offset = 0usize;
     let mut first = true;
@@ -352,20 +473,25 @@ fn parse_journal(data: &[u8], fingerprint: &str) -> io::Result<(RecordsByScenari
                 fingerprint: fp,
                 ..
             }) if first => {
-                if version != JOURNAL_VERSION || fp != fingerprint {
+                if version != JOURNAL_VERSION || fingerprint.is_some_and(|f| f != fp) {
+                    let this = fingerprint.unwrap_or("any sweep");
                     return Err(invalid(format!(
                         "journal belongs to a different sweep (fingerprint {fp}, schema v{version}; \
-                         this sweep is {fingerprint}, schema v{JOURNAL_VERSION}): refusing to resume"
+                         this sweep is {this}, schema v{JOURNAL_VERSION}): refusing to resume"
                     )));
                 }
             }
             Some(JournalLine::Rep {
                 scenario,
                 rep,
+                key,
                 summary,
-            }) if !first => {
-                records.entry(scenario).or_default().insert(rep, summary);
-            }
+            }) if !first => records.push(RepRecord {
+                scenario,
+                rep,
+                key,
+                summary,
+            }),
             _ if at_tail => break, // torn final line: drop it
             _ if first => {
                 return Err(invalid(
@@ -412,9 +538,9 @@ fn open_journal(
     };
 
     let (records, valid_len) = if existing.is_empty() {
-        (BTreeMap::new(), 0)
+        (Vec::new(), 0)
     } else {
-        parse_journal(&existing, fingerprint)?
+        parse_journal(&existing, Some(fingerprint))?
     };
     if valid_len < existing.len() {
         stats.torn_tails = 1;
@@ -425,18 +551,15 @@ fn open_journal(
         // A valid header (and possibly records) survived: truncate the
         // torn tail away and append from there.
         stats.resumes = 1;
-        // Contiguous prefix only: replication r is replayable iff every
-        // replication before it is journaled too, because the sweep
-        // absorbs in index order.
-        for (name, reps) in records {
-            let mut prefix = Vec::new();
-            for (i, (rep, summary)) in reps.into_iter().enumerate() {
-                if rep != i as u64 {
-                    break;
-                }
-                prefix.push(summary);
-            }
-            prefixes.insert(name, prefix);
+        let mut by_scenario: BTreeMap<String, BTreeMap<u64, RepSummary>> = BTreeMap::new();
+        for r in records {
+            by_scenario
+                .entry(r.scenario)
+                .or_default()
+                .insert(r.rep, r.summary);
+        }
+        for (name, reps) in by_scenario {
+            prefixes.insert(name, contiguous(&reps));
         }
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len as u64)?;
@@ -525,18 +648,27 @@ where
 
 /// Per-sweep context shared by every scenario of a journaled matrix:
 /// everything [`run_scenario_journaled_inner`] needs besides the scenario
-/// itself and its journaled prefix.
+/// itself and its replay prefix.
 struct SweepCtx<'a> {
     base_seed: u64,
     rule: &'a StoppingRule,
     obs: bool,
     guard: RepGuard,
-    shared: &'a Shared,
+    shared: &'a Shared<'a>,
+}
+
+/// What a scenario replays: replications `0..summaries.len()`, of which
+/// the first `journaled` come from the sweep's own journal and the rest
+/// from the [`RepIndex`]; and the key its fresh records carry.
+struct Replay {
+    key: Option<String>,
+    summaries: Vec<RepSummary>,
+    journaled: usize,
 }
 
 fn run_scenario_journaled_inner<R>(
     scenario: &Scenario,
-    prefix: &[RepSummary],
+    replay: &Replay,
     ctx: &SweepCtx<'_>,
     rep_runner: &R,
 ) -> ScenarioResult
@@ -547,31 +679,41 @@ where
         let start = range.start;
         let summaries: Vec<(RepSummary, bool)> = range
             .into_par_iter()
-            .map(|rep| {
-                if (rep as usize) < prefix.len() {
-                    ctx.shared.replayed.fetch_add(1, Ordering::Relaxed);
-                    (prefix[rep as usize].clone(), true)
-                } else {
-                    (
-                        run_rep_isolated(
-                            scenario,
-                            ctx.base_seed,
-                            rep,
-                            ctx.guard,
-                            ctx.shared,
-                            rep_runner,
-                        ),
-                        false,
-                    )
+            .map(|rep| match replay.summaries.get(rep as usize) {
+                Some(summary) => {
+                    let counter = if (rep as usize) < replay.journaled {
+                        &ctx.shared.replayed
+                    } else {
+                        &ctx.shared.reused
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    (summary.clone(), true)
                 }
+                None => (
+                    run_rep_isolated(
+                        scenario,
+                        ctx.base_seed,
+                        rep,
+                        ctx.guard,
+                        ctx.shared,
+                        rep_runner,
+                    ),
+                    false,
+                ),
             })
             .collect();
         // Journal fresh summaries in replication order before absorbing:
         // by the time a summary can influence a published number, a
-        // durable record of it exists.
-        for (i, (summary, from_journal)) in summaries.iter().enumerate() {
-            if !from_journal {
-                ctx.shared.append(&scenario.name, start + i as u64, summary);
+        // durable record of it exists. Replayed ones already have one,
+        // in this journal or in the one the index read them from.
+        for (i, (summary, replayed)) in summaries.iter().enumerate() {
+            if !replayed {
+                ctx.shared.append(
+                    &scenario.name,
+                    replay.key.as_deref(),
+                    start + i as u64,
+                    summary,
+                );
             }
         }
         summaries.into_iter().map(|(s, _)| s).collect()
@@ -610,18 +752,28 @@ pub fn run_matrix_journaled(
     })
 }
 
-/// [`run_matrix_journaled`] reporting scenario completions through
-/// `progress` (called with `(done, total, name)`, `done` strictly
+/// [`run_matrix_journaled`] as the sweep service runs it: resumes any
+/// journal at `path`, replays each scenario from `index` where the index
+/// holds a longer prefix than the journal, adds every fresh replication
+/// to `index` once it is durable, and reports scenario completions
+/// through `progress` (called with `(done, total, name)`, `done` strictly
 /// increasing, reporting never blocking the sweep — the same contract as
-/// [`run_matrix_with_progress`](super::run_matrix_with_progress)). The
-/// sweep service streams these events to its clients.
-pub fn run_matrix_journaled_with_progress<F>(
+/// [`run_matrix_with_progress`](super::run_matrix_with_progress)).
+///
+/// Replications taken from the index are counted in
+/// [`JournalStats::records_reused`] and are not copied into this journal:
+/// the journal they came from stays where the index read it, so a
+/// resume after a crash finds them there again. Under a
+/// [`RepGuard::wall_limit_s`] the index is bypassed, because a
+/// wall-clock saturation cannot be reproduced. The results are
+/// byte-identical to [`run_matrix`](super::run_matrix).
+pub fn run_matrix_journaled_indexed<F>(
     scenarios: &[Scenario],
     base_seed: u64,
     rule: &StoppingRule,
     path: &Path,
-    resume: bool,
     guard: RepGuard,
+    index: &RepIndex,
     progress: F,
 ) -> io::Result<JournalOutcome>
 where
@@ -632,8 +784,9 @@ where
         base_seed,
         rule,
         path,
-        resume,
+        true,
         guard,
+        Some(index),
         &move |s: &Scenario, seed: u64, rep: u64| {
             run_replication_capped(s, seed, rep, guard.max_events)
         },
@@ -663,6 +816,7 @@ where
         path,
         resume,
         guard,
+        None,
         &rep_runner,
         &|_, _, _| {},
     )
@@ -676,6 +830,7 @@ fn run_matrix_journaled_core<R>(
     path: &Path,
     resume: bool,
     guard: RepGuard,
+    index: Option<&RepIndex>,
     rep_runner: &R,
     progress: &(dyn Fn(usize, usize, &str) + Send + Sync),
 ) -> io::Result<JournalOutcome>
@@ -691,13 +846,40 @@ where
         ));
     }
     let fingerprint = sweep_fingerprint(scenarios, base_seed, rule)?;
-    let (file, prefixes, mut stats) =
+    let (file, mut journaled, mut stats) =
         open_journal(path, &fingerprint, base_seed, scenarios.len(), rule, resume)?;
+    let mut replays = Vec::with_capacity(scenarios.len());
+    for scenario in scenarios {
+        // A wall-clock saturation is not a function of the key: such
+        // records carry no key, so no index ever serves them.
+        let key = match guard.wall_limit_s {
+            Some(_) => None,
+            None => Some(rep_key(scenario, base_seed, guard.max_events)?),
+        };
+        let own = journaled.remove(&scenario.name).unwrap_or_default();
+        let indexed = match (index, &key) {
+            (Some(index), Some(key)) => index.prefix(key),
+            _ => Vec::new(),
+        };
+        let journaled = own.len();
+        let summaries = if indexed.len() > journaled {
+            indexed
+        } else {
+            own
+        };
+        replays.push(Replay {
+            key,
+            summaries,
+            journaled,
+        });
+    }
     let shared = Shared {
         writer: Mutex::new(file),
         write_error: Mutex::new(None),
+        index,
         written: AtomicU64::new(0),
         replayed: AtomicU64::new(0),
+        reused: AtomicU64::new(0),
         panics: AtomicU64::new(0),
         retries: AtomicU64::new(0),
     };
@@ -710,13 +892,11 @@ where
     };
     let sink = ProgressSink::new(scenarios.len(), progress);
     let results: Vec<ScenarioResult> = scenarios
-        .par_iter()
-        .map(|scenario| {
-            let prefix = prefixes
-                .get(&scenario.name)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let r = run_scenario_journaled_inner(scenario, prefix, &ctx, rep_runner);
+        .iter()
+        .zip(&replays)
+        .into_par_iter()
+        .map(|(scenario, replay)| {
+            let r = run_scenario_journaled_inner(scenario, replay, &ctx, rep_runner);
             sink.complete(&scenario.name);
             r
         })
@@ -726,6 +906,7 @@ where
     }
     stats.records_written = shared.written.load(Ordering::Relaxed);
     stats.records_replayed = shared.replayed.load(Ordering::Relaxed);
+    stats.records_reused = shared.reused.load(Ordering::Relaxed);
     stats.replication_panics = shared.panics.load(Ordering::Relaxed);
     stats.replication_retries = shared.retries.load(Ordering::Relaxed);
     Ok(JournalOutcome { results, stats })
@@ -879,6 +1060,7 @@ mod tests {
         let stats = JournalStats {
             records_written: 7,
             records_replayed: 3,
+            records_reused: 4,
             resumes: 1,
             torn_tails: 1,
             replication_panics: 2,
@@ -887,10 +1069,132 @@ mod tests {
         let snap = stats.to_metrics();
         assert_eq!(snap.counters["journal_records"], 7);
         assert_eq!(snap.counters["journal_replayed"], 3);
+        assert_eq!(snap.counters["journal_reused"], 4);
         assert_eq!(snap.counters["journal_resumes"], 1);
         assert_eq!(snap.counters["journal_torn_tails"], 1);
         assert_eq!(snap.counters["replication_panics"], 2);
         assert_eq!(snap.counters["replication_retries"], 1);
+    }
+
+    fn fixed(reps: u64) -> StoppingRule {
+        StoppingRule {
+            min_replications: reps,
+            max_replications: reps,
+            ..Default::default()
+        }
+    }
+
+    fn json(results: &[ScenarioResult]) -> String {
+        serde_json::to_string(results).unwrap()
+    }
+
+    /// Runs an index-fed sweep into a fresh journal, checks it against
+    /// `run_matrix` byte for byte, and returns its journal stats.
+    fn indexed(
+        name: &str,
+        scenarios: &[Scenario],
+        seed: u64,
+        rule: &StoppingRule,
+        guard: RepGuard,
+        index: &RepIndex,
+    ) -> JournalStats {
+        let path = tmp(name);
+        std::fs::remove_file(&path).ok();
+        let out =
+            run_matrix_journaled_indexed(scenarios, seed, rule, &path, guard, index, |_, _, _| {})
+                .unwrap();
+        std::fs::remove_file(&path).ok();
+        // The guards these tests use never trip: results stay plain.
+        assert_eq!(json(&out.results), json(&run_matrix(scenarios, seed, rule)));
+        out.stats
+    }
+
+    #[test]
+    fn index_fed_sweeps_compute_only_missing_replications() {
+        for width in [1usize, 4] {
+            rayon::with_num_threads(width, || {
+                let index = RepIndex::default();
+                let base = vec![
+                    scenario("a", PolicyKind::Rr),
+                    scenario("b", PolicyKind::Sbf),
+                ];
+                let tag = |what: &str| format!("index-{what}-w{width}");
+                let stats = indexed(
+                    &tag("base"),
+                    &base,
+                    11,
+                    &fixed(3),
+                    RepGuard::default(),
+                    &index,
+                );
+                assert_eq!((stats.records_written, stats.records_reused), (6, 0));
+                assert_eq!(index.len(), 6);
+                // One scenario added: only its replications run.
+                let mut overlap = base.clone();
+                overlap.push(scenario("c", PolicyKind::LongIdle));
+                let stats = indexed(
+                    &tag("overlap"),
+                    &overlap,
+                    11,
+                    &fixed(3),
+                    RepGuard::default(),
+                    &index,
+                );
+                assert_eq!((stats.records_written, stats.records_reused), (3, 6));
+                assert_eq!(stats.records_replayed, 0);
+                // The cap raised from 3 to 5: only replications 3 and 4 run.
+                let stats = indexed(
+                    &tag("cap"),
+                    &base,
+                    11,
+                    &fixed(5),
+                    RepGuard::default(),
+                    &index,
+                );
+                assert_eq!((stats.records_written, stats.records_reused), (4, 6));
+                assert_eq!(index.len(), 13);
+            });
+        }
+    }
+
+    #[test]
+    fn index_reuse_needs_the_same_seed_clamp_and_name() {
+        for width in [1usize, 4] {
+            rayon::with_num_threads(width, || {
+                let index = RepIndex::default();
+                let base = vec![scenario("a", PolicyKind::Rr)];
+                let tag = |what: &str| format!("keys-{what}-w{width}");
+                let clean = RepGuard::default();
+                indexed(&tag("base"), &base, 11, &fixed(3), clean, &index);
+                let stats = indexed(&tag("seed"), &base, 12, &fixed(3), clean, &index);
+                assert_eq!((stats.records_written, stats.records_reused), (3, 0));
+                let clamp = RepGuard {
+                    max_events: Some(u64::MAX),
+                    wall_limit_s: None,
+                };
+                let stats = indexed(&tag("clamp"), &base, 11, &fixed(3), clamp, &index);
+                assert_eq!((stats.records_written, stats.records_reused), (3, 0));
+                let renamed = vec![scenario("a2", PolicyKind::Rr)];
+                let stats = indexed(&tag("name"), &renamed, 11, &fixed(3), clean, &index);
+                assert_eq!((stats.records_written, stats.records_reused), (3, 0));
+                assert_eq!(index.len(), 12);
+            });
+        }
+    }
+
+    #[test]
+    fn wall_limit_bypasses_the_index() {
+        let index = RepIndex::default();
+        let base = vec![scenario("a", PolicyKind::Rr)];
+        let clean = RepGuard::default();
+        indexed("wall-base", &base, 11, &fixed(3), clean, &index);
+        let wall = RepGuard {
+            max_events: None,
+            wall_limit_s: Some(1e9),
+        };
+        let stats = indexed("wall-limited", &base, 11, &fixed(5), wall, &index);
+        assert_eq!((stats.records_written, stats.records_reused), (5, 0));
+        assert_eq!(index.len(), 3, "unkeyed records are not indexed");
     }
 
     #[test]

@@ -14,8 +14,8 @@ mod table;
 pub use figures::{extended_panels, fig1_panels, fig2_panels, PanelSpec};
 pub use journal::{
     canonical_oracle_bytes, canonical_sweep_bytes, oracle_fingerprint, run_matrix_journaled,
-    run_matrix_journaled_with, run_matrix_journaled_with_progress, run_scenario_journaled,
-    sweep_fingerprint, JournalOutcome, JournalStats, RepGuard,
+    run_matrix_journaled_indexed, run_matrix_journaled_with, run_scenario_journaled,
+    sweep_fingerprint, JournalOutcome, JournalStats, RepGuard, RepIndex,
 };
 pub(crate) use journal::{fingerprint_canonical, KeySpace};
 pub use plot::{panel_chart, BarChart};

@@ -7,8 +7,14 @@
 //! <fp>.request.json    canonical (scenarios, base_seed, rule) bytes
 //! <fp>.response.json   cached SweepResponse bytes, served verbatim
 //! <fp>.journal.jsonl   the sweep's replication journal (kept for warm
-//!                      resume; owned by the journal runner, not here)
+//!                      resume and replication reuse; owned by the
+//!                      journal runner, not here)
 //! ```
+//!
+//! Open also loads every journal into a [`RepIndex`], so a sweep that
+//! shares scenarios with any journaled sweep — before or after a restart
+//! — replays their replications instead of recomputing them. A journal
+//! that does not parse is left out of the index; it never fails open.
 //!
 //! A fingerprint is strong (2⁻¹²⁸ accidental collision odds) but the
 //! cache still refuses to *trust* it: every hit compares the stored
@@ -23,6 +29,7 @@
 //! skipped — the journal, if intact, still lets the next request resume
 //! instead of recomputing from scratch.
 
+use crate::experiment::RepIndex;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs;
@@ -55,10 +62,12 @@ pub enum CacheLookup {
     Collision,
 }
 
-/// The in-memory index plus its backing directory.
+/// The in-memory entry index and replication index, plus their backing
+/// directory.
 pub struct ResultCache {
     dir: PathBuf,
     entries: Mutex<BTreeMap<String, Arc<CacheEntry>>>,
+    reps: RepIndex,
     warmed: u64,
     pending_journals: u64,
 }
@@ -71,13 +80,15 @@ fn fingerprint_of(file_name: &str, suffix: &str) -> Option<String> {
 impl ResultCache {
     /// Opens (creating if needed) the cache under `dir` and warms the
     /// in-memory index from every intact `request`/`response` pair found
-    /// there. Damaged or unpaired entries are skipped, not deleted: a
-    /// sweep whose response is missing but whose journal survived will
-    /// resume from the journal on its next request.
+    /// there, and the replication index from every sweep journal.
+    /// Damaged or unpaired entries are skipped, not deleted: a sweep
+    /// whose response is missing but whose journal survived will resume
+    /// from the journal on its next request.
     pub fn open(dir: &Path) -> io::Result<ResultCache> {
         fs::create_dir_all(dir)?;
         let mut entries = BTreeMap::new();
         let mut journals = Vec::new();
+        let reps = RepIndex::default();
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name();
@@ -98,6 +109,9 @@ impl ResultCache {
                 }
                 entries.insert(fp, Arc::new(CacheEntry { request, response }));
             } else if let Some(fp) = fingerprint_of(name, ".journal.jsonl") {
+                // Oracle journals share the suffix and are refused here,
+                // like any journal that is damaged before its last line.
+                let _ = reps.load_journal(&entry.path());
                 journals.push(fp);
             }
         }
@@ -111,6 +125,7 @@ impl ResultCache {
         Ok(ResultCache {
             dir: dir.to_path_buf(),
             entries: Mutex::new(entries),
+            reps,
             warmed,
             pending_journals,
         })
@@ -125,6 +140,12 @@ impl ResultCache {
     /// crash interrupted, waiting to be resumed by their next request.
     pub fn pending_journals(&self) -> u64 {
         self.pending_journals
+    }
+
+    /// The replication index: every journaled replication in the
+    /// directory, growing as sweeps append.
+    pub fn rep_index(&self) -> &RepIndex {
+        &self.reps
     }
 
     /// Where the journal runner should journal the sweep with this

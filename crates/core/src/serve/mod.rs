@@ -15,7 +15,9 @@
 //!   bounded slots, granted round-robin across tenants.
 //! - **Journaled execution**: every sweep runs through the replication
 //!   journal, so a killed daemon loses at most one replication; the next
-//!   request for the same sweep resumes from the journal on restart.
+//!   request for the same sweep resumes from the journal on restart, and
+//!   a sweep that shares scenarios with any journaled sweep replays their
+//!   replications instead of recomputing them.
 //! - **Wire protocol** ([`protocol`]): hand-rolled HTTP/1.1 over std
 //!   `TcpListener` — no async runtime, blocking threads all the way
 //!   down. `POST /sweep` returns the response JSON; add `?stream=1` for

@@ -19,6 +19,14 @@ use std::net::TcpStream;
 /// kilobytes; anything near this limit is a malformed or hostile client.
 pub const MAX_BODY_BYTES: usize = 16 << 20;
 
+/// Upper bound on one line of a message head (start line or header,
+/// terminator included), so a client that never sends `\n` cannot make
+/// the daemon buffer without bound.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Upper bound on the number of header lines in a message head.
+pub const MAX_HEADERS: usize = 100;
+
 fn default_seed() -> u64 {
     2008
 }
@@ -168,15 +176,21 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Reads one CRLF- (or LF-) terminated line, without the terminator.
+/// Reads one CRLF- (or LF-) terminated line, without the terminator;
+/// a line longer than [`MAX_LINE_BYTES`] is an `InvalidData` error.
 fn read_line<R: BufRead>(r: &mut R) -> io::Result<String> {
     let mut line = String::new();
-    let n = r.read_line(&mut line)?;
+    let n = r.take(MAX_LINE_BYTES as u64).read_line(&mut line)?;
     if n == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-message",
         ));
+    }
+    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(bad(format!(
+            "head line exceeds the {MAX_LINE_BYTES}-byte limit"
+        )));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -185,13 +199,17 @@ fn read_line<R: BufRead>(r: &mut R) -> io::Result<String> {
 }
 
 /// Reads headers (already past the start line) until the blank line;
-/// names are lowercased.
+/// names are lowercased. More than [`MAX_HEADERS`] is an `InvalidData`
+/// error.
 fn read_headers<R: BufRead>(r: &mut R) -> io::Result<Vec<(String, String)>> {
     let mut headers = Vec::new();
     loop {
         let line = read_line(r)?;
         if line.is_empty() {
             return Ok(headers);
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(bad(format!("more than {MAX_HEADERS} header lines")));
         }
         let (name, value) = line
             .split_once(':')
@@ -440,6 +458,48 @@ mod tests {
         );
         let err = read_http_request(&mut Cursor::new(wire.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("limit"), "{err}");
+    }
+
+    #[test]
+    fn head_lines_are_capped() {
+        let head = |len: usize| {
+            let mut wire = b"GET /healthz HTTP/1.1\r\nx-pad: ".to_vec();
+            wire.resize(wire.len() + len, b'a');
+            wire.extend_from_slice(b"\r\n\r\n");
+            wire
+        };
+        // A header line of exactly the limit, terminator included, parses.
+        let fits = MAX_LINE_BYTES - "x-pad: \r\n".len();
+        let req = read_http_request(&mut Cursor::new(head(fits))).unwrap();
+        assert_eq!(header_value(&req.headers, "x-pad").unwrap().len(), fits);
+        // One byte more does not, and neither does a megabyte.
+        for len in [fits + 1, 1 << 20] {
+            let err = read_http_request(&mut Cursor::new(head(len))).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}: {err}");
+            assert!(err.to_string().contains("limit"), "{err}");
+        }
+        // The start line is capped the same way.
+        let mut wire = b"GET /".to_vec();
+        wire.resize(64 << 10, b'a');
+        let err = read_http_request(&mut Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn header_count_is_capped() {
+        let head = |count: usize| {
+            let mut wire = "GET /healthz HTTP/1.1\r\n".to_string();
+            for i in 0..count {
+                wire += &format!("x-h{i}: v\r\n");
+            }
+            wire += "\r\n";
+            wire.into_bytes()
+        };
+        let req = read_http_request(&mut Cursor::new(head(MAX_HEADERS))).unwrap();
+        assert_eq!(req.headers.len(), MAX_HEADERS);
+        let err = read_http_request(&mut Cursor::new(head(MAX_HEADERS + 1))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("header lines"), "{err}");
     }
 
     #[test]

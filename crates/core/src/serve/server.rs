@@ -5,20 +5,26 @@
 //!
 //! ```text
 //! parse + validate ─▶ fingerprint ─▶ cache probe ──hit──▶ cached bytes
-//!                                        │miss
+//!   (+ event clamp)                      │miss
 //!                                  single-flight ──follower──▶ leader's bytes
 //!                                        │leader
 //!                                  fair-share admission (slot)
 //!                                        │
-//!                        journaled sweep (resume if a journal exists)
+//!                        journaled sweep: per scenario, replay the longer
+//!                        of its own journal prefix and the replication
+//!                        index's, compute the rest, append + index them
 //!                                        │
 //!                        cache insert ─▶ publish ─▶ response bytes
 //! ```
 //!
 //! Every response body for the same canonical request is byte-identical
-//! — computed, replayed from a journal after a crash, or served from the
-//! cache — because the underlying sweep is deterministic at any pool
-//! width and the cache stores the serialised bytes themselves.
+//! — computed, replayed from a journal after a crash, assembled from
+//! replications other sweeps journaled, or served from the cache —
+//! because the underlying sweep is deterministic at any pool width and
+//! the cache stores the serialised bytes themselves. A sweep that reuses
+//! replications is still a miss: it runs, and it counts in
+//! `serve_sweeps_executed`; `serve_replications_reused` counts what it
+//! did not have to compute.
 
 use super::admission::Admission;
 use super::cache::{CacheEntry, CacheLookup, ResultCache};
@@ -29,7 +35,7 @@ use super::protocol::{
 use super::single_flight::{FlightRole, LeaderToken, SingleFlight};
 use crate::experiment::{
     canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical,
-    run_matrix_journaled_with_progress, run_matrix_regret, run_matrix_regret_journaled, KeySpace,
+    run_matrix_journaled_indexed, run_matrix_regret, run_matrix_regret_journaled, KeySpace,
     RepGuard, Scenario, WorkloadKind,
 };
 use crate::policy::PolicyKind;
@@ -64,7 +70,8 @@ pub struct ServeConfig {
     /// Pool-width override applied around each sweep; `None` inherits
     /// the environment (`DGSCHED_THREADS` / `RAYON_NUM_THREADS`).
     pub width: Option<usize>,
-    /// Per-replication resource guard for admitted sweeps.
+    /// Per-replication resource guard for admitted sweeps. A
+    /// `max_events` clamp is part of every served sweep's fingerprint.
     pub guard: RepGuard,
 }
 
@@ -97,6 +104,7 @@ pub struct ServeMetrics {
     sweeps_failed: AtomicU64,
     journal_replayed: AtomicU64,
     journal_resumes: AtomicU64,
+    replications_reused: AtomicU64,
     bad_requests: AtomicU64,
 }
 
@@ -147,6 +155,10 @@ impl ServeMetrics {
             (
                 "serve_journal_resumes",
                 self.journal_resumes.load(Ordering::Relaxed),
+            ),
+            (
+                "serve_replications_reused",
+                self.replications_reused.load(Ordering::Relaxed),
             ),
             (
                 "serve_bad_requests",
@@ -479,7 +491,14 @@ fn handle_sweep(
         Ok(b) => b,
         Err(e) => return conn.send_error(500, &e.to_string()),
     };
-    let fingerprint = fingerprint_canonical(KeySpace::Sweep, &canonical);
+    // The event clamp is part of what the daemon computes, so a daemon
+    // restarted with a different clamp must not serve (or resume) the
+    // old answers; the default, no clamp, keeps the plain sweep key.
+    let space = match inner.guard.max_events {
+        None => KeySpace::Sweep,
+        Some(max_events) => KeySpace::ClampedSweep(max_events),
+    };
+    let fingerprint = fingerprint_canonical(space, &canonical);
 
     match inner.cache.lookup(&fingerprint, &canonical) {
         CacheLookup::Hit(entry) => {
@@ -517,7 +536,8 @@ fn handle_sweep(
 }
 
 /// The leader path: admission, journaled sweep (resuming any journal a
-/// crashed instance left), cache insert, publish.
+/// crashed instance left, reusing indexed replications), cache insert,
+/// publish.
 fn run_leader(
     inner: &Arc<ServerInner>,
     req: &SweepRequest,
@@ -538,16 +558,14 @@ fn run_leader(
     conn.send_stream_head(fingerprint);
     ServeMetrics::bump(&inner.metrics.sweeps_executed);
     let journal_path = inner.cache.journal_path(fingerprint);
-    let resume = journal_path.exists();
-    let guard = inner.guard;
     let run = || {
-        run_matrix_journaled_with_progress(
+        run_matrix_journaled_indexed(
             &req.scenarios,
             req.base_seed,
             &req.rule,
             &journal_path,
-            resume,
-            guard,
+            inner.guard,
+            inner.cache.rep_index(),
             |done, total, name| conn.send_progress(done, total, name),
         )
     };
@@ -566,6 +584,10 @@ fn run_leader(
                 .metrics
                 .journal_resumes
                 .fetch_add(outcome.stats.resumes, Ordering::Relaxed);
+            inner
+                .metrics
+                .replications_reused
+                .fetch_add(outcome.stats.records_reused, Ordering::Relaxed);
             let response = SweepResponse {
                 fingerprint: fingerprint.to_string(),
                 results: outcome.results,
@@ -804,10 +826,9 @@ fn run_oracle_collision(
     conn.send_result(fingerprint, CacheDisposition::Collision, &entry)
 }
 
-/// A tiny, fast scenario pair for the `serve --check` self-test: small
-/// bags, two replications, milliseconds of compute.
-pub(super) fn check_request() -> SweepRequest {
-    let scenario = |name: &str, policy: PolicyKind| Scenario {
+/// One small self-test cell: 6 bags on the Hom-HighAvail platform.
+fn check_scenario(name: &str, policy: PolicyKind) -> Scenario {
+    Scenario {
         name: name.to_string(),
         grid: GridConfig {
             total_power: 100.0,
@@ -827,11 +848,16 @@ pub(super) fn check_request() -> SweepRequest {
         }),
         policy,
         sim: SimConfig::default(),
-    };
+    }
+}
+
+/// A tiny, fast scenario pair for the `serve --check` self-test: small
+/// bags, two replications, milliseconds of compute.
+pub(super) fn check_request() -> SweepRequest {
     SweepRequest {
         scenarios: vec![
-            scenario("check: RR", PolicyKind::Rr),
-            scenario("check: FCFS-Share", PolicyKind::FcfsShare),
+            check_scenario("check: RR", PolicyKind::Rr),
+            check_scenario("check: FCFS-Share", PolicyKind::FcfsShare),
         ],
         base_seed: 2008,
         rule: StoppingRule {
@@ -844,9 +870,11 @@ pub(super) fn check_request() -> SweepRequest {
 }
 
 /// `dgsched serve --check`: bind (an ephemeral port unless `addr` pins
-/// one), round-trip a demo sweep twice, and verify the second response
-/// is a byte-identical cache hit. Returns a human-readable summary, or
-/// a description of the first discrepancy.
+/// one), round-trip a demo sweep twice and verify the second response is
+/// a byte-identical cache hit, then send the sweep plus one scenario and
+/// verify it is a miss that reuses all 4 journaled replications and
+/// answers the shared scenarios byte-identically. Returns a
+/// human-readable summary, or a description of the first discrepancy.
 pub fn self_check(addr: &str) -> Result<String, String> {
     let cfg = ServeConfig {
         addr: addr.to_string(),
@@ -877,11 +905,49 @@ pub fn self_check(addr: &str) -> Result<String, String> {
         if first.body != second.body {
             return Err("cache hit served different bytes than the computed response".to_string());
         }
+        let mut overlap = check_request();
+        let shared = overlap.scenarios.len();
+        overlap
+            .scenarios
+            .push(check_scenario("check: LongIdle", PolicyKind::LongIdle));
+        let body = serde_json::to_vec(&overlap).expect("request serialises");
+        let third = http_request(&addr, "POST", "/sweep", &[], &body)
+            .map_err(|e| format!("overlap request failed: {e}"))?;
+        if third.status != 200 || header_value(&third.headers, "x-dgsched-cache") != Some("miss") {
+            return Err(format!(
+                "overlap request: status {}, cache {:?}",
+                third.status,
+                header_value(&third.headers, "x-dgsched-cache")
+            ));
+        }
+        let metrics = http_request(&addr, "GET", "/metrics", &[], b"")
+            .map_err(|e| format!("metrics request failed: {e}"))?;
+        let snap: MetricsSnapshot = serde_json::from_slice(&metrics.body)
+            .map_err(|e| format!("metrics do not parse: {e}"))?;
+        let reused = snap.counters.get("serve_replications_reused").copied();
+        if reused != Some(4) {
+            return Err(format!(
+                "overlap request reused {reused:?} replications, expected 4"
+            ));
+        }
+        let results = |bytes: &[u8]| -> Result<Vec<u8>, String> {
+            let resp: SweepResponse = serde_json::from_slice(bytes)
+                .map_err(|e| format!("response does not parse: {e}"))?;
+            let shared = resp
+                .results
+                .get(..shared)
+                .ok_or("response lacks scenarios")?;
+            Ok(serde_json::to_vec(shared).expect("results serialise"))
+        };
+        if results(&first.body)? != results(&third.body)? {
+            return Err("overlap request answered the shared scenarios differently".to_string());
+        }
         if let Err(e) = http_request(&addr, "POST", "/shutdown", &[], b"") {
             return Err(format!("shutdown failed: {e}"));
         }
         Ok(format!(
-            "round-trip ok at {addr}: miss then byte-identical hit ({} bytes)",
+            "round-trip ok at {addr}: miss then byte-identical hit ({} bytes), \
+             then an overlapping miss reusing 4 replications",
             first.body.len()
         ))
     })();
@@ -899,6 +965,7 @@ pub fn self_check(addr: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -907,10 +974,15 @@ mod tests {
         dir
     }
 
-    fn spawn_server(dir: &PathBuf) -> ServerHandle {
+    fn spawn_server(dir: &Path) -> ServerHandle {
+        spawn_guarded(dir, RepGuard::default())
+    }
+
+    fn spawn_guarded(dir: &Path, guard: RepGuard) -> ServerHandle {
         let server = Server::bind(&ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            cache_dir: Some(dir.clone()),
+            cache_dir: Some(dir.to_path_buf()),
+            guard,
             ..ServeConfig::default()
         })
         .expect("bind");
@@ -1007,6 +1079,54 @@ mod tests {
         let bad_body = serde_json::to_vec(&bad).unwrap();
         let rejected = http_request(&addr, "POST", "/oracle", &[], &bad_body).unwrap();
         assert_eq!(rejected.status, 400);
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A daemon restarted on the same directory with a different event
+    /// clamp computes under its own clamp: neither the cached response
+    /// nor the journaled replications of the unclamped sweep are served.
+    #[test]
+    fn event_clamp_is_part_of_the_served_key() {
+        let dir = tmp_dir("clamp");
+        let body = serde_json::to_vec(&check_request()).unwrap();
+        let post = |addr: &str| http_request(addr, "POST", "/sweep", &[], &body).unwrap();
+        let handle = spawn_server(&dir);
+        let plain = post(&handle.addr().to_string());
+        assert_eq!(
+            header_value(&plain.headers, "x-dgsched-cache"),
+            Some("miss")
+        );
+        handle.shutdown();
+
+        let tiny = RepGuard {
+            max_events: Some(10),
+            wall_limit_s: None,
+        };
+        let handle = spawn_guarded(&dir, tiny);
+        let addr = handle.addr().to_string();
+        let clamped = post(&addr);
+        assert_eq!(clamped.status, 200);
+        assert_eq!(
+            header_value(&clamped.headers, "x-dgsched-cache"),
+            Some("miss")
+        );
+        let resp: SweepResponse = serde_json::from_slice(&clamped.body).unwrap();
+        assert!(
+            resp.results.iter().all(|r| r.saturated),
+            "10 events cannot drain 6 bags"
+        );
+        let metrics = http_request(&addr, "GET", "/metrics", &[], b"").unwrap();
+        let snap: MetricsSnapshot = serde_json::from_slice(&metrics.body).unwrap();
+        assert_eq!(snap.counters["serve_replications_reused"], 0);
+        assert_eq!(snap.counters["serve_journal_replayed"], 0);
+        handle.shutdown();
+
+        // Unclamped again: the original answer is still a hit.
+        let handle = spawn_server(&dir);
+        let again = post(&handle.addr().to_string());
+        assert_eq!(header_value(&again.headers, "x-dgsched-cache"), Some("hit"));
+        assert_eq!(again.body, plain.body);
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,20 +8,27 @@
 //! leaves behind); the resumed sweep must detect the torn tail, drop it,
 //! replay the intact prefix and recompute the rest.
 //!
+//! The same holds for sweeps fed by the serve daemon's replication index,
+//! which replay replications another sweep journaled: the index is
+//! rebuilt from the journals on disk, so a killed sweep resumes from its
+//! own journal plus every other journal in the directory.
+//!
 //! `scripts/ci.sh` runs this file at `DGSCHED_THREADS=1` and `=4`; the
 //! in-process `rayon::with_num_threads` calls below add explicit widths on
 //! top, so each CI invocation re-proves the equalities from a different
 //! baseline.
 
 use dgsched_core::experiment::{
-    run_matrix, run_matrix_journaled, run_matrix_journaled_with, RepGuard, Scenario, WorkloadKind,
+    run_matrix, run_matrix_journaled, run_matrix_journaled_indexed, run_matrix_journaled_with,
+    sweep_fingerprint, JournalOutcome, RepGuard, Scenario, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
+use dgsched_core::serve::ResultCache;
 use dgsched_core::sim::SimConfig;
 use dgsched_des::stats::StoppingRule;
 use dgsched_grid::{Availability, GridConfig, Heterogeneity};
 use dgsched_workload::{BotType, Intensity, WorkloadSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn scenario(name: &str, policy: PolicyKind) -> Scenario {
@@ -254,4 +261,162 @@ fn transient_panic_is_retried_and_leaves_no_trace_in_the_results() {
         0
     );
     std::fs::remove_file(&path).ok();
+}
+
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "dgsched-journal-index-{name}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Opens the cache directory afresh — rebuilding the replication index
+/// from the journals on disk, as a restarted daemon does — and runs an
+/// index-fed sweep journaled under the sweep's fingerprint.
+fn indexed_sweep(dir: &Path, scenarios: &[Scenario]) -> JournalOutcome {
+    let cache = ResultCache::open(dir).expect("cache opens");
+    let path = cache.journal_path(&sweep_fingerprint(scenarios, 42, &rule()).unwrap());
+    run_matrix_journaled_indexed(
+        scenarios,
+        42,
+        &rule(),
+        &path,
+        RepGuard::default(),
+        cache.rep_index(),
+        |_, _, _| {},
+    )
+    .expect("indexed sweep")
+}
+
+/// Record boundaries (the byte after each newline past the header) of a
+/// journal, and a cut inside each record.
+fn cut_points(full: &[u8]) -> Vec<usize> {
+    let ends: Vec<usize> = full
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect();
+    let mut cuts = Vec::new();
+    for pair in ends.windows(2) {
+        cuts.push(pair[0]);
+        cuts.push((pair[0] + pair[1]) / 2);
+    }
+    cuts
+}
+
+#[test]
+fn index_fed_sweep_resumes_byte_identically_at_every_cut() {
+    let extended = matrix();
+    let base = &extended[..2];
+    let reference = serde_json::to_string(&run_matrix(&extended, 42, &rule())).unwrap();
+    for width in [1usize, 4] {
+        let dir = tmp_dir(&format!("cuts-w{width}"));
+        rayon::with_num_threads(width, || {
+            indexed_sweep(&dir, base);
+            let straight = indexed_sweep(&dir, &extended);
+            assert_eq!(serde_json::to_string(&straight.results).unwrap(), reference);
+            assert!(straight.stats.records_reused >= 6, "base scenarios reused");
+            let path = dir.join(format!(
+                "{}.journal.jsonl",
+                sweep_fingerprint(&extended, 42, &rule()).unwrap()
+            ));
+            let full = std::fs::read(&path).unwrap();
+            let records = full.iter().filter(|&&b| b == b'\n').count() as u64 - 1;
+            assert_eq!(
+                records, straight.stats.records_written,
+                "reused records are not copied into the new journal"
+            );
+            for cut in cut_points(&full) {
+                std::fs::write(&path, &full[..cut]).unwrap();
+                let resumed = indexed_sweep(&dir, &extended);
+                assert_eq!(
+                    serde_json::to_string(&resumed.results).unwrap(),
+                    reference,
+                    "resume after a cut at byte {cut} diverged at width {width}"
+                );
+                let intact = full[..cut].iter().filter(|&&b| b == b'\n').count() as u64 - 1;
+                let stats = resumed.stats;
+                assert_eq!(stats.records_replayed, intact, "cut at byte {cut}");
+                assert_eq!(stats.records_reused, straight.stats.records_reused);
+                assert_eq!(
+                    stats.records_written + intact,
+                    straight.stats.records_written,
+                    "nothing recomputed twice"
+                );
+            }
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Removes the replication keys from a journal: the record format
+/// written before keys existed.
+fn strip_keys(journal: &[u8]) -> Vec<u8> {
+    let mut text = String::from_utf8(journal.to_vec()).unwrap();
+    while let Some(at) = text.find(",\"key\":\"") {
+        let value_end = at + 8 + text[at + 8..].find('"').unwrap() + 1;
+        text.replace_range(at..value_end, "");
+    }
+    text.into_bytes()
+}
+
+#[test]
+fn journal_without_keys_still_resumes() {
+    let scenarios = matrix();
+    let reference = serde_json::to_string(&run_matrix(&scenarios, 42, &rule())).unwrap();
+    let dir = tmp_dir("old-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!(
+        "{}.journal.jsonl",
+        sweep_fingerprint(&scenarios, 42, &rule()).unwrap()
+    ));
+    run_matrix_journaled(&scenarios, 42, &rule(), &path, false, RepGuard::default()).unwrap();
+    let keyed = std::fs::read(&path).unwrap();
+    let old = strip_keys(&keyed);
+    assert!(old.len() < keyed.len() && !String::from_utf8_lossy(&old).contains("\"key\""));
+    let cut = old.len() * 2 / 3;
+    let intact = old[..cut].iter().filter(|&&b| b == b'\n').count() as u64 - 1;
+
+    std::fs::write(&path, &old[..cut]).unwrap();
+    let resumed =
+        run_matrix_journaled(&scenarios, 42, &rule(), &path, true, RepGuard::default()).unwrap();
+    assert_eq!(serde_json::to_string(&resumed.results).unwrap(), reference);
+    assert_eq!(resumed.stats.records_replayed, intact);
+
+    // Through the daemon's path: not indexed, but resumed all the same.
+    std::fs::write(&path, &old[..cut]).unwrap();
+    assert!(ResultCache::open(&dir).unwrap().rep_index().is_empty());
+    let resumed = indexed_sweep(&dir, &scenarios);
+    assert_eq!(serde_json::to_string(&resumed.results).unwrap(), reference);
+    assert_eq!(resumed.stats.records_replayed, intact);
+    assert_eq!(resumed.stats.records_reused, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corrupt_journal_is_left_out_of_the_index() {
+    let scenarios = matrix();
+    let dir = tmp_dir("corrupt");
+    let intact = indexed_sweep(&dir, &scenarios);
+    let journaled = intact.stats.records_written;
+    let path = dir.join(format!(
+        "{}.journal.jsonl",
+        sweep_fingerprint(&scenarios, 42, &rule()).unwrap()
+    ));
+    // A copy damaged in the middle, under another fingerprint, and a
+    // file that is no journal at all.
+    let full = std::fs::read(&path).unwrap();
+    let mid = full.len() / 2;
+    let mut damaged = full[..mid].to_vec();
+    damaged.extend_from_slice(b"\n{not json}\n");
+    damaged.extend_from_slice(&full[mid..]);
+    std::fs::write(dir.join("00ff.journal.jsonl"), damaged).unwrap();
+    std::fs::write(dir.join("11ee.journal.jsonl"), b"\x00\xff garbage\n").unwrap();
+    let cache = ResultCache::open(&dir).expect("damaged journals do not fail open");
+    assert_eq!(cache.rep_index().len(), journaled);
+    assert_eq!(cache.pending_journals(), 3);
+    std::fs::remove_dir_all(&dir).ok();
 }

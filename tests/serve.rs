@@ -13,17 +13,23 @@
 //!    request byte-identically to an uninterrupted run, resuming from
 //!    the journal rather than starting over.
 //!
-//! Both properties must hold at pool width 1 and width 4 — the
-//! determinism contract says width never changes bytes.
+//! A third rides on the journal: a sweep that shares scenarios with one
+//! journaled earlier — even by a daemon since killed — computes only the
+//! replications it is missing, and still answers byte-identically.
+//!
+//! All three must hold at pool width 1 and width 4 — the determinism
+//! contract says width never changes bytes.
 
-use dgsched_core::experiment::{Scenario, WorkloadKind};
+use dgsched_core::experiment::{run_matrix, Scenario, WorkloadKind};
 use dgsched_core::policy::PolicyKind;
-use dgsched_core::serve::{http_request, http_request_streaming, SweepRequest};
+use dgsched_core::serve::protocol::header_value;
+use dgsched_core::serve::{http_request, http_request_streaming, SweepRequest, SweepResponse};
 use dgsched_core::sim::SimConfig;
 use dgsched_des::stats::StoppingRule;
 use dgsched_grid::{Availability, GridConfig, Heterogeneity};
 use dgsched_workload::{BotType, Intensity, WorkloadSpec};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -309,6 +315,137 @@ fn deeply_nested_request_is_rejected_and_the_daemon_survives() {
         "{}",
         String::from_utf8_lossy(&resp.body)
     );
+    assert_eq!(daemon.counter("serve_bad_requests"), 1);
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small cell, milliseconds per replication.
+fn small_scenario(name: &str, policy: PolicyKind) -> Scenario {
+    Scenario {
+        name: name.to_string(),
+        grid: GridConfig {
+            total_power: 100.0,
+            heterogeneity: Heterogeneity::HOM,
+            availability: Availability::HIGH,
+            checkpoint: Default::default(),
+            outages: None,
+        },
+        workload: WorkloadKind::Single(WorkloadSpec {
+            bot_type: BotType {
+                granularity: 1_000.0,
+                app_size: 20_000.0,
+                jitter: 0.5,
+            },
+            intensity: Intensity::Low,
+            count: 6,
+        }),
+        policy,
+        sim: SimConfig::default(),
+    }
+}
+
+/// A sweep, a daemon restart on the same directory, then the same sweep
+/// plus one scenario: a miss that computes only the new scenario, reusing
+/// the replications the killed daemon journaled, and answers exactly what
+/// `run_matrix` answers.
+fn overlap_reuse_survives_a_restart_at(width: &str) {
+    let dir = tmp_dir(&format!("overlap-w{width}"));
+    let fixed = StoppingRule {
+        min_replications: 3,
+        max_replications: 3,
+        ..StoppingRule::default()
+    };
+    let base = SweepRequest {
+        scenarios: vec![
+            small_scenario("overlap: RR", PolicyKind::Rr),
+            small_scenario("overlap: SBF", PolicyKind::Sbf),
+        ],
+        base_seed: 2008,
+        rule: fixed,
+        tenant: None,
+    };
+    let mut extended = base.clone();
+    extended
+        .scenarios
+        .push(small_scenario("overlap: LongIdle", PolicyKind::LongIdle));
+
+    let first = Daemon::start(&dir, width);
+    let base_body = serde_json::to_vec(&base).unwrap();
+    let base_resp = http_request(&first.addr, "POST", "/sweep", &[], &base_body).unwrap();
+    assert_eq!(base_resp.status, 200);
+    first.kill();
+
+    let daemon = Daemon::start(&dir, width);
+    let body = serde_json::to_vec(&extended).unwrap();
+    let resp = http_request(&daemon.addr, "POST", "/sweep", &[], &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(header_value(&resp.headers, "x-dgsched-cache"), Some("miss"));
+    for (name, want) in [
+        ("serve_replications_reused", 6),
+        ("serve_sweeps_executed", 1),
+        ("serve_cache_misses", 1),
+        ("serve_cache_hits", 0),
+        ("serve_journal_replayed", 0),
+    ] {
+        assert_eq!(daemon.counter(name), want, "{name} at width {width}");
+    }
+    let parsed: SweepResponse = serde_json::from_slice(&resp.body).unwrap();
+    let expected = SweepResponse {
+        fingerprint: parsed.fingerprint.clone(),
+        results: run_matrix(&extended.scenarios, extended.base_seed, &extended.rule),
+    };
+    assert_eq!(
+        resp.body,
+        serde_json::to_vec(&expected).unwrap(),
+        "an index-fed answer must equal run_matrix byte for byte"
+    );
+    let base_parsed: SweepResponse = serde_json::from_slice(&base_resp.body).unwrap();
+    assert_eq!(
+        serde_json::to_vec(&parsed.results[..2]).unwrap(),
+        serde_json::to_vec(&base_parsed.results).unwrap()
+    );
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn overlap_reuse_survives_a_restart_width_1() {
+    overlap_reuse_survives_a_restart_at("1");
+}
+
+#[test]
+fn overlap_reuse_survives_a_restart_width_4() {
+    overlap_reuse_survives_a_restart_at("4");
+}
+
+/// A client that sends a 1 MiB header line is answered 400 once the line
+/// passes the head-line limit, instead of being buffered whole; the same
+/// daemon keeps serving.
+#[test]
+fn oversized_header_line_is_rejected_and_the_daemon_survives() {
+    let dir = tmp_dir("long-header");
+    let daemon = Daemon::start(&dir, "1");
+    let stream = TcpStream::connect(&daemon.addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    // The daemon stops reading at the limit, so the rest of the line may
+    // never be accepted: send it from a thread that ignores the error.
+    let sender = std::thread::spawn(move || {
+        let mut head = b"POST /sweep HTTP/1.1\r\nx-pad: ".to_vec();
+        head.resize(head.len() + (1 << 20), b'a');
+        head.extend_from_slice(b"\r\ncontent-length: 0\r\n\r\n");
+        let _ = writer.write_all(&head);
+    });
+    let mut reply = Vec::new();
+    // A reset after the answer arrived is expected; the bytes read so far
+    // are kept.
+    let _ = BufReader::new(stream).read_to_end(&mut reply);
+    sender.join().expect("sender thread");
+    let text = String::from_utf8_lossy(&reply);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    assert!(text.contains("limit"), "{text}");
+    let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET /healthz");
+    assert_eq!(health.status, 200);
     assert_eq!(daemon.counter("serve_bad_requests"), 1);
     daemon.kill();
     std::fs::remove_dir_all(&dir).ok();
