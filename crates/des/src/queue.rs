@@ -2,11 +2,12 @@
 //!
 //! Three interchangeable priority queues are provided:
 //!
-//! * [`BinaryHeapQueue`] — `std::collections::BinaryHeap` over *batches* of
-//!   same-timestamp events, with dense id-bitmap bookkeeping and lazy
-//!   cancellation plus tombstone compaction. The default: cache-friendly
-//!   and cheap even under the kill-relaunch storms of aggressive
-//!   replication policies.
+//! * [`BinaryHeapQueue`] — a 4-ary min-heap of 24-byte `Copy` nodes keyed
+//!   by `(time, id)`, payloads in a slot slab, the popped root reused by
+//!   the next schedule, dense id-bitmap bookkeeping and lazy cancellation
+//!   plus tombstone compaction. The default: cache-friendly and cheap
+//!   even under the kill-relaunch storms of aggressive replication
+//!   policies.
 //! * [`CalendarQueue`] — a Brown-style calendar queue with adaptive bucket
 //!   width, O(1) amortised enqueue/dequeue when event-time increments are
 //!   well behaved. Provided for large-scale runs and benchmarked against
@@ -21,9 +22,7 @@
 
 use crate::event::{Entry, EventId};
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 
 /// Common interface of the pending-event set.
 pub trait PendingEvents<E> {
@@ -93,159 +92,73 @@ impl IdBits {
     }
 }
 
-/// Batch storage. In a simulation with continuous event times almost every
-/// batch holds exactly one event, so the singleton case lives inline in the
-/// heap node — no deque allocation, and popping it touches no memory beyond
-/// the node itself. Only a genuine timestamp tie upgrades to a deque.
-enum Items<E> {
-    /// Zero or one event; `None` marks an exhausted batch.
-    One(Option<(u64, E)>),
-    /// Two or more events (or the drained remains of such a batch),
-    /// front-to-back in insertion order.
-    Many(VecDeque<(u64, E)>),
+/// Raw bits of a scheduled time, which must be non-negative.
+#[inline]
+fn time_bits(t: SimTime) -> u64 {
+    let secs = t.as_secs();
+    debug_assert!(
+        secs >= 0.0,
+        "event queues require non-negative times (got {secs})"
+    );
+    secs.to_bits()
 }
 
-impl<E> Items<E> {
-    #[inline]
-    fn front_id(&self) -> Option<u64> {
-        match self {
-            Items::One(slot) => slot.as_ref().map(|&(id, _)| id),
-            Items::Many(deque) => deque.front().map(|&(id, _)| id),
-        }
-    }
-
-    #[inline]
-    fn pop_front(&mut self) -> Option<(u64, E)> {
-        match self {
-            Items::One(slot) => slot.take(),
-            Items::Many(deque) => deque.pop_front(),
-        }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        match self {
-            Items::One(slot) => slot.is_none(),
-            Items::Many(deque) => deque.is_empty(),
-        }
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(&(u64, E)) -> bool) {
-        match self {
-            Items::One(slot) => {
-                if slot.as_ref().is_some_and(|item| !keep(item)) {
-                    *slot = None;
-                }
-            }
-            Items::Many(deque) => deque.retain(|item| keep(item)),
-        }
-    }
+/// Order key of raw time bits. With the sign bit cleared, the bits of a
+/// non-negative time order like the time itself, and `-0.0` keys as `+0.0`,
+/// just as `SimTime`'s `==` has it. (Raw, `-0.0` would sort after `+∞`.)
+#[inline]
+fn time_key(bits: u64) -> u64 {
+    bits & !(1 << 63)
 }
 
-/// A run of events sharing one firing time, stored front-to-back in
-/// insertion order. Because ids are issued sequentially and a batch only
-/// ever grows at the open tail, ids within a batch are strictly increasing,
-/// so popping from the front preserves FIFO tie order.
-struct Batch<E> {
-    time: SimTime,
-    items: Items<E>,
-}
-
-impl<E> Batch<E> {
-    /// Queue key of the batch: its time and the id of its earliest event.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        let front = self.items.front_id().expect("batch is never empty");
-        (self.time, front)
-    }
-
-    /// Appends an event at the open tail, upgrading a singleton to deque
-    /// storage (recycled from `spare` when possible) on a timestamp tie.
-    fn push_back(&mut self, id: u64, payload: E, spare: &mut Vec<VecDeque<(u64, E)>>) {
-        match &mut self.items {
-            Items::One(slot) => {
-                let mut deque = spare.pop().unwrap_or_default();
-                debug_assert!(deque.is_empty());
-                if let Some(first) = slot.take() {
-                    deque.push_back(first);
-                }
-                deque.push_back((id, payload));
-                self.items = Items::Many(deque);
-            }
-            Items::Many(deque) => deque.push_back((id, payload)),
-        }
-    }
-}
-
-// Min-heap adapter: BinaryHeap is a max-heap, so order batches by reversed
-// key. The key is cached inline so sift comparisons never chase into the
-// batch storage; it grows as the batch front is consumed, and `take_front`
-// refreshes it before `PeekMut`'s drop glue re-sifts.
-struct HeapItem<E> {
-    key: (SimTime, u64),
-    batch: Batch<E>,
-}
-
-impl<E> HeapItem<E> {
-    #[inline]
-    fn new(batch: Batch<E>) -> Self {
-        HeapItem {
-            key: batch.key(),
-            batch,
-        }
-    }
-}
-
-impl<E> PartialEq for HeapItem<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for HeapItem<E> {}
-impl<E> PartialOrd for HeapItem<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapItem<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key.cmp(&self.key)
-    }
-}
-
-/// Which structure currently holds the globally earliest event.
+/// A heap node: the event's raw time bits, its id and the slab slot that
+/// holds its payload. Small and `Copy`, so a sift moves 24 bytes per level.
 #[derive(Clone, Copy)]
-enum Source {
-    Tail,
-    Heap,
+struct Node {
+    time: u64,
+    id: u64,
+    slot: u32,
 }
 
-/// Binary-heap pending-event set with same-timestamp batching, dense
-/// id-bitmap bookkeeping and compacted lazy cancellation.
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
+impl Node {
+    /// Queue order in one compare: time, then id (insertion order). Ids
+    /// are unique, so no two keys tie and pop order is fully determined.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(time_key(self.time)) << 64 | u128::from(self.id)
+    }
+}
+
+/// 4-ary min-heap pending-event set with a payload slab, dense id-bitmap
+/// bookkeeping and compacted lazy cancellation.
 ///
-/// Consecutive schedules at the same timestamp coalesce into one heap node
-/// (the open *tail* batch), so a storm of simultaneous renewals or repairs
-/// costs one heap operation instead of k. Cancellation flips a bit; when
-/// tombstones outnumber live events the heap is rebuilt without them, so
-/// resident memory stays proportional to live events.
+/// Heap nodes are 24-byte `Copy` records ordered by `(time, id)`; payloads
+/// stay put in a slot slab. The root `pop` hands out is not removed at
+/// once: it stays *vacant* in place until the next `schedule` overwrites
+/// it and sifts the new node down, so a handler's usual pop-then-schedule
+/// costs one sift instead of two. Cancellation clears the id's pending
+/// bit and leaves a tombstone; when tombstones outnumber live events by
+/// more than 64 the heap is rebuilt without them, so resident nodes stay
+/// at most `2·live + 65` (the extra one is the vacant root).
+///
+/// The name predates the 4-ary layout and is kept for the API.
 pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<HeapItem<E>>,
-    /// The most recent batch, still open for same-time appends; not yet in
-    /// the heap. Its ids are the largest issued, so on a time tie with a
-    /// heap batch the heap batch pops first — FIFO is preserved.
-    tail: Option<Batch<E>>,
-    /// Ids scheduled but not yet popped or cancelled.
+    heap: Vec<Node>,
+    /// `heap[0]` was already popped and awaits overwrite or removal.
+    vacant: bool,
+    /// Payload slab indexed by `Node::slot`; `None` marks a free slot.
+    slots: Vec<Option<E>>,
+    free: Vec<u32>,
+    /// Ids scheduled but not yet popped or cancelled. A resident node
+    /// (other than the vacant root) whose bit is clear is a tombstone.
     pending: IdBits,
-    /// Ids cancelled but still physically resident (lazy deletion).
-    cancelled: IdBits,
     next_id: u64,
     /// Live (non-cancelled) pending events.
     live: usize,
-    /// Cancelled events still resident in `heap` or `tail`.
+    /// Tombstones still resident in `heap`.
     dead: usize,
-    /// Emptied batch deques, kept for reuse so steady-state scheduling
-    /// allocates nothing.
-    spare: Vec<VecDeque<(u64, E)>>,
 }
 
 impl<E> Default for BinaryHeapQueue<E> {
@@ -257,115 +170,123 @@ impl<E> Default for BinaryHeapQueue<E> {
 impl<E> BinaryHeapQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            tail: None,
-            pending: IdBits::default(),
-            cancelled: IdBits::default(),
-            next_id: 0,
-            live: 0,
-            dead: 0,
-            spare: Vec::new(),
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with capacity for `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
         BinaryHeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            tail: None,
+            heap: Vec::with_capacity(cap),
+            vacant: false,
+            slots: Vec::with_capacity(cap),
+            free: Vec::new(),
             pending: IdBits::default(),
-            cancelled: IdBits::default(),
             next_id: 0,
             live: 0,
             dead: 0,
-            spare: Vec::new(),
         }
     }
 
-    /// Retires an exhausted batch's storage for reuse. Singleton batches
-    /// own no storage; only drained deques are worth keeping.
+    /// Takes the payload out of `slot` and returns the slot to the free list.
     #[inline]
-    fn recycle(&mut self, items: Items<E>) {
-        debug_assert!(items.is_empty());
-        if let Items::Many(deque) = items {
-            if self.spare.len() < 64 {
-                self.spare.push(deque);
-            }
-        }
+    fn release(&mut self, slot: u32) -> E {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a resident node owns its slot")
     }
 
-    /// Key and location of the globally earliest resident event (live or
-    /// tombstoned), or `None` when nothing is resident.
+    /// Moves `node` into the hole at `pos` and sifts it down. With all four
+    /// children present the smallest is picked by compares alone, no branches.
     #[inline]
-    fn front(&self) -> Option<(Source, SimTime, u64)> {
-        let tail = self.tail.as_ref().map(Batch::key);
-        let heap = self.heap.peek().map(|b| b.key);
-        match (tail, heap) {
-            (None, None) => None,
-            (Some((t, i)), None) => Some((Source::Tail, t, i)),
-            (None, Some((t, i))) => Some((Source::Heap, t, i)),
-            (Some(tk), Some(hk)) => {
-                if tk < hk {
-                    Some((Source::Tail, tk.0, tk.1))
-                } else {
-                    Some((Source::Heap, hk.0, hk.1))
-                }
-            }
-        }
-    }
-
-    /// Removes and returns the front event of the batch at `src`, dropping
-    /// the batch once exhausted.
-    fn take_front(&mut self, src: Source) -> (SimTime, u64, E) {
-        match src {
-            Source::Tail => {
-                let batch = self.tail.as_mut().expect("front reported a tail");
-                let (id, payload) = batch.items.pop_front().expect("batch is never empty");
-                let time = batch.time;
-                if batch.items.is_empty() {
-                    let spent = self.tail.take().expect("just borrowed").items;
-                    self.recycle(spent);
-                }
-                (time, id, payload)
-            }
-            Source::Heap => {
-                let mut top = self.heap.peek_mut().expect("front reported a heap batch");
-                let (id, payload) = top.batch.items.pop_front().expect("batch is never empty");
-                let time = top.batch.time;
-                if top.batch.items.is_empty() {
-                    let spent = PeekMut::pop(top).batch.items;
-                    self.recycle(spent);
-                } else {
-                    top.key = top.batch.key();
-                }
-                (time, id, payload)
-            }
-        }
-    }
-
-    /// Rebuilds the heap without tombstones. Relative order of survivors is
-    /// untouched (batches keep their time and ascending-id runs), so pop
-    /// order is unchanged; only the dead weight goes.
-    fn compact(&mut self) {
-        let mut batches: Vec<Batch<E>> = self.heap.drain().map(|b| b.batch).collect();
-        if let Some(t) = self.tail.take() {
-            batches.push(t);
-        }
-        let cancelled = &mut self.cancelled;
-        for batch in &mut batches {
-            batch.items.retain(|&(id, _)| !cancelled.clear(id));
-        }
-        let mut survivors = Vec::with_capacity(batches.len());
-        for batch in batches {
-            if batch.items.is_empty() {
-                self.recycle(batch.items);
+    fn sift_down(&mut self, mut pos: usize, node: Node) {
+        let key = node.key();
+        let len = self.heap.len();
+        loop {
+            let first = 4 * pos + 1;
+            let child = if first + 3 < len {
+                let c = &self.heap[first..first + 4];
+                let a = usize::from(c[1].key() < c[0].key());
+                let b = 2 + usize::from(c[3].key() < c[2].key());
+                first + if c[b].key() < c[a].key() { b } else { a }
+            } else if first < len {
+                (first..len)
+                    .min_by_key(|&c| self.heap[c].key())
+                    .expect("range is non-empty")
             } else {
-                survivors.push(HeapItem::new(batch));
+                break;
+            };
+            if key < self.heap[child].key() {
+                break;
             }
+            self.heap[pos] = self.heap[child];
+            pos = child;
         }
-        self.heap = survivors.into();
+        self.heap[pos] = node;
+    }
+
+    /// Moves `node` into the hole at `pos` and sifts it up.
+    #[inline]
+    fn sift_up(&mut self, mut pos: usize, node: Node) {
+        let key = node.key();
+        while pos > 0 {
+            let parent = (pos - 1) / 4;
+            if self.heap[parent].key() < key {
+                break;
+            }
+            self.heap[pos] = self.heap[parent];
+            pos = parent;
+        }
+        self.heap[pos] = node;
+    }
+
+    /// Drops the vacant root, refilling the hole from the last node.
+    fn remove_root(&mut self) {
+        self.vacant = false;
+        let last = self.heap.pop().expect("the vacant root is resident");
+        if !self.heap.is_empty() {
+            self.sift_down(0, last);
+        }
+    }
+
+    /// Settles the root on the earliest live event, discarding the vacant
+    /// root and any tombstones in front of it.
+    #[inline]
+    fn live_root(&mut self) -> Option<Node> {
+        loop {
+            if self.vacant {
+                self.remove_root();
+            }
+            let root = *self.heap.first()?;
+            if self.pending.get(root.id) {
+                return Some(root);
+            }
+            drop(self.release(root.slot));
+            self.dead -= 1;
+            self.vacant = true;
+        }
+    }
+
+    /// Rebuilds the heap without tombstones. Keys are unique, so pop order
+    /// is unchanged; only the dead weight goes.
+    fn compact(&mut self) {
+        let mut nodes = std::mem::take(&mut self.heap);
+        if std::mem::take(&mut self.vacant) {
+            nodes.swap_remove(0);
+        }
+        nodes.retain(|n| {
+            let keep = self.pending.get(n.id);
+            if !keep {
+                self.free.push(n.slot);
+                self.slots[n.slot as usize] = None;
+            }
+            keep
+        });
+        self.heap = nodes;
         self.dead = 0;
+        for pos in (0..self.heap.len().div_ceil(4)).rev() {
+            self.sift_down(pos, self.heap[pos]);
+        }
     }
 }
 
@@ -375,17 +296,26 @@ impl<E> PendingEvents<E> for BinaryHeapQueue<E> {
         self.next_id += 1;
         self.pending.set(id);
         self.live += 1;
-        match &mut self.tail {
-            Some(batch) if batch.time == time => batch.push_back(id, payload, &mut self.spare),
-            tail => {
-                if let Some(prev) = tail.take() {
-                    self.heap.push(HeapItem::new(prev));
-                }
-                *tail = Some(Batch {
-                    time,
-                    items: Items::One(Some((id, payload))),
-                });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(payload);
+                slot
             }
+            None => {
+                self.slots.push(Some(payload));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        let node = Node {
+            time: time_bits(time),
+            id,
+            slot,
+        };
+        if std::mem::take(&mut self.vacant) {
+            self.sift_down(0, node);
+        } else {
+            self.heap.push(node);
+            self.sift_up(self.heap.len() - 1, node);
         }
         EventId(id)
     }
@@ -394,7 +324,6 @@ impl<E> PendingEvents<E> for BinaryHeapQueue<E> {
         // Only ids that are still pending may be cancelled; ids that already
         // fired (or were cancelled, or were never issued) have a clear bit.
         if self.pending.clear(id.0) {
-            self.cancelled.set(id.0);
             self.live -= 1;
             self.dead += 1;
             if self.dead > self.live + 64 {
@@ -407,70 +336,21 @@ impl<E> PendingEvents<E> for BinaryHeapQueue<E> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        loop {
-            // Leading tombstones of the front batch are globally minimal,
-            // so they can be dropped in bulk here — one re-sift per batch
-            // visit instead of one per tombstone.
-            let (src, _, _) = self.front()?;
-            match src {
-                Source::Tail => {
-                    let batch = self.tail.as_mut().expect("front reported a tail");
-                    let time = batch.time;
-                    while let Some((id, payload)) = batch.items.pop_front() {
-                        if self.cancelled.clear(id) {
-                            self.dead -= 1;
-                            continue;
-                        }
-                        self.pending.clear(id);
-                        self.live -= 1;
-                        if batch.items.is_empty() {
-                            let spent = self.tail.take().expect("just borrowed").items;
-                            self.recycle(spent);
-                        }
-                        return Some((time, EventId(id), payload));
-                    }
-                    // The whole batch was tombstones.
-                    let spent = self.tail.take().expect("just borrowed").items;
-                    self.recycle(spent);
-                }
-                Source::Heap => {
-                    let mut top = self.heap.peek_mut().expect("front reported a heap batch");
-                    let time = top.batch.time;
-                    let mut taken = None;
-                    while let Some((id, payload)) = top.batch.items.pop_front() {
-                        if self.cancelled.clear(id) {
-                            self.dead -= 1;
-                            continue;
-                        }
-                        self.pending.clear(id);
-                        self.live -= 1;
-                        taken = Some((time, EventId(id), payload));
-                        break;
-                    }
-                    if top.batch.items.is_empty() {
-                        let spent = PeekMut::pop(top).batch.items;
-                        self.recycle(spent);
-                    } else {
-                        top.key = top.batch.key();
-                    }
-                    if taken.is_some() {
-                        return taken;
-                    }
-                }
-            }
-        }
+        let root = self.live_root()?;
+        self.pending.clear(root.id);
+        self.live -= 1;
+        self.vacant = true;
+        let payload = self.release(root.slot);
+        Some((
+            SimTime::new(f64::from_bits(root.time)),
+            EventId(root.id),
+            payload,
+        ))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let (src, time, id) = self.front()?;
-            if !self.cancelled.get(id) {
-                return Some(time);
-            }
-            self.take_front(src);
-            self.cancelled.clear(id);
-            self.dead -= 1;
-        }
+        self.live_root()
+            .map(|root| SimTime::new(f64::from_bits(root.time)))
     }
 
     fn len(&self) -> usize {
@@ -759,9 +639,9 @@ impl<E> PendingEvents<E> for CalendarQueue<E> {
 
 /// Ordered-map pending-event set with eager cancellation.
 ///
-/// Keys are `(time-bits, id)`: `SimTime` is non-NaN and non-negative in
-/// practice, so the IEEE-754 bit pattern of the time orders correctly and
-/// gives a fully `Ord` key. Cancellation removes the entry outright —
+/// Keys are `(time-key, id)`: scheduled times are non-NaN and non-negative,
+/// so the IEEE-754 bit pattern of the time with its sign cleared orders
+/// correctly (and ties `-0.0` with `+0.0`) and gives a fully `Ord` key. Cancellation removes the entry outright —
 /// no tombstones, so memory is exactly proportional to live events.
 pub struct BTreeQueue<E> {
     map: BTreeMap<(u64, u64), (SimTime, E)>,
@@ -787,23 +667,13 @@ impl<E> BTreeQueue<E> {
             next_id: 0,
         }
     }
-
-    #[inline]
-    fn time_key(t: SimTime) -> u64 {
-        let secs = t.as_secs();
-        debug_assert!(
-            secs >= 0.0,
-            "BTreeQueue requires non-negative times (got {secs})"
-        );
-        secs.to_bits()
-    }
 }
 
 impl<E> PendingEvents<E> for BTreeQueue<E> {
     fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         let id = EventId(self.next_id);
         self.next_id += 1;
-        let key = (Self::time_key(time), id.0);
+        let key = (time_key(time_bits(time)), id.0);
         self.map.insert(key, (time, payload));
         self.index.insert(id.0, key);
         id
@@ -1032,8 +902,8 @@ mod tests {
     #[test]
     fn heap_coalesced_batches_interleave_with_singletons() {
         let mut q = BinaryHeapQueue::new();
-        // Two same-time runs separated by other times: the first run is
-        // pushed to the heap as a batch, the second stays in the tail.
+        // Two same-time runs separated by earlier singletons: the runs
+        // must pop as one FIFO sequence after the singletons.
         for i in 0..5 {
             q.schedule(SimTime::new(3.0), i);
         }
@@ -1084,6 +954,50 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    #[test]
+    fn signed_zero_ties_pop_in_id_order() {
+        fn check<Q: PendingEvents<u32>>(mut q: Q) {
+            q.schedule(SimTime::new(1.0), 9);
+            for i in 0..6 {
+                let t = if i % 2 == 0 { -0.0 } else { 0.0 };
+                q.schedule(SimTime::new(t), i);
+            }
+            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+            assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 9]);
+        }
+        check(BinaryHeapQueue::new());
+        check(CalendarQueue::new());
+        check(BTreeQueue::new());
+    }
+
+    #[test]
+    fn heap_residency_stays_bounded_through_cancel_storms() {
+        let mut q = BinaryHeapQueue::new();
+        let mut ids = Vec::new();
+        for i in 0..2000u32 {
+            ids.push(q.schedule(SimTime::new(f64::from(i % 97)), i));
+        }
+        // Leave a vacant root behind, as the engine does between events.
+        assert_eq!(q.pop().map(|(_, _, p)| p), Some(0));
+        // Cancel all but every 16th event, in a scattered order.
+        for k in 0..ids.len() {
+            let id = ids[(k * 7919) % ids.len()];
+            if id.raw() % 16 != 0 {
+                assert!(q.cancel(id));
+            }
+            assert!(
+                q.heap.len() <= 2 * q.len() + 65,
+                "{} resident nodes for {} live events",
+                q.heap.len(),
+                q.len()
+            );
+        }
+        assert_eq!(q.len(), 124);
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(popped.len(), 124);
+        assert!(popped.iter().all(|p| p % 16 == 0));
+    }
+
     /// Randomised cross-check: the heap queue must agree with the eager
     /// BTree reference under interleaved schedule/cancel/pop/peek.
     #[test]
@@ -1102,7 +1016,7 @@ mod tests {
         for step in 0..20_000u32 {
             match rnd() % 10 {
                 0..=4 => {
-                    // Coarse times produce frequent ties (coalescing paths).
+                    // Coarse times produce frequent ties (FIFO tie paths).
                     let t = SimTime::new((rnd() % 64) as f64);
                     let a = heap.schedule(t, step);
                     let b = btree.schedule(t, step);

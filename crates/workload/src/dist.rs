@@ -233,6 +233,9 @@ impl TaskJitter {
 
     /// Draws one task's work for granularity `g` (mean `g` under both
     /// models).
+    // Called once per task by `fill_tasks`; without the hint, relinking
+    // unrelated code has flipped LLVM's decision to inline it there.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, g: f64, rng: &mut R) -> f64 {
         match *self {
             TaskJitter::Uniform { half_width } => {

@@ -9,7 +9,8 @@
 use dgsched_core::experiment::{run_scenario, Scenario, WorkloadKind};
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::{
-    simulate, simulate_instrumented, simulate_observed, SimConfig, TraceRecorder, TraceRing,
+    simulate, simulate_instrumented, simulate_observed, NullObserver, SimConfig, TraceRecorder,
+    TraceRing,
 };
 use dgsched_des::stats::StoppingRule;
 use dgsched_des::time::SimTime;
@@ -232,4 +233,43 @@ fn run_matrix_json_is_invariant_without_the_toggle() {
         );
     }
     std::env::remove_var("DGSCHED_TRACE");
+}
+
+/// The work a pure refactor of the kernel must not change: pending-event
+/// set operation counts and processed events for one fixed run per policy.
+/// A queue rewrite that keeps pop order keeps every one of these numbers;
+/// a change that moves them changed the simulation, not just its speed.
+#[test]
+fn queue_work_is_pinned() {
+    let cfg = SimConfig::with_seed(2008);
+    let g = grid(Heterogeneity::HET, Availability::LOW);
+    let wl = workload();
+    let got: Vec<(String, [u64; 5])> = PolicyKind::all_with_baselines()
+        .into_iter()
+        .map(|kind| {
+            let (r, report) = simulate_instrumented(
+                &g,
+                &wl,
+                kind.create_seeded(cfg.seed),
+                &cfg,
+                &mut NullObserver,
+            );
+            let q = report.queue;
+            let counts = [q.scheduled, q.cancelled, q.popped, q.max_pending, r.events];
+            (format!("{kind:?}"), counts)
+        })
+        .collect();
+    // (policy, [scheduled, cancelled, popped, max_pending, events]). The
+    // values predate the 4-ary event heap; any queue that keeps pop order
+    // reproduces them.
+    let pinned = [
+        ("FcfsExcl", [132, 40, 86, 16, 86]),
+        ("FcfsShare", [111, 30, 75, 16, 75]),
+        ("Rr", [116, 27, 83, 16, 83]),
+        ("RrNrf", [104, 23, 75, 16, 75]),
+        ("LongIdle", [120, 27, 87, 16, 87]),
+        ("Random", [111, 29, 76, 16, 76]),
+        ("Sbf", [110, 25, 79, 16, 79]),
+    ];
+    assert_eq!(got, pinned.map(|(name, counts)| (name.to_string(), counts)));
 }

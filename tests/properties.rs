@@ -6,6 +6,7 @@ use dgsched_core::sim::{simulate, SimConfig};
 use dgsched_des::queue::{BTreeQueue, BinaryHeapQueue, CalendarQueue, PendingEvents};
 use dgsched_des::stats::Welford;
 use dgsched_des::time::SimTime;
+use dgsched_des::EventId;
 use dgsched_grid::{Availability, CheckpointConfig, GridConfig, Heterogeneity};
 use dgsched_workload::{BagOfTasks, BotId, TaskId, TaskSpec, Workload};
 use proptest::prelude::*;
@@ -15,101 +16,178 @@ use proptest::prelude::*;
 enum Op {
     Schedule(f64),
     Pop,
+    PeekTime,
     CancelNth(usize),
+    /// Pop, then schedule a follow-up `delay` after the popped time: the
+    /// DES handler pattern, which refills the heap's just-vacated root.
+    PopThenSchedule(f64),
+}
+
+/// Schedule times: a small grid (with both zeros, which tie) so FIFO ties
+/// are common, plus a continuous range.
+fn time_strategy() -> impl Strategy<Value = f64> {
+    const GRID: [f64; 6] = [-0.0, 0.0, 0.5, 1.0, 2.0, 1e6];
+    prop_oneof![
+        (0usize..GRID.len()).prop_map(|i| GRID[i]),
+        (0usize..GRID.len()).prop_map(|i| GRID[i]),
+        0.0f64..1e6,
+    ]
+}
+
+/// Follow-up delays, all `>= 0.0` (which `-0.0` is) as the engine demands.
+fn delay_strategy() -> impl Strategy<Value = f64> {
+    const DELAYS: [f64; 5] = [-0.0, 0.0, 0.5, 1.0, 1e3];
+    (0usize..DELAYS.len()).prop_map(|i| DELAYS[i])
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0.0f64..1e6).prop_map(Op::Schedule),
+        time_strategy().prop_map(Op::Schedule),
         Just(Op::Pop),
+        Just(Op::PeekTime),
         (0usize..64).prop_map(Op::CancelNth),
+        delay_strategy().prop_map(Op::PopThenSchedule),
     ]
 }
 
-/// Replays ops against both queues and a naive sorted-vec reference,
-/// asserting identical observable behaviour.
-fn check_queues(ops: Vec<Op>) {
-    let mut heap = BinaryHeapQueue::new();
-    let mut cal = CalendarQueue::new();
-    let mut btree = BTreeQueue::new();
-    // Reference holds live entries only: (time, seq, payload).
-    let mut reference: Vec<(f64, u64, u64)> = Vec::new();
-    let mut heap_ids = Vec::new();
-    let mut cal_ids = Vec::new();
-    let mut btree_ids = Vec::new();
-    let mut seq = 0u64;
+/// A scheduling burst followed by a cancel-dominated mix: tombstones pile
+/// up past `live + 64`, so the heap compacts mid-run.
+fn cancel_storm_strategy() -> impl Strategy<Value = Vec<Op>> {
+    let storm = prop_oneof![
+        (0usize..1 << 16).prop_map(Op::CancelNth),
+        (0usize..1 << 16).prop_map(Op::CancelNth),
+        (0usize..1 << 16).prop_map(Op::CancelNth),
+        time_strategy().prop_map(Op::Schedule),
+        Just(Op::PeekTime),
+        delay_strategy().prop_map(Op::PopThenSchedule),
+    ];
+    (
+        proptest::collection::vec(time_strategy().prop_map(Op::Schedule), 150..250),
+        proptest::collection::vec(storm, 200..400),
+    )
+        .prop_map(|(mut burst, storm)| {
+            burst.extend(storm);
+            burst
+        })
+}
 
-    for op in ops {
+/// The three queues under test plus a naive reference holding live
+/// entries only, as `(time, seq)`; `seq` is also the payload. All three
+/// queues issue ids from one sequential counter, so one id list serves.
+struct Fuzz {
+    heap: BinaryHeapQueue<u64>,
+    cal: CalendarQueue<u64>,
+    btree: BTreeQueue<u64>,
+    reference: Vec<(f64, u64)>,
+    ids: Vec<EventId>,
+}
+
+impl Fuzz {
+    fn new() -> Self {
+        Fuzz {
+            heap: BinaryHeapQueue::new(),
+            cal: CalendarQueue::new(),
+            btree: BTreeQueue::new(),
+            reference: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// Index of the reference's earliest entry: least time (`-0.0` equals
+    /// `+0.0` here), then least sequence number.
+    fn reference_front(&self) -> Option<usize> {
+        self.reference
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("no NaN"))
+            .map(|(i, _)| i)
+    }
+
+    fn schedule(&mut self, t: f64) {
+        let seq = self.ids.len() as u64;
+        let id = self.heap.schedule(SimTime::new(t), seq);
+        assert_eq!(self.cal.schedule(SimTime::new(t), seq), id, "calendar id");
+        assert_eq!(self.btree.schedule(SimTime::new(t), seq), id, "btree id");
+        self.ids.push(id);
+        self.reference.push((t, seq));
+    }
+
+    /// Pops all three queues, checks them against the reference and
+    /// returns the popped time.
+    fn pop(&mut self) -> Option<f64> {
+        let expected = self.reference_front().map(|i| self.reference.remove(i));
+        let got = [
+            ("heap", self.heap.pop()),
+            ("calendar", self.cal.pop()),
+            ("btree", self.btree.pop()),
+        ];
+        for (name, popped) in got {
+            let popped = popped.map(|(t, id, p)| (t.as_secs().to_bits(), id, p));
+            // Bit-exact: a queue hands back the time it was given.
+            let want = expected.map(|(t, seq)| (t.to_bits(), self.ids[seq as usize], seq));
+            assert_eq!(popped, want, "{name} pop");
+        }
+        expected.map(|(t, _)| t)
+    }
+
+    fn peek_time(&mut self) {
+        let expected = self.reference_front().map(|i| self.reference[i].0);
+        assert_eq!(self.heap.peek_time().map(SimTime::as_secs), expected);
+        assert_eq!(self.cal.peek_time().map(SimTime::as_secs), expected);
+        assert_eq!(self.btree.peek_time().map(SimTime::as_secs), expected);
+    }
+
+    fn cancel_nth(&mut self, n: usize) {
+        let id = if self.reference.is_empty() {
+            // Exercise the dead-handle path instead: cancelling a consumed
+            // or already-cancelled id must return false.
+            match self.ids.first() {
+                Some(&id) => id,
+                None => return,
+            }
+        } else {
+            let (_, seq) = self.reference.remove(n % self.reference.len());
+            let id = self.ids[seq as usize];
+            assert!(self.heap.cancel(id), "heap cancel of live id");
+            assert!(self.cal.cancel(id), "calendar cancel of live id");
+            assert!(self.btree.cancel(id), "btree cancel of live id");
+            id
+        };
+        // A second (or dead-handle) cancel must be a no-op.
+        assert!(!self.heap.cancel(id), "heap cancel of dead id");
+        assert!(!self.cal.cancel(id), "calendar cancel of dead id");
+        assert!(!self.btree.cancel(id), "btree cancel of dead id");
+    }
+
+    fn apply(&mut self, op: Op) {
         match op {
-            Op::Schedule(t) => {
-                heap_ids.push(heap.schedule(SimTime::new(t), seq));
-                cal_ids.push(cal.schedule(SimTime::new(t), seq));
-                btree_ids.push(btree.schedule(SimTime::new(t), seq));
-                reference.push((t, seq, seq));
-                seq += 1;
-            }
+            Op::Schedule(t) => self.schedule(t),
             Op::Pop => {
-                // Reference pop: earliest (time, seq).
-                let expected = reference
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("no NaN"))
-                    .map(|(i, e)| (i, e.0, e.2));
-                let h = heap.pop();
-                let c = cal.pop();
-                let bt = btree.pop();
-                match expected {
-                    None => {
-                        assert!(h.is_none(), "heap popped from empty");
-                        assert!(c.is_none(), "calendar popped from empty");
-                        assert!(bt.is_none(), "btree popped from empty");
-                    }
-                    Some((i, t, payload)) => {
-                        let (ht, _, hp) = h.expect("heap must pop");
-                        let (ct, _, cp) = c.expect("calendar must pop");
-                        let (bt_t, _, bp) = bt.expect("btree must pop");
-                        assert_eq!(ht.as_secs(), t);
-                        assert_eq!(ct.as_secs(), t);
-                        assert_eq!(bt_t.as_secs(), t);
-                        assert_eq!(hp, payload);
-                        assert_eq!(cp, payload);
-                        assert_eq!(bp, payload);
-                        reference.remove(i);
-                    }
-                }
+                self.pop();
             }
-            Op::CancelNth(n) => {
-                if reference.is_empty() {
-                    // Exercise the dead-handle path instead: cancelling a
-                    // consumed or already-cancelled id must return false.
-                    if let (Some(&hid), Some(&cid), Some(&bid)) =
-                        (heap_ids.first(), cal_ids.first(), btree_ids.first())
-                    {
-                        assert!(!heap.cancel(hid), "heap cancel of dead id");
-                        assert!(!cal.cancel(cid), "calendar cancel of dead id");
-                        assert!(!btree.cancel(bid), "btree cancel of dead id");
-                    }
-                    continue;
+            Op::PeekTime => self.peek_time(),
+            Op::CancelNth(n) => self.cancel_nth(n),
+            Op::PopThenSchedule(delay) => {
+                if let Some(t) = self.pop() {
+                    self.schedule(t + delay);
                 }
-                let idx = n % reference.len();
-                let target_seq = reference[idx].1;
-                let hid = heap_ids[target_seq as usize];
-                let cid = cal_ids[target_seq as usize];
-                let bid = btree_ids[target_seq as usize];
-                assert!(heap.cancel(hid), "heap cancel of live id");
-                assert!(cal.cancel(cid), "calendar cancel of live id");
-                assert!(btree.cancel(bid), "btree cancel of live id");
-                // Double cancel must be a no-op.
-                assert!(!heap.cancel(hid));
-                assert!(!cal.cancel(cid));
-                assert!(!btree.cancel(bid));
-                reference.remove(idx);
             }
         }
-        assert_eq!(heap.len(), reference.len(), "heap live count");
-        assert_eq!(cal.len(), reference.len(), "calendar live count");
-        assert_eq!(btree.len(), reference.len(), "btree live count");
+        let live = self.reference.len();
+        assert_eq!(self.heap.len(), live, "heap live count");
+        assert_eq!(self.cal.len(), live, "calendar live count");
+        assert_eq!(self.btree.len(), live, "btree live count");
     }
+}
+
+/// Replays ops against all three queues and a naive sorted reference,
+/// asserting identical observable behaviour, then drains them.
+fn check_queues(ops: Vec<Op>) {
+    let mut fuzz = Fuzz::new();
+    for op in ops {
+        fuzz.apply(op);
+    }
+    while fuzz.pop().is_some() {}
 }
 
 proptest! {
@@ -117,6 +195,11 @@ proptest! {
 
     #[test]
     fn queues_match_reference(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+        check_queues(ops);
+    }
+
+    #[test]
+    fn queues_match_reference_through_cancel_storms(ops in cancel_storm_strategy()) {
         check_queues(ops);
     }
 
