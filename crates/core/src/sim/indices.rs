@@ -34,27 +34,50 @@ use std::collections::{BTreeMap, BTreeSet};
 /// last query, so maintenance is amortised O(1) per replica event
 /// (the classic bucket-queue argument: the pointer can only retreat when
 /// a count drops below it, which itself is a paid O(1) update).
+///
+/// Storage follows the counts in use, not the deepest count reached.
+/// FCFS-Excl drives counts into the thousands, but the tasks of a bag
+/// occupy only a few distinct counts at a time. A count owns a bag-sized
+/// [`BitSet`] only while some task has it; the remove that empties a
+/// bucket hands its set, all-zero again, to a spare list, and the next
+/// count to need a set takes it from there without clearing it. Because
+/// `bump` removes before it inserts, a task stepping alone from `c` to
+/// `c ± 1` reuses the set it just emptied. Sets in storage never exceed
+/// the high-water mark of distinct live counts; per depth only an 8-byte
+/// [`Bucket`] header remains.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ReplicaCountBuckets {
-    /// `buckets[c]` holds the tasks with exactly `c` running replicas
+    /// `buckets[c]` describes the tasks with exactly `c` running replicas
     /// (`c ≥ 1`; index 0 is never populated).
-    buckets: Vec<BitSet>,
+    buckets: Vec<Bucket>,
+    /// Set storage, assigned to counts through [`Bucket::set`].
+    sets: Vec<BitSet>,
+    /// Indices into `sets` of the sets no count holds; each is all-zero.
+    spare: Vec<u32>,
     /// Smallest index of a non-empty bucket (meaningless while `len == 0`).
     min_count: u32,
     /// Total tasks bucketed.
     len: usize,
-    /// Task-id capacity each new bucket is created with.
+    /// Task-id capacity each new set is created with.
     tasks: usize,
 }
+
+/// One replica count's bucket: how many tasks have that count, and which
+/// set of [`ReplicaCountBuckets::sets`] holds them (`NIL` while empty).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    len: u32,
+    set: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket { len: 0, set: NIL };
 
 impl ReplicaCountBuckets {
     /// Builds an empty bucket queue for a bag of `tasks` tasks.
     pub fn new(tasks: usize) -> Self {
         ReplicaCountBuckets {
-            buckets: Vec::new(),
-            min_count: 0,
-            len: 0,
             tasks,
+            ..Self::default()
         }
     }
 
@@ -63,15 +86,31 @@ impl ReplicaCountBuckets {
     /// grown lazily one index past the current deepest.
     pub fn bump(&mut self, task: u32, from: u32, to: u32) {
         if from > 0 {
-            let was = self.buckets[from as usize].remove(task as usize);
+            let bucket = &mut self.buckets[from as usize];
+            let was = self.sets[bucket.set as usize].remove(task as usize);
             debug_assert!(was, "task was bucketed at its old count");
+            bucket.len -= 1;
+            if bucket.len == 0 {
+                // The set is all-zero again: keep it for the next count.
+                self.spare.push(bucket.set);
+                bucket.set = NIL;
+            }
             self.len -= 1;
         }
         if to > 0 {
-            while self.buckets.len() <= to as usize {
-                self.buckets.push(BitSet::with_capacity(self.tasks));
+            if self.buckets.len() <= to as usize {
+                self.buckets.resize(to as usize + 1, EMPTY_BUCKET);
             }
-            self.buckets[to as usize].insert(task as usize);
+            let bucket = &mut self.buckets[to as usize];
+            if bucket.set == NIL {
+                bucket.set = self.spare.pop().unwrap_or_else(|| {
+                    self.sets.push(BitSet::with_capacity(self.tasks));
+                    (self.sets.len() - 1) as u32
+                });
+                debug_assert!(self.sets[bucket.set as usize].is_empty());
+            }
+            bucket.len += 1;
+            self.sets[bucket.set as usize].insert(task as usize);
             if self.len == 0 || to < self.min_count {
                 self.min_count = to;
             }
@@ -83,7 +122,7 @@ impl ReplicaCountBuckets {
             // Restore the invariant: `min_count` points at a non-empty
             // bucket. The walk is paid for by the bumps that emptied the
             // buckets it skips.
-            while self.buckets[self.min_count as usize].is_empty() {
+            while self.buckets[self.min_count as usize].len == 0 {
                 self.min_count += 1;
             }
         }
@@ -99,10 +138,17 @@ impl ReplicaCountBuckets {
         if self.len == 0 {
             return None;
         }
-        let task = self.buckets[self.min_count as usize]
+        let set = self.buckets[self.min_count as usize].set;
+        let task = self.sets[set as usize]
             .first()
             .expect("min_count bucket is never empty");
         Some((self.min_count, task as u32))
+    }
+
+    /// Sets holding storage, and how many of them are spare.
+    #[cfg(test)]
+    fn storage(&self) -> (usize, usize) {
+        (self.sets.len(), self.spare.len())
     }
 }
 
@@ -241,7 +287,8 @@ impl FreeMachineIndex {
     }
 }
 
-/// Sentinel for "no slot / no key" in the intrusive replica lists.
+/// Sentinel for "no slot / no key" in the intrusive replica lists, and
+/// for "no set" in a replica-count [`Bucket`].
 const NIL: u32 = u32::MAX;
 
 /// A task's list endpoints: first and last attached slot (`NIL` when
@@ -462,6 +509,80 @@ mod tests {
         // Refill after empty: min pointer resets correctly.
         b.bump(7, 0, 2);
         assert_eq!(b.min_task(), Some((2, 7)));
+    }
+
+    /// Replica counts of a few tasks driven one step at a time, checking
+    /// the bucket minimum and the storage bound after every step.
+    struct CountWalk {
+        b: ReplicaCountBuckets,
+        counts: Vec<u32>,
+        spare_high: usize,
+        held_high: usize,
+    }
+
+    impl CountWalk {
+        fn new(tasks: usize) -> Self {
+            CountWalk {
+                b: ReplicaCountBuckets::new(tasks),
+                counts: vec![0; tasks],
+                spare_high: 0,
+                held_high: 0,
+            }
+        }
+
+        fn step(&mut self, task: usize, to: u32) {
+            self.b.bump(task as u32, self.counts[task], to);
+            self.counts[task] = to;
+            let live: BTreeSet<u32> = self.counts.iter().copied().filter(|&c| c > 0).collect();
+            let (held, spare) = self.b.storage();
+            self.spare_high = self.spare_high.max(spare);
+            self.held_high = self.held_high.max(held);
+            assert!(
+                held <= live.len() + self.spare_high,
+                "{held} sets held for {} live counts",
+                live.len()
+            );
+            let expect = (0..self.counts.len())
+                .filter(|&t| self.counts[t] > 0)
+                .min_by_key(|&t| (self.counts[t], t))
+                .map(|t| (self.counts[t], t as u32));
+            assert_eq!(self.b.min_task(), expect);
+        }
+
+        fn walk(&mut self, task: usize, to: u32) {
+            while self.counts[task] != to {
+                let c = self.counts[task];
+                self.step(task, if c < to { c + 1 } else { c - 1 });
+            }
+        }
+    }
+
+    #[test]
+    fn count_bucket_storage_follows_live_counts() {
+        // One task to count 10 000 and back: each step empties the bucket
+        // it leaves, and the next count reuses that set.
+        let mut w = CountWalk::new(16);
+        w.walk(7, 10_000);
+        w.walk(7, 0);
+        assert_eq!(w.held_high, 1, "one live count needs one set");
+        assert_eq!(w.b.min_task(), None);
+        // Two tasks leapfrog: the one behind climbs one past the other.
+        w.step(3, 1);
+        w.step(9, 1);
+        for _ in 0..2_000 {
+            let (behind, ahead) = if w.counts[3] <= w.counts[9] {
+                (3, 9)
+            } else {
+                (9, 3)
+            };
+            w.walk(behind, w.counts[ahead] + 1);
+        }
+        assert!(w.counts[3] > 1_000 && w.counts[9] > 1_000);
+        assert_eq!(w.held_high, 2, "two live counts need two sets");
+        w.walk(3, 0);
+        w.walk(9, 0);
+        assert_eq!(w.b.storage(), (2, 2), "emptied sets stay as spares");
+        assert_eq!(w.b.min_count(), None);
     }
 
     #[test]

@@ -3,6 +3,11 @@
 
 /// Two-level bitset over dense indices: O(1) insert/remove/contains and
 /// first-set lookup that touches one summary word per 4096 keys.
+///
+/// `remove` clears a summary bit as soon as its leaf word empties, so a
+/// set whose bits have all been removed is all-zero in both levels, equal
+/// to a fresh one of the same capacity. The replica-count buckets rely on
+/// this to hand an emptied set to another count without clearing it.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BitSet {
     leaf: Vec<u64>,
@@ -82,6 +87,19 @@ mod tests {
         b.remove(130);
         assert_eq!(b.first(), None);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn emptied_set_is_all_zero() {
+        let mut b = BitSet::with_capacity(5_000);
+        for i in [0, 63, 64, 4_095, 4_096, 4_999] {
+            b.insert(i);
+        }
+        for i in [4_096, 0, 4_999, 64, 63, 4_095] {
+            b.remove(i);
+        }
+        let fresh = BitSet::with_capacity(5_000);
+        assert_eq!((b.leaf, b.summary), (fresh.leaf, fresh.summary));
     }
 
     #[test]

@@ -118,6 +118,15 @@ for run in orc["runs"]:
           f"{run['restarts_per_s']:.1f} restarts/s")
 EOF
 
+echo "==> benchmark gate: the benchmark package's unit tests and --check"
+# crates/bench/benchmark is a package of its own, so `cargo test` above
+# never builds it. Its unit tests pin its statistics, verdicts and metric
+# tables; --check runs every workload at toy size, untraced and traced,
+# through every result gate (~12 s), so a library change that breaks a
+# gate the benchmark checks fails here instead of in a later comparison.
+cargo test -q --offline --manifest-path crates/bench/benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path crates/bench/benchmark/Cargo.toml -- --check
+
 if [ "${DGSCHED_BENCH_SMOKE:-0}" = "1" ]; then
   echo "==> huge-tier scaling smoke: bench_sim_json --smoke"
   # Opt-in (slow): re-runs the 10k-machine tier only and fails when

@@ -3,6 +3,7 @@
 
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::{simulate, SimConfig};
+use dgsched_core::state::BagRt;
 use dgsched_des::queue::{BTreeQueue, BinaryHeapQueue, CalendarQueue, PendingEvents};
 use dgsched_des::stats::Welford;
 use dgsched_des::time::SimTime;
@@ -10,6 +11,7 @@ use dgsched_des::EventId;
 use dgsched_grid::{Availability, CheckpointConfig, GridConfig, Heterogeneity};
 use dgsched_workload::{BagOfTasks, BotId, TaskId, TaskSpec, Workload};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Operations a queue fuzzer can apply.
 #[derive(Debug, Clone)]
@@ -276,5 +278,162 @@ proptest! {
             prop_assert!((b.turnaround - (b.waiting + b.makespan)).abs() < 1e-6);
             prop_assert!(b.waiting >= 0.0);
         }
+    }
+}
+
+/// One move of a replica-count walk over a bag's tasks.
+#[derive(Debug, Clone)]
+enum CountOp {
+    /// One more running replica (a task at count 0 enters).
+    Up(usize),
+    /// One fewer running replica (a no-op at count 0).
+    Down(usize),
+    /// Stop every running replica: the task leaves the index.
+    Leave(usize),
+    /// Climb `depth` replicas, then come back down when `back` is set.
+    Excursion(usize, u32, bool),
+}
+
+fn count_op_strategy() -> impl Strategy<Value = CountOp> {
+    let excursion = |(t, depth, back): (usize, u32, u32)| CountOp::Excursion(t, depth, back == 1);
+    prop_oneof![
+        (0usize..64).prop_map(CountOp::Up),
+        (0usize..64).prop_map(CountOp::Up),
+        (0usize..64).prop_map(CountOp::Down),
+        (0usize..64).prop_map(CountOp::Down),
+        (0usize..64).prop_map(CountOp::Leave),
+        (0usize..64, 1_000u32..1_500, 0u32..2).prop_map(excursion),
+    ]
+}
+
+/// A bag's replica-count index checked against a
+/// `BTreeMap<count, BTreeSet<task>>` model after every single count change.
+struct CountWalk {
+    bag: BagRt,
+    counts: Vec<u32>,
+    model: BTreeMap<u32, BTreeSet<u32>>,
+    now: f64,
+}
+
+impl CountWalk {
+    fn new(tasks: usize) -> Self {
+        let bag = BagOfTasks {
+            id: BotId(0),
+            arrival: SimTime::ZERO,
+            tasks: (0..tasks)
+                .map(|i| TaskSpec {
+                    id: TaskId(i as u32),
+                    work: 1_000.0,
+                })
+                .collect(),
+            granularity: 1_000.0,
+        };
+        CountWalk {
+            bag: BagRt::new(&bag, 0),
+            counts: vec![0; tasks],
+            model: BTreeMap::new(),
+            now: 0.0,
+        }
+    }
+
+    fn step(&mut self, task: usize, up: bool) {
+        let from = self.counts[task];
+        let to = if up { from + 1 } else { from - 1 };
+        self.now += 1.0;
+        let now = SimTime::new(self.now);
+        if up {
+            self.bag.note_replica_started(TaskId(task as u32), now);
+        } else {
+            self.bag.note_replica_stopped(TaskId(task as u32), now);
+        }
+        self.counts[task] = to;
+        if from > 0 {
+            let bucket = self.model.get_mut(&from).expect("task was modelled");
+            bucket.remove(&(task as u32));
+            if bucket.is_empty() {
+                self.model.remove(&from);
+            }
+        }
+        if to > 0 {
+            self.model.entry(to).or_default().insert(task as u32);
+        }
+        self.check();
+    }
+
+    /// `min_task` is the replication candidate under an unlimited
+    /// threshold; `min_count` is the threshold at which replication opens.
+    fn check(&self) {
+        let unlimited = u32::MAX;
+        let candidate = self.bag.replication_candidate(unlimited);
+        assert_eq!(candidate, self.bag.replication_candidate_scan(unlimited));
+        match self.model.iter().next() {
+            None => {
+                assert_eq!(candidate, None);
+                assert!(!self.bag.can_replicate(unlimited));
+            }
+            Some((&min_count, tasks)) => {
+                let min_task = *tasks.iter().next().expect("model holds no empty sets");
+                assert_eq!(
+                    candidate,
+                    Some(TaskId(min_task)),
+                    "lowest id at the minimum"
+                );
+                assert!(!self.bag.can_replicate(min_count), "min_count {min_count}");
+                assert!(
+                    self.bag.can_replicate(min_count + 1),
+                    "min_count {min_count}"
+                );
+                assert_eq!(self.bag.replication_candidate(min_count), None);
+            }
+        }
+    }
+
+    fn apply(&mut self, op: CountOp) {
+        let n = self.counts.len();
+        match op {
+            CountOp::Up(t) => self.step(t % n, true),
+            CountOp::Down(t) => {
+                if self.counts[t % n] > 0 {
+                    self.step(t % n, false);
+                }
+            }
+            CountOp::Leave(t) => {
+                while self.counts[t % n] > 0 {
+                    self.step(t % n, false);
+                }
+            }
+            CountOp::Excursion(t, depth, back) => {
+                for _ in 0..depth {
+                    self.step(t % n, true);
+                }
+                if back {
+                    for _ in 0..depth {
+                        self.step(t % n, false);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random walks of replica counts (tasks entering and leaving, ±1
+    /// steps, excursions past count 1 000) keep the bucket index's
+    /// minimum, its lowest-id tie-break and its scan twin on the model.
+    #[test]
+    fn replica_count_index_matches_model(
+        tasks in 1usize..40,
+        ops in proptest::collection::vec(count_op_strategy(), 1..120),
+    ) {
+        let mut walk = CountWalk::new(tasks);
+        for op in ops {
+            walk.apply(op);
+        }
+        for t in 0..tasks {
+            walk.apply(CountOp::Leave(t));
+        }
+        prop_assert!(walk.model.is_empty());
     }
 }
