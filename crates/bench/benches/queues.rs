@@ -1,16 +1,17 @@
-//! P1: pending-event-set micro-benchmarks — binary heap vs calendar queue.
+//! P1: pending-event-set micro-benchmarks of the engine's 4-ary heap.
 //!
 //! The classic "hold" pattern (pop one, schedule one at a random offset)
-//! models a steady-state simulator; pure fill/drain models workload priming.
+//! models a steady-state simulator; pure fill/drain models workload priming;
+//! the cancel-heavy mix models replica kills.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dgsched_des::queue::{BinaryHeapQueue, CalendarQueue, PendingEvents};
+use dgsched_des::queue::{BinaryHeapQueue, PendingEvents};
 use dgsched_des::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-fn hold<Q: PendingEvents<u64>>(queue: &mut Q, rng: &mut StdRng, ops: usize) {
+fn hold(queue: &mut BinaryHeapQueue<u64>, rng: &mut StdRng, ops: usize) {
     let mut max_t: f64 = 0.0;
     for _ in 0..ops {
         let (t, _, _) = queue.pop().expect("queue never empties in hold");
@@ -38,20 +39,6 @@ fn bench_hold(c: &mut Criterion) {
                 criterion::BatchSize::SmallInput,
             )
         });
-        group.bench_with_input(BenchmarkId::new("calendar", size), &size, |b, &n| {
-            b.iter_batched(
-                || {
-                    let mut q = CalendarQueue::new();
-                    let mut rng = StdRng::seed_from_u64(1);
-                    for _ in 0..n {
-                        q.schedule(SimTime::new(rng.gen_range(0.0..100.0)), 1u64);
-                    }
-                    (q, StdRng::seed_from_u64(2))
-                },
-                |(mut q, mut rng)| hold(&mut q, &mut rng, 10_000),
-                criterion::BatchSize::SmallInput,
-            )
-        });
     }
     group.finish();
 }
@@ -63,18 +50,6 @@ fn bench_fill_drain(c: &mut Criterion) {
     group.bench_function("binary_heap", |b| {
         b.iter(|| {
             let mut q = BinaryHeapQueue::new();
-            let mut rng = StdRng::seed_from_u64(3);
-            for i in 0..n {
-                q.schedule(SimTime::new(rng.gen_range(0.0..1e6)), i as u64);
-            }
-            while let Some(x) = q.pop() {
-                black_box(x);
-            }
-        })
-    });
-    group.bench_function("calendar", |b| {
-        b.iter(|| {
-            let mut q = CalendarQueue::new();
             let mut rng = StdRng::seed_from_u64(3);
             for i in 0..n {
                 q.schedule(SimTime::new(rng.gen_range(0.0..1e6)), i as u64);

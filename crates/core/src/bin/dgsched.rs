@@ -7,7 +7,7 @@
 //! dgsched serve --addr 127.0.0.1:7700   # sweep service with a result cache
 //! dgsched gen --size pareto:alpha=1.5,min=8e5 --arrivals mmpp:ratio=9,frac=0.1,len=25 \
 //!             -o scenario.json          # trace-realistic scenario (heavy tails)
-//! dgsched gen-workload -g 25000 -u low -n 50 -o w.json   # paper-model workload file
+//! dgsched gen -g 25000 -u low -n 50 --workload w.json   # also save a sampled workload
 //! dgsched summarize w.json              # describe a saved workload
 //! ```
 //!
@@ -37,7 +37,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dgsched demo\n  dgsched run <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n               [--journal <file.jsonl> [--resume]]\n  dgsched oracle <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n                 [--restarts N] [--iters N] [--oracle-seed N] [--oracle-reps N]\n                 [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.json]\n                [--jsonl trace.jsonl] [--bin trace.dgtr] [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched gen-workload -g <granularity> -u <low|medium|high> -n <bags> -o <file> [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run`, `oracle` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\noracle:\n  runs the sweep, then replays each replication's captured environment\n  and searches for the hindsight-optimal bag schedule; the result JSON\n  gains a 'regret' section ((policy - oracle) / oracle with a CI)\n  --restarts N      independent search restarts per replication (default 8)\n  --iters N         move proposals per restart (default 120)\n  --oracle-seed N   search stream seed (default 0)\n  --oracle-reps N   replications the oracle evaluates (default 3)\n  --journal FILE    append each completed search restart to FILE (fsynced\n                    JSONL); with --resume, journaled restarts are folded\n                    in instead of recomputed, byte-identically\n\njournal:\n  --journal FILE    append each completed replication to FILE (fsynced\n                    JSONL) so a killed run loses at most the replication\n                    in flight; replications are panic-isolated\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit\n\nenvironment:\n  DGSCHED_TRACE=1   attach the metrics registry to `dgsched run` (adds a\n                    'metrics' snapshot of replication 0 to the result JSON)"
+        "usage:\n  dgsched demo\n  dgsched run <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n               [--journal <file.jsonl> [--resume]]\n  dgsched oracle <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n                 [--restarts N] [--iters N] [--oracle-seed N] [--oracle-reps N]\n                 [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.json]\n                [--jsonl trace.jsonl] [--bin trace.dgtr] [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run`, `oracle` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\noracle:\n  runs the sweep, then replays each replication's captured environment\n  and searches for the hindsight-optimal bag schedule; the result JSON\n  gains a 'regret' section ((policy - oracle) / oracle with a CI)\n  --restarts N      independent search restarts per replication (default 8)\n  --iters N         move proposals per restart (default 120)\n  --oracle-seed N   search stream seed (default 0)\n  --oracle-reps N   replications the oracle evaluates (default 3)\n  --journal FILE    append each completed search restart to FILE (fsynced\n                    JSONL); with --resume, journaled restarts are folded\n                    in instead of recomputed, byte-identically\n\njournal:\n  --journal FILE    append each completed replication to FILE (fsynced\n                    JSONL) so a killed run loses at most the replication\n                    in flight; replications are panic-isolated\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit\n\nenvironment:\n  DGSCHED_TRACE=1   attach the metrics registry to `dgsched run` (adds a\n                    'metrics' snapshot of replication 0 to the result JSON)"
     );
     exit(2)
 }
@@ -657,63 +657,6 @@ fn cmd_gen(mut args: Args) {
     }
 }
 
-fn cmd_gen_workload(mut args: Args) {
-    let mut granularity = 25_000.0f64;
-    let mut intensity = Intensity::Low;
-    let mut count = 50usize;
-    let mut out = String::from("workload.json");
-    let mut seed = 1u64;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "-g" | "--granularity" => {
-                granularity = flag_value(&mut args, "-g")
-                    .parse()
-                    .unwrap_or_else(|_| fail("-g takes a number"))
-            }
-            "-u" | "--intensity" => {
-                intensity = match flag_value(&mut args, "-u").as_str() {
-                    "low" => Intensity::Low,
-                    "medium" => Intensity::Medium,
-                    "high" => Intensity::High,
-                    other => fail(&format!("-u takes low|medium|high, got {other:?}")),
-                }
-            }
-            "-n" | "--count" => {
-                count = flag_value(&mut args, "-n")
-                    .parse()
-                    .unwrap_or_else(|_| fail("-n takes a number"))
-            }
-            "-o" | "--out" => out = flag_value(&mut args, "-o"),
-            "--seed" => seed = parse_u64(&mut args, "--seed"),
-            _ => fail(&format!("unknown flag {flag:?} for 'gen-workload'")),
-        }
-    }
-    let grid = GridConfig::paper(Heterogeneity::HOM, Availability::HIGH);
-    let spec = WorkloadSpec {
-        bot_type: BotType::paper(granularity),
-        intensity,
-        count,
-    };
-    // Validate before generating: a zero/negative/NaN granularity would
-    // spin the fill loop forever (the running sum never reaches the
-    // application size) instead of producing a diagnosable error.
-    if let Err(e) = spec.bot_type.validate() {
-        fail(&e)
-    }
-    if count == 0 {
-        fail("-n takes a count >= 1")
-    }
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-    let w = spec.generate(&grid, &mut rng);
-    w.save(Path::new(&out))
-        .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
-    eprintln!(
-        "wrote {} bags / {} tasks to {out}",
-        w.len(),
-        w.total_tasks()
-    );
-}
-
 fn cmd_summarize(mut args: Args) {
     let path = args
         .next()
@@ -745,7 +688,6 @@ fn main() {
         Some("serve") => cmd_serve(args),
         Some("trace") => cmd_trace(args),
         Some("gen") => cmd_gen(args),
-        Some("gen-workload") => cmd_gen_workload(args),
         Some("summarize") => cmd_summarize(args),
         Some(other) => fail(&format!("unknown command {other:?}")),
         None => usage(),

@@ -14,7 +14,6 @@ use crate::policy::View;
 use crate::state::{BagRt, Replica, ReplicaPhase};
 use dgsched_des::engine::Scheduler;
 use dgsched_des::event::EventId;
-use dgsched_des::queue::PendingEvents;
 use dgsched_des::time::SimTime;
 use dgsched_grid::MachineId;
 use dgsched_workload::{BotId, TaskId};
@@ -76,10 +75,7 @@ impl Driver<'_> {
     /// counts). Iterating the live index equals iterating a snapshot:
     /// a dispatch removes only the machine just used, and nothing becomes
     /// free mid-round.
-    pub(super) fn dispatch_all<Q: PendingEvents<Event>>(
-        &mut self,
-        sched: &mut Scheduler<'_, Event, Q>,
-    ) {
+    pub(super) fn dispatch_all(&mut self, sched: &mut Scheduler<'_, Event>) {
         #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
         let round_started = dgsched_obs::stamp();
         let now = sched.now();
@@ -113,11 +109,11 @@ impl Driver<'_> {
     /// free index and gets a repair event at the closed-form end of its
     /// current down window — the instant the eager schedule would have
     /// repaired it. Always true under the eager default.
-    fn validate_free<Q: PendingEvents<Event>>(
+    fn validate_free(
         &mut self,
         mid: MachineId,
         now: SimTime,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) -> bool {
         if !self.lazy {
             return true;
@@ -152,12 +148,12 @@ impl Driver<'_> {
     }
 
     /// One selection step for one free machine; `false` ends the round.
-    fn dispatch_one<Q: PendingEvents<Event>>(
+    fn dispatch_one(
         &mut self,
         mid: MachineId,
         now: SimTime,
         threshold: u32,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) -> bool {
         let chosen = {
             let view = if self.reference {
@@ -188,13 +184,13 @@ impl Driver<'_> {
         true
     }
 
-    pub(super) fn launch<Q: PendingEvents<Event>>(
+    pub(super) fn launch(
         &mut self,
         bag: BotId,
         task: TaskId,
         machine: MachineId,
         is_replication: bool,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) {
         #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
         let launch_started = dgsched_obs::stamp();
@@ -236,11 +232,7 @@ impl Driver<'_> {
         self.prof.record(self.span_dispatch, launch_started);
     }
 
-    pub(super) fn bag_arrival<Q: PendingEvents<Event>>(
-        &mut self,
-        index: u32,
-        sched: &mut Scheduler<'_, Event, Q>,
-    ) {
+    pub(super) fn bag_arrival(&mut self, index: u32, sched: &mut Scheduler<'_, Event>) {
         let bag = &self.workload.bags[index as usize];
         debug_assert_eq!(bag.id.0, index);
         debug_assert_eq!(

@@ -16,7 +16,6 @@ use crate::state::{BagRt, Machines, ReplicaId, ReplicaSlab};
 use dgsched_des::engine::QueueOps;
 use dgsched_des::engine::{Control, Engine, Handler, RunOutcome, Scheduler};
 use dgsched_des::event::EventId;
-use dgsched_des::queue::PendingEvents;
 use dgsched_des::rng::StreamSeeder;
 use dgsched_des::time::SimTime;
 use dgsched_grid::availability::UpDownSampler;
@@ -88,11 +87,7 @@ pub(super) struct Driver<'a> {
 }
 
 impl Handler<Event> for Driver<'_> {
-    fn handle<Q: PendingEvents<Event>>(
-        &mut self,
-        event: Event,
-        sched: &mut Scheduler<'_, Event, Q>,
-    ) -> Control {
+    fn handle(&mut self, event: Event, sched: &mut Scheduler<'_, Event>) -> Control {
         match event {
             Event::BagArrival(i) => {
                 self.bag_arrival(i, sched);

@@ -9,7 +9,6 @@ use super::driver::Driver;
 use super::events::Event;
 use dgsched_des::engine::Scheduler;
 use dgsched_des::event::EventId;
-use dgsched_des::queue::PendingEvents;
 use dgsched_grid::MachineId;
 
 impl Driver<'_> {
@@ -17,7 +16,7 @@ impl Driver<'_> {
     /// configured probability; hit machines fail together and all come
     /// back when the outage ends. A hit machine's own pending transition
     /// is cancelled; its personal failure cycle restarts at repair.
-    pub(super) fn outage<Q: PendingEvents<Event>>(&mut self, sched: &mut Scheduler<'_, Event, Q>) {
+    pub(super) fn outage(&mut self, sched: &mut Scheduler<'_, Event>) {
         let now = sched.now();
         let outage = self.state.outage.expect("outage event without a config");
         self.state.counters.outages += 1;
@@ -122,11 +121,11 @@ impl Driver<'_> {
     /// it virtual is free — and spares the event queue one far-future
     /// schedule/cancel pair per launch, which is most of them on a
     /// high-availability grid.
-    pub(super) fn materialize_fail_before<Q: PendingEvents<Event>>(
+    pub(super) fn materialize_fail_before(
         &mut self,
         machine: MachineId,
         deadline: f64,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) {
         if !self.lazy {
             return;
@@ -142,11 +141,7 @@ impl Driver<'_> {
         self.state.machines.hot[i].next_transition = ev;
     }
 
-    pub(super) fn machine_fail<Q: PendingEvents<Event>>(
-        &mut self,
-        mid: MachineId,
-        sched: &mut Scheduler<'_, Event, Q>,
-    ) {
+    pub(super) fn machine_fail(&mut self, mid: MachineId, sched: &mut Scheduler<'_, Event>) {
         let now = sched.now();
         let i = mid.index();
         self.observer.on_machine_fail(now, mid);
@@ -186,11 +181,7 @@ impl Driver<'_> {
         }
     }
 
-    pub(super) fn machine_repair<Q: PendingEvents<Event>>(
-        &mut self,
-        mid: MachineId,
-        sched: &mut Scheduler<'_, Event, Q>,
-    ) {
+    pub(super) fn machine_repair(&mut self, mid: MachineId, sched: &mut Scheduler<'_, Event>) {
         self.observer.on_machine_repair(sched.now(), mid);
         let i = mid.index();
         debug_assert!(

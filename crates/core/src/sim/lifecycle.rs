@@ -11,7 +11,6 @@ use super::metrics::BagMetrics;
 use crate::state::{ReplicaId, ReplicaPhase};
 use dgsched_des::engine::{Control, Scheduler};
 use dgsched_des::event::EventId;
-use dgsched_des::queue::PendingEvents;
 use dgsched_des::time::SimTime;
 use dgsched_workload::BotId;
 
@@ -19,11 +18,11 @@ impl Driver<'_> {
     /// Enters (or re-enters) the computing phase with `base` work already
     /// in hand, scheduling the next milestone: checkpoint-begin if Young's
     /// interval elapses before completion, completion otherwise.
-    pub(super) fn start_computing<Q: PendingEvents<Event>>(
+    pub(super) fn start_computing(
         &mut self,
         rid: ReplicaId,
         base: f64,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) {
         let now = sched.now();
         let (bag, task) = (self.state.slab.bag(rid), self.state.slab.task(rid));
@@ -52,10 +51,10 @@ impl Driver<'_> {
     }
 
     /// Handles a replica milestone according to its phase.
-    pub(super) fn replica_event<Q: PendingEvents<Event>>(
+    pub(super) fn replica_event(
         &mut self,
         rid: ReplicaId,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) -> Control {
         let now = sched.now();
         let Some(phase) = self.state.slab.try_phase(rid) else {
@@ -112,10 +111,10 @@ impl Driver<'_> {
 
     /// A replica finished its task: kill siblings, book metrics, and
     /// re-dispatch freed machines. Stops the run when the last bag drains.
-    pub(super) fn complete_task<Q: PendingEvents<Event>>(
+    pub(super) fn complete_task(
         &mut self,
         rid: ReplicaId,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) -> Control {
         let now = sched.now();
         let r = self.state.slab.remove(rid);
@@ -204,11 +203,11 @@ impl Driver<'_> {
     /// Kills a replica (machine failure or sibling kill): cancels its
     /// outstanding event, releases the machine slot, books the occupancy as
     /// waste, and re-queues the task if this was its last replica.
-    pub(super) fn kill_replica<Q: PendingEvents<Event>>(
+    pub(super) fn kill_replica(
         &mut self,
         rid: ReplicaId,
         by_failure: bool,
-        sched: &mut Scheduler<'_, Event, Q>,
+        sched: &mut Scheduler<'_, Event>,
     ) {
         let now = sched.now();
         let r = self.state.slab.remove(rid);

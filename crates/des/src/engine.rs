@@ -1,10 +1,10 @@
 //! Generic discrete-event simulation driver.
 //!
-//! The [`Engine`] owns the clock and the pending-event set; domain logic
-//! lives in a [`Handler`] that receives events in time order and schedules
-//! follow-ups through the [`Scheduler`] facade. This split keeps the hot
-//! loop monomorphised and allocation-free while letting the grid simulator
-//! stay oblivious to queue internals.
+//! The [`Engine`] owns the clock and the pending-event set (a
+//! [`BinaryHeapQueue`]); domain logic lives in a [`Handler`] that receives
+//! events in time order and schedules follow-ups through the [`Scheduler`]
+//! facade. This split keeps the hot loop monomorphised and allocation-free
+//! while letting the grid simulator stay oblivious to queue internals.
 
 use crate::event::EventId;
 use crate::profile::{stamp, SpanTimes};
@@ -13,12 +13,12 @@ use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Operation counts against the pending-event set, maintained by the
-/// engine regardless of which queue backend is plugged in.
+/// engine.
 ///
 /// These are plain counters (not wall-clock spans), so they are always on:
 /// incrementing an integer per queue call is free next to the queue call
-/// itself, and the counts are useful for sizing calendar-queue buckets and
-/// spotting cancellation-heavy policies.
+/// itself, and the counts show how deep the queue runs and which policies
+/// are cancellation-heavy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueOps {
     /// Events inserted (priming and in-run scheduling).
@@ -32,14 +32,13 @@ pub struct QueueOps {
 }
 
 /// Scheduling facade handed to the [`Handler`] during event processing.
-pub struct Scheduler<'a, E, Q: PendingEvents<E>> {
+pub struct Scheduler<'a, E> {
     now: SimTime,
-    queue: &'a mut Q,
+    queue: &'a mut BinaryHeapQueue<E>,
     ops: &'a mut QueueOps,
-    _marker: std::marker::PhantomData<E>,
 }
 
-impl<'a, E, Q: PendingEvents<E>> Scheduler<'a, E, Q> {
+impl<E> Scheduler<'_, E> {
     /// The current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -104,8 +103,7 @@ pub enum Control {
 pub trait Handler<E> {
     /// Handles one event at its firing time. Schedule follow-up events via
     /// `sched`.
-    fn handle<Q: PendingEvents<E>>(&mut self, event: E, sched: &mut Scheduler<'_, E, Q>)
-        -> Control;
+    fn handle(&mut self, event: E, sched: &mut Scheduler<'_, E>) -> Control;
 }
 
 /// Why the run ended.
@@ -123,42 +121,33 @@ pub enum RunOutcome {
 }
 
 /// The simulation engine: clock + pending-event set + run loop.
-pub struct Engine<E, Q: PendingEvents<E> = BinaryHeapQueue<E>> {
+pub struct Engine<E> {
     now: SimTime,
-    queue: Q,
+    queue: BinaryHeapQueue<E>,
     processed: u64,
     event_limit: u64,
     horizon: SimTime,
     ops: QueueOps,
     pop_span: SpanTimes,
-    _marker: std::marker::PhantomData<E>,
 }
 
-impl<E> Engine<E, BinaryHeapQueue<E>> {
-    /// Creates an engine backed by the binary-heap queue (the default).
-    pub fn new() -> Self {
-        Self::with_queue(BinaryHeapQueue::new())
-    }
-}
-
-impl<E> Default for Engine<E, BinaryHeapQueue<E>> {
+impl<E> Default for Engine<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E, Q: PendingEvents<E>> Engine<E, Q> {
-    /// Creates an engine backed by a caller-supplied queue implementation.
-    pub fn with_queue(queue: Q) -> Self {
+impl<E> Engine<E> {
+    /// Creates an engine with an empty pending-event set.
+    pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            queue,
+            queue: BinaryHeapQueue::new(),
             processed: 0,
             event_limit: u64::MAX,
             horizon: SimTime::FAR_FUTURE,
             ops: QueueOps::default(),
             pop_span: SpanTimes::default(),
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -233,7 +222,6 @@ impl<E, Q: PendingEvents<E>> Engine<E, Q> {
                 now: self.now,
                 queue: &mut self.queue,
                 ops: &mut self.ops,
-                _marker: std::marker::PhantomData,
             };
             if handler.handle(payload, &mut sched) == Control::Stop {
                 return RunOutcome::Stopped;
@@ -255,11 +243,7 @@ mod tests {
     }
 
     impl Handler<u32> for Birth {
-        fn handle<Q: PendingEvents<u32>>(
-            &mut self,
-            event: u32,
-            sched: &mut Scheduler<'_, u32, Q>,
-        ) -> Control {
+        fn handle(&mut self, event: u32, sched: &mut Scheduler<'_, u32>) -> Control {
             self.log.push(sched.now().as_secs());
             if self.spawned < self.cap {
                 self.spawned += 1;
@@ -315,11 +299,7 @@ mod tests {
 
     struct Stopper;
     impl Handler<u32> for Stopper {
-        fn handle<Q: PendingEvents<u32>>(
-            &mut self,
-            event: u32,
-            _sched: &mut Scheduler<'_, u32, Q>,
-        ) -> Control {
+        fn handle(&mut self, event: u32, _sched: &mut Scheduler<'_, u32>) -> Control {
             if event >= 1 {
                 Control::Stop
             } else {
@@ -364,11 +344,7 @@ mod tests {
     fn cancellations_count_only_hits() {
         struct Canceller(Option<EventId>);
         impl Handler<u32> for Canceller {
-            fn handle<Q: PendingEvents<u32>>(
-                &mut self,
-                _event: u32,
-                sched: &mut Scheduler<'_, u32, Q>,
-            ) -> Control {
+            fn handle(&mut self, _event: u32, sched: &mut Scheduler<'_, u32>) -> Control {
                 if let Some(id) = self.0.take() {
                     assert!(sched.cancel(id));
                     assert!(!sched.cancel(id)); // second try misses
@@ -395,11 +371,7 @@ mod tests {
     fn scheduling_in_past_panics() {
         struct Bad;
         impl Handler<u32> for Bad {
-            fn handle<Q: PendingEvents<u32>>(
-                &mut self,
-                _event: u32,
-                sched: &mut Scheduler<'_, u32, Q>,
-            ) -> Control {
+            fn handle(&mut self, _event: u32, sched: &mut Scheduler<'_, u32>) -> Control {
                 sched.schedule_in(-1.0, 0);
                 Control::Continue
             }

@@ -1,6 +1,4 @@
-//! Event handles and queue entries shared by the queue implementations.
-
-use crate::time::SimTime;
+//! Event handles issued by the pending-event sets.
 
 /// Opaque handle identifying a scheduled event, usable for cancellation.
 ///
@@ -15,22 +13,5 @@ impl EventId {
     /// Raw value, for diagnostics.
     pub fn raw(self) -> u64 {
         self.0
-    }
-}
-
-/// An event entry: firing time, insertion sequence (ties broken FIFO) and
-/// the caller's payload.
-#[derive(Debug, Clone)]
-pub(crate) struct Entry<E> {
-    pub time: SimTime,
-    pub id: EventId,
-    pub payload: E,
-}
-
-impl<E> Entry<E> {
-    /// Queue key: earlier time first; equal times in insertion order.
-    #[inline]
-    pub fn key(&self) -> (SimTime, u64) {
-        (self.time, self.id.0)
     }
 }

@@ -1,12 +1,13 @@
 //! # dgsched-des — discrete-event simulation kernel
 //!
 //! The simulation substrate for the desktop-grid scheduling study: a
-//! monomorphised event loop ([`engine::Engine`]), two interchangeable
-//! pending-event sets ([`queue::BinaryHeapQueue`], [`queue::CalendarQueue`]),
-//! deterministic named RNG streams ([`rng::StreamSeeder`]), declarative
-//! random variates ([`dist::DistConfig`]), an output-analysis toolkit
-//! ([`stats`]) and a SimPy-style `async` process layer ([`process`]) for
-//! quick models.
+//! monomorphised event loop ([`engine::Engine`]) over a 4-ary-heap
+//! pending-event set ([`queue::BinaryHeapQueue`], property-tested against
+//! the eager [`queue::BTreeQueue`]), deterministic named RNG streams
+//! ([`rng::StreamSeeder`]), declarative random variates
+//! ([`dist::DistConfig`]) and the replication statistics ([`stats`]):
+//! streaming moments, confidence intervals, stopping rules and
+//! time-weighted signals.
 //!
 //! The kernel is domain-agnostic: it knows nothing about machines, bags or
 //! schedulers. Higher crates define their event enum and drive it through
@@ -16,16 +17,11 @@
 //!
 //! ```
 //! use dgsched_des::engine::{Control, Engine, Handler, Scheduler};
-//! use dgsched_des::queue::PendingEvents;
 //! use dgsched_des::time::SimTime;
 //!
 //! struct Ping(u32);
 //! impl Handler<u32> for Ping {
-//!     fn handle<Q: PendingEvents<u32>>(
-//!         &mut self,
-//!         n: u32,
-//!         sched: &mut Scheduler<'_, u32, Q>,
-//!     ) -> Control {
+//!     fn handle(&mut self, n: u32, sched: &mut Scheduler<'_, u32>) -> Control {
 //!         self.0 += n;
 //!         if n < 3 { sched.schedule_in(1.0, n + 1); }
 //!         Control::Continue
@@ -45,7 +41,6 @@
 pub mod dist;
 pub mod engine;
 pub mod event;
-pub mod process;
 pub mod profile;
 pub mod queue;
 pub mod rng;

@@ -67,6 +67,7 @@ mod tests {
     #[test]
     fn record_accumulates_or_is_noop() {
         let mut span = SpanTimes::default();
+        #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
         let t = stamp();
         span.record(t);
         if cfg!(feature = "timing") {

@@ -1,28 +1,24 @@
 //! Pending-event set implementations.
 //!
-//! Three interchangeable priority queues are provided:
+//! Two priority queues are provided:
 //!
 //! * [`BinaryHeapQueue`] — a 4-ary min-heap of 24-byte `Copy` nodes keyed
 //!   by `(time, id)`, payloads in a slot slab, the popped root reused by
 //!   the next schedule, dense id-bitmap bookkeeping and lazy cancellation
-//!   plus tombstone compaction. The default: cache-friendly and cheap
-//!   even under the kill-relaunch storms of aggressive replication
-//!   policies.
-//! * [`CalendarQueue`] — a Brown-style calendar queue with adaptive bucket
-//!   width, O(1) amortised enqueue/dequeue when event-time increments are
-//!   well behaved. Provided for large-scale runs and benchmarked against
-//!   the heap in `dgsched-bench`.
+//!   plus tombstone compaction. The queue the engine runs on:
+//!   cache-friendly and cheap even under the kill-relaunch storms of
+//!   aggressive replication policies.
 //! * [`BTreeQueue`] — an ordered-map queue with *eager* cancellation
 //!   (O(log n) true removal, no tombstones). The reference implementation
-//!   the other two are property-tested against.
+//!   the heap is property-tested against.
 //!
-//! All honour the same contract, captured by [`PendingEvents`]: events pop
+//! Both honour the same contract, captured by [`PendingEvents`]: events pop
 //! in non-decreasing time order, ties break in insertion (FIFO) order, and
 //! cancelled events never pop.
 
-use crate::event::{Entry, EventId};
+use crate::event::EventId;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Common interface of the pending-event set.
 pub trait PendingEvents<E> {
@@ -358,285 +354,6 @@ impl<E> PendingEvents<E> for BinaryHeapQueue<E> {
     }
 }
 
-/// Brown's calendar queue: an array of "day" buckets spanning one "year";
-/// events beyond the current year sit in their bucket and are skipped until
-/// the year wraps around to them. Bucket count and width adapt to the live
-/// event population to keep bucket occupancy near one.
-pub struct CalendarQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    bucket_width: f64,
-    /// Index of the bucket the current scan position is in.
-    cursor: usize,
-    /// Start time of the bucket under the cursor.
-    cursor_time: f64,
-    /// Ids scheduled but not yet popped or cancelled.
-    // dgsched-analyze: allow(unordered-iter) -- event-id membership probe; never iterated, pop order comes from the bucket scan
-    pending: HashSet<u64>,
-    /// Ids cancelled but still physically in a bucket (lazy deletion).
-    // dgsched-analyze: allow(unordered-iter) -- lazy-deletion membership probe; never iterated
-    cancelled: HashSet<u64>,
-    next_id: u64,
-    live: usize,
-    resize_enabled: bool,
-}
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> CalendarQueue<E> {
-    const MIN_BUCKETS: usize = 4;
-
-    /// Largest quotient `t / width` the index/anchor math treats as an
-    /// exact integer; beyond this, `floor`/casts lose whole years.
-    const MAX_EXACT_QUOTIENT: f64 = (1u64 << 53) as f64;
-
-    /// Start of the calendar year containing `t`: the largest multiple of
-    /// `width` at or below `t`. Two far-future hazards are handled here.
-    /// `t / width` can exceed integer fp precision (or overflow to ∞), in
-    /// which case the year is anchored at `t` itself — a legal anchor,
-    /// since the scan only needs `year_start ≤ t`. And `⌊t/width⌋·width`
-    /// can land *past* `t` when `t / width` rounds up to a whole integer,
-    /// which would let the forward scan skip an event at exactly `t`; the
-    /// result is clamped back below `t`.
-    fn year_start(t: f64, width: f64) -> f64 {
-        let q = t / width;
-        if !q.is_finite() || q.abs() >= Self::MAX_EXACT_QUOTIENT {
-            return t;
-        }
-        let mut start = q.floor() * width;
-        if start > t {
-            start -= width;
-        }
-        if start > t || !start.is_finite() {
-            start = t;
-        }
-        start
-    }
-
-    /// Creates an empty calendar queue with default geometry.
-    pub fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..Self::MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            bucket_width: 1.0,
-            cursor: 0,
-            cursor_time: 0.0,
-            // dgsched-analyze: allow(unordered-iter) -- constructor for the membership sets annotated above
-            pending: HashSet::new(),
-            // dgsched-analyze: allow(unordered-iter) -- constructor for the membership sets annotated above
-            cancelled: HashSet::new(),
-            next_id: 0,
-            live: 0,
-            resize_enabled: true,
-        }
-    }
-
-    #[inline]
-    fn bucket_index(&self, t: f64) -> usize {
-        let n = self.buckets.len();
-        let q = t / self.bucket_width;
-        if q.is_finite() && q < Self::MAX_EXACT_QUOTIENT {
-            (q as usize) % n
-        } else {
-            // Far-future events: `q as usize` saturates at usize::MAX,
-            // aliasing every such event into one bucket. fp remainder is
-            // exact, so spread them by their true year index instead; the
-            // `t < year_end` guard in the scan keeps ordering correct
-            // whatever bucket an event lands in.
-            let r = q.rem_euclid(n as f64);
-            if r.is_finite() {
-                (r as usize).min(n - 1)
-            } else {
-                0
-            }
-        }
-    }
-
-    /// Estimates a good bucket width by sampling inter-event gaps near the
-    /// head of the queue, then rebuilds the calendar.
-    fn resize(&mut self, new_len: usize) {
-        let nbuckets = new_len.next_power_of_two().max(Self::MIN_BUCKETS);
-        // Sample up to 32 events with the smallest times to estimate spacing.
-        let mut times: Vec<f64> = self
-            .buckets
-            .iter()
-            .flatten()
-            .filter(|e| !self.cancelled.contains(&e.id.0))
-            .map(|e| e.time.as_secs())
-            .collect();
-        times.sort_by(|a, b| a.total_cmp(b));
-        times.truncate(32);
-        let width = if times.len() >= 2 {
-            let span = times[times.len() - 1] - times[0];
-            let mean_gap = span / (times.len() - 1) as f64;
-            // Brown's heuristic: three times the mean gap keeps occupancy ~1.
-            (3.0 * mean_gap).max(1e-9)
-        } else {
-            self.bucket_width
-        };
-
-        let old: Vec<Entry<E>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.bucket_width = width;
-        // Re-anchor the cursor at the earliest live event (or keep position).
-        let anchor = old
-            .iter()
-            .filter(|e| !self.cancelled.contains(&e.id.0))
-            .map(|e| e.time.as_secs())
-            .fold(f64::INFINITY, f64::min);
-        let anchor = if anchor.is_finite() {
-            anchor
-        } else {
-            self.cursor_time
-        };
-        self.cursor = self.bucket_index(anchor);
-        self.cursor_time = Self::year_start(anchor, self.bucket_width);
-        for e in old {
-            let idx = self.bucket_index(e.time.as_secs());
-            self.buckets[idx].push(e);
-        }
-    }
-
-    fn maybe_grow(&mut self) {
-        if self.resize_enabled && self.live > 2 * self.buckets.len() {
-            self.resize(self.live);
-        }
-    }
-
-    fn maybe_shrink(&mut self) {
-        if self.resize_enabled
-            && self.buckets.len() > Self::MIN_BUCKETS
-            && self.live < self.buckets.len() / 2
-        {
-            self.resize(self.live.max(1));
-        }
-    }
-
-    /// Finds the earliest live event and returns (bucket, position-in-bucket).
-    fn find_min(&self) -> Option<(usize, usize)> {
-        let mut best: Option<((SimTime, u64), usize, usize)> = None;
-        for (bi, bucket) in self.buckets.iter().enumerate() {
-            for (pi, e) in bucket.iter().enumerate() {
-                if self.cancelled.contains(&e.id.0) {
-                    continue;
-                }
-                let key = e.key();
-                if best.map(|(bk, _, _)| key < bk).unwrap_or(true) {
-                    best = Some((key, bi, pi));
-                }
-            }
-        }
-        best.map(|(_, bi, pi)| (bi, pi))
-    }
-
-    /// Scans forward from the cursor for the next event within the current
-    /// year; falls back to a full minimum search when a whole year is empty.
-    fn locate_next(&mut self) -> Option<(usize, usize)> {
-        if self.live == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        let mut cursor = self.cursor;
-        let mut cursor_time = self.cursor_time;
-        for _ in 0..n {
-            let year_end = cursor_time + self.bucket_width;
-            let mut best: Option<((SimTime, u64), usize)> = None;
-            for (pi, e) in self.buckets[cursor].iter().enumerate() {
-                if self.cancelled.contains(&e.id.0) {
-                    continue;
-                }
-                let t = e.time.as_secs();
-                if t < year_end {
-                    let key = e.key();
-                    if best.map(|(bk, _)| key < bk).unwrap_or(true) {
-                        best = Some((key, pi));
-                    }
-                }
-            }
-            if let Some((_, pi)) = best {
-                self.cursor = cursor;
-                self.cursor_time = cursor_time;
-                return Some((cursor, pi));
-            }
-            cursor = (cursor + 1) % n;
-            cursor_time += self.bucket_width;
-        }
-        // A full year contained nothing due soon: do a direct search and jump.
-        let (bi, pi) = self.find_min()?;
-        let t = self.buckets[bi][pi].time.as_secs();
-        self.cursor = bi;
-        self.cursor_time = Self::year_start(t, self.bucket_width);
-        Some((bi, pi))
-    }
-
-    fn purge_cancelled(&mut self, bi: usize) {
-        let cancelled = &mut self.cancelled;
-        self.buckets[bi].retain(|e| !cancelled.remove(&e.id.0));
-    }
-}
-
-impl<E> PendingEvents<E> for CalendarQueue<E> {
-    fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        let t = time.as_secs();
-        let idx = self.bucket_index(t);
-        self.buckets[idx].push(Entry { time, id, payload });
-        self.pending.insert(id.0);
-        self.live += 1;
-        // Maintain the invariant that every live event fires at or after the
-        // start of the cursor year; otherwise the forward scan could pop a
-        // later event first.
-        if t < self.cursor_time {
-            self.cursor = idx;
-            self.cursor_time = Self::year_start(t, self.bucket_width);
-        }
-        self.maybe_grow();
-        id
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        if self.pending.remove(&id.0) {
-            self.cancelled.insert(id.0);
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        let (bi, _pi) = self.locate_next()?;
-        self.purge_cancelled(bi);
-        // Positions shifted after the purge; find the minimum in the bucket
-        // that is still due within the located year (it must exist: the
-        // located event was live).
-        let bucket = &mut self.buckets[bi];
-        let min_pos = bucket
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.key())
-            .map(|(i, _)| i)
-            .expect("located bucket cannot be empty after purge");
-        let e = bucket.swap_remove(min_pos);
-        self.pending.remove(&e.id.0);
-        self.live -= 1;
-        self.maybe_shrink();
-        Some((e.time, e.id, e.payload))
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        let (bi, pi) = self.locate_next()?;
-        Some(self.buckets[bi][pi].time)
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-}
-
 /// Ordered-map pending-event set with eager cancellation.
 ///
 /// Keys are `(time-key, id)`: scheduled times are non-NaN and non-negative,
@@ -732,11 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn calendar_contract() {
-        exercise(CalendarQueue::new());
-    }
-
-    #[test]
     fn btree_contract() {
         exercise(BTreeQueue::new());
     }
@@ -776,100 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn calendar_fifo_ties() {
-        fifo_ties(CalendarQueue::new());
-    }
-
-    #[test]
-    fn calendar_handles_spread_times() {
-        let mut q = CalendarQueue::new();
-        // Times spanning many "years" force the wrap-around path.
-        let times = [1e6, 3.0, 0.5, 9e5, 12.0, 7e3, 2e6, 0.25];
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::new(t), i as u32);
-        }
-        let mut popped = Vec::new();
-        while let Some((t, _, _)) = q.pop() {
-            popped.push(t.as_secs());
-        }
-        let mut sorted = times.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        assert_eq!(popped, sorted);
-    }
-
-    #[test]
-    fn calendar_far_future_does_not_collapse() {
-        let mut q = CalendarQueue::new();
-        // A dense cluster first, so the adaptive resize settles on a small
-        // bucket width…
-        for i in 0..64 {
-            q.schedule(SimTime::new(i as f64 * 1e-3), i);
-        }
-        // …then events so far out that t / bucket_width leaves the exact
-        // integer range entirely (the old index math saturated here and the
-        // anchor could become non-finite).
-        let far = [1e12, 2.5e18, 5e15, 1e300, 3e299];
-        for (j, &t) in far.iter().enumerate() {
-            q.schedule(SimTime::new(t), 1000 + j as u32);
-        }
-        let mut popped = Vec::new();
-        while let Some((t, _, _)) = q.pop() {
-            popped.push(t.as_secs());
-        }
-        assert_eq!(popped.len(), 64 + far.len());
-        assert!(
-            popped.windows(2).all(|w| w[0] <= w[1]),
-            "pop order regressed: {popped:?}"
-        );
-        assert_eq!(popped[popped.len() - 1], 1e300);
-    }
-
-    #[test]
-    fn calendar_interleaves_near_and_far_after_resize() {
-        let mut q = CalendarQueue::<u32>::new();
-        let far = q.schedule(SimTime::new(1e307), 0);
-        for i in 0..32 {
-            q.schedule(SimTime::new(1.0 + i as f64), 1 + i);
-        }
-        // Popping the near cluster triggers shrink-resizes whose anchor is
-        // re-derived while the far event is still live.
-        for want in 1..=32 {
-            assert_eq!(q.pop().unwrap().2, want);
-        }
-        assert!(!q.cancel(EventId::NONE));
-        assert_eq!(
-            q.pop().map(|(t, id, _)| (t.as_secs(), id)),
-            Some((1e307, far))
-        );
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn calendar_year_start_never_exceeds_anchor() {
-        type Q = CalendarQueue<u32>;
-        // The fp-rounding trap: t / width rounds UP to a whole integer, so
-        // ⌊t/w⌋·w lands past t unless clamped.
-        let cases = [
-            (1e16 + 2.0, 3.0),
-            (0.3, 0.1),
-            (1e305, 1e-9),   // quotient overflows to ∞
-            (7.0e18, 0.125), // quotient beyond 2^53
-            (0.0, 1.0),
-            (5.0, 1.0),
-        ];
-        for (t, w) in cases {
-            let start = Q::year_start(t, w);
-            assert!(start.is_finite(), "year_start({t}, {w}) not finite");
-            assert!(start <= t, "year_start({t}, {w}) = {start} > anchor");
-            // The anchor must stay within one year of t whenever the
-            // quotient is exactly representable.
-            if (t / w).is_finite() && t / w < Q::MAX_EXACT_QUOTIENT {
-                assert!(t - start <= 2.0 * w, "anchor drifted: {t} {w} {start}");
-            }
-        }
-    }
-
-    #[test]
     fn heap_interleaved_schedule_pop() {
         let mut q = BinaryHeapQueue::new();
         q.schedule(SimTime::new(10.0), 10);
@@ -886,8 +504,8 @@ mod tests {
     fn cancel_none_sentinel_is_noop() {
         let mut q = BinaryHeapQueue::<u32>::new();
         assert!(!q.cancel(EventId::NONE));
-        let mut c = CalendarQueue::<u32>::new();
-        assert!(!c.cancel(EventId::NONE));
+        let mut b = BTreeQueue::<u32>::new();
+        assert!(!b.cancel(EventId::NONE));
     }
 
     #[test]
@@ -966,7 +584,6 @@ mod tests {
             assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 9]);
         }
         check(BinaryHeapQueue::new());
-        check(CalendarQueue::new());
         check(BTreeQueue::new());
     }
 

@@ -8,7 +8,6 @@
 
 use dgsched_des::dist::DistConfig;
 use dgsched_des::engine::{Control, Engine, Handler, Scheduler};
-use dgsched_des::queue::{BinaryHeapQueue, CalendarQueue, PendingEvents};
 use dgsched_des::rng::StreamSeeder;
 use dgsched_des::stats::{TimeWeighted, Welford};
 use dgsched_des::time::SimTime;
@@ -52,11 +51,7 @@ impl Mm1 {
 }
 
 impl Handler<Ev> for Mm1 {
-    fn handle<Q: PendingEvents<Ev>>(
-        &mut self,
-        ev: Ev,
-        sched: &mut Scheduler<'_, Ev, Q>,
-    ) -> Control {
+    fn handle(&mut self, ev: Ev, sched: &mut Scheduler<'_, Ev>) -> Control {
         let now = sched.now();
         match ev {
             Ev::Arrival => {
@@ -91,14 +86,8 @@ impl Handler<Ev> for Mm1 {
     }
 }
 
-fn run_mm1<Q: PendingEvents<Ev>>(
-    queue: Q,
-    lambda: f64,
-    mu: f64,
-    customers: u64,
-    seed: u64,
-) -> (f64, f64, f64) {
-    let mut engine = Engine::with_queue(queue);
+fn run_mm1(lambda: f64, mu: f64, customers: u64, seed: u64) -> (f64, f64, f64) {
+    let mut engine = Engine::new();
     let mut model = Mm1::new(lambda, mu, customers, seed);
     engine.prime(SimTime::ZERO, Ev::Arrival);
     engine.run(&mut model);
@@ -116,7 +105,7 @@ fn mm1_mean_response_time_matches_theory() {
     let mut err_sum = 0.0;
     let reps = 5;
     for seed in 0..reps {
-        let (w, _, _) = run_mm1(BinaryHeapQueue::new(), lambda, mu, 200_000, seed);
+        let (w, _, _) = run_mm1(lambda, mu, 200_000, seed);
         err_sum += (w - expected_w) / expected_w;
     }
     let bias = err_sum / reps as f64;
@@ -132,7 +121,7 @@ fn mm1_mean_queue_length_matches_theory() {
     let (lambda, mu) = (0.5, 1.0);
     let rho = lambda / mu;
     let expected_l = rho / (1.0 - rho); // 1.0
-    let (_, l, _) = run_mm1(BinaryHeapQueue::new(), lambda, mu, 300_000, 42);
+    let (_, l, _) = run_mm1(lambda, mu, 300_000, 42);
     assert!(
         (l - expected_l).abs() / expected_l < 0.05,
         "L = {l}, expected {expected_l}"
@@ -140,21 +129,11 @@ fn mm1_mean_queue_length_matches_theory() {
 }
 
 #[test]
-fn both_queue_backends_agree_exactly() {
-    // Same model, same seeds, different pending-event sets: the simulated
-    // trajectory must be identical, not merely statistically similar.
-    let a = run_mm1(BinaryHeapQueue::new(), 0.8, 1.0, 50_000, 7);
-    let b = run_mm1(CalendarQueue::new(), 0.8, 1.0, 50_000, 7);
-    assert_eq!(a.0.to_bits(), b.0.to_bits(), "response means diverged");
-    assert_eq!(a.2.to_bits(), b.2.to_bits(), "end times diverged");
-}
-
-#[test]
 fn utilization_approaches_rho() {
     // Little's-law cross-check: λ·W should equal the time-average number in
     // system.
     let (lambda, mu) = (0.6, 1.0);
-    let (w, l, _) = run_mm1(BinaryHeapQueue::new(), lambda, mu, 300_000, 3);
+    let (w, l, _) = run_mm1(lambda, mu, 300_000, 3);
     let little = lambda * w;
     assert!(
         (little - l).abs() / l < 0.06,

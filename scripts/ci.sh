@@ -135,8 +135,10 @@ if [ "${DGSCHED_BENCH_SMOKE:-0}" = "1" ]; then
   cargo run --release -q -p dgsched-bench --bin bench_sim_json -- --smoke
 fi
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints tests, examples and criterion benches too; nothing
+# else in this script builds crates/bench/benches.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy -p dgsched-obs --features timing -- -D warnings"
 cargo clippy -p dgsched-obs --features timing -- -D warnings

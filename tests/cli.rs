@@ -56,7 +56,7 @@ fn gen_and_summarize_workload() {
     let path = tmp("workload.json");
     let out = Command::new(bin())
         .args([
-            "gen-workload",
+            "gen",
             "-g",
             "5000",
             "-u",
@@ -64,12 +64,14 @@ fn gen_and_summarize_workload() {
             "-n",
             "8",
             "-o",
+            tmp("workload-scenario.json").to_str().unwrap(),
+            "--workload",
             path.to_str().unwrap(),
             "--seed",
             "3",
         ])
         .output()
-        .expect("gen-workload");
+        .expect("gen");
     assert!(
         out.status.success(),
         "stderr: {}",

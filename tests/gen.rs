@@ -1,5 +1,5 @@
 //! Black-box tests of `dgsched gen`: seed determinism, pool-width
-//! independence, and the validation regressions around `gen-workload`.
+//! independence, and usage errors that fire before any file is written.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -173,10 +173,21 @@ fn generated_scenario_runs_and_oracles_unmodified() {
 
 #[test]
 fn gen_rejects_bad_specs_with_usage_errors() {
+    // Every case names both output files: a rejected spec must fail with a
+    // usage error before anything is written. The granularity cases used
+    // to hang the workload fill loop (the running sum of task work never
+    // reaches the application size) or emit an empty workload.
+    let scenario = tmp("never-written-scenario.json");
+    let workload = tmp("never-written-workload.json");
+    for path in [&scenario, &workload] {
+        let _ = std::fs::remove_file(path);
+    }
     let expect_usage = |flags: &[&str]| {
         let out = Command::new(bin())
             .arg("gen")
             .args(flags)
+            .args(["-o", scenario.to_str().unwrap()])
+            .args(["--workload", workload.to_str().unwrap()])
             .output()
             .expect("gen");
         assert_eq!(
@@ -196,37 +207,17 @@ fn gen_rejects_bad_specs_with_usage_errors() {
     expect_usage(&["--arrivals", "diurnal:period=86400,amplitude=2"]);
     expect_usage(&["--policy", "frobnicate"]);
     expect_usage(&["-g", "0"]);
-    expect_usage(&["-n", "0"]);
-}
-
-#[test]
-fn gen_workload_validates_before_generating() {
-    // Regression: these used to hang the fill loop forever (the running
-    // sum of task work never reaches the application size) or silently
-    // emit an empty workload instead of failing with a usage error.
-    let expect_usage = |flags: &[&str]| {
-        let out = Command::new(bin())
-            .arg("gen-workload")
-            .args(flags)
-            .args(["-o", tmp("never-written.json").to_str().unwrap()])
-            .output()
-            .expect("gen-workload");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "flags {flags:?}: stderr {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    };
-    expect_usage(&["-g", "0"]);
     expect_usage(&["-g", "-5000"]);
     expect_usage(&["-g", "NaN"]);
     expect_usage(&["-g", "inf"]);
     expect_usage(&["-n", "0"]);
-    assert!(
-        !tmp("never-written.json").exists(),
-        "rejected specs must not write output files"
-    );
+    for path in [&scenario, &workload] {
+        assert!(
+            !path.exists(),
+            "rejected specs must not write {}",
+            path.display()
+        );
+    }
 }
 
 #[test]

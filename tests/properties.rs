@@ -4,7 +4,7 @@
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::{simulate, SimConfig};
 use dgsched_core::state::BagRt;
-use dgsched_des::queue::{BTreeQueue, BinaryHeapQueue, CalendarQueue, PendingEvents};
+use dgsched_des::queue::{BTreeQueue, BinaryHeapQueue, PendingEvents};
 use dgsched_des::stats::Welford;
 use dgsched_des::time::SimTime;
 use dgsched_des::EventId;
@@ -73,12 +73,11 @@ fn cancel_storm_strategy() -> impl Strategy<Value = Vec<Op>> {
         })
 }
 
-/// The three queues under test plus a naive reference holding live
-/// entries only, as `(time, seq)`; `seq` is also the payload. All three
-/// queues issue ids from one sequential counter, so one id list serves.
+/// The two queues under test plus a naive reference holding live entries
+/// only, as `(time, seq)`; `seq` is also the payload. Both queues issue
+/// ids from one sequential counter, so one id list serves.
 struct Fuzz {
     heap: BinaryHeapQueue<u64>,
-    cal: CalendarQueue<u64>,
     btree: BTreeQueue<u64>,
     reference: Vec<(f64, u64)>,
     ids: Vec<EventId>,
@@ -88,7 +87,6 @@ impl Fuzz {
     fn new() -> Self {
         Fuzz {
             heap: BinaryHeapQueue::new(),
-            cal: CalendarQueue::new(),
             btree: BTreeQueue::new(),
             reference: Vec::new(),
             ids: Vec::new(),
@@ -108,21 +106,16 @@ impl Fuzz {
     fn schedule(&mut self, t: f64) {
         let seq = self.ids.len() as u64;
         let id = self.heap.schedule(SimTime::new(t), seq);
-        assert_eq!(self.cal.schedule(SimTime::new(t), seq), id, "calendar id");
         assert_eq!(self.btree.schedule(SimTime::new(t), seq), id, "btree id");
         self.ids.push(id);
         self.reference.push((t, seq));
     }
 
-    /// Pops all three queues, checks them against the reference and
+    /// Pops both queues, checks them against the reference and
     /// returns the popped time.
     fn pop(&mut self) -> Option<f64> {
         let expected = self.reference_front().map(|i| self.reference.remove(i));
-        let got = [
-            ("heap", self.heap.pop()),
-            ("calendar", self.cal.pop()),
-            ("btree", self.btree.pop()),
-        ];
+        let got = [("heap", self.heap.pop()), ("btree", self.btree.pop())];
         for (name, popped) in got {
             let popped = popped.map(|(t, id, p)| (t.as_secs().to_bits(), id, p));
             // Bit-exact: a queue hands back the time it was given.
@@ -135,7 +128,6 @@ impl Fuzz {
     fn peek_time(&mut self) {
         let expected = self.reference_front().map(|i| self.reference[i].0);
         assert_eq!(self.heap.peek_time().map(SimTime::as_secs), expected);
-        assert_eq!(self.cal.peek_time().map(SimTime::as_secs), expected);
         assert_eq!(self.btree.peek_time().map(SimTime::as_secs), expected);
     }
 
@@ -151,13 +143,11 @@ impl Fuzz {
             let (_, seq) = self.reference.remove(n % self.reference.len());
             let id = self.ids[seq as usize];
             assert!(self.heap.cancel(id), "heap cancel of live id");
-            assert!(self.cal.cancel(id), "calendar cancel of live id");
             assert!(self.btree.cancel(id), "btree cancel of live id");
             id
         };
         // A second (or dead-handle) cancel must be a no-op.
         assert!(!self.heap.cancel(id), "heap cancel of dead id");
-        assert!(!self.cal.cancel(id), "calendar cancel of dead id");
         assert!(!self.btree.cancel(id), "btree cancel of dead id");
     }
 
@@ -177,12 +167,11 @@ impl Fuzz {
         }
         let live = self.reference.len();
         assert_eq!(self.heap.len(), live, "heap live count");
-        assert_eq!(self.cal.len(), live, "calendar live count");
         assert_eq!(self.btree.len(), live, "btree live count");
     }
 }
 
-/// Replays ops against all three queues and a naive sorted reference,
+/// Replays ops against both queues and a naive sorted reference,
 /// asserting identical observable behaviour, then drains them.
 fn check_queues(ops: Vec<Op>) {
     let mut fuzz = Fuzz::new();
