@@ -20,8 +20,8 @@ pub use journal::{
 pub(crate) use journal::{fingerprint_canonical, KeySpace};
 pub use plot::{panel_chart, BarChart};
 pub use regret::{
-    oracle_replication, run_matrix_regret, run_matrix_regret_journaled, OracleConfig,
-    OracleJournalStats, OracleReplication, RegretSection,
+    check_resumed_search, oracle_replication, run_matrix_regret, run_matrix_regret_journaled,
+    OracleConfig, OracleJournalStats, OracleReplication, RegretSection, ResumeCheck,
 };
 pub use report::Report;
 pub use runner::{

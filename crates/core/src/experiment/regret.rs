@@ -28,7 +28,9 @@
 //!   replaying a [`FixedPriority`] policy against the same timeline, with
 //!   infeasible candidates (saturated or incomplete replays) graded by a
 //!   large penalty plus distance-to-feasible terms so the search can
-//!   descend through them. Restarts are independent units on the
+//!   descend through them. A candidate's replay resumes from a snapshot
+//!   of its neighbour's run taken before the two can first differ (see
+//!   [`ResumedReplay`]). Restarts are independent units on the
 //!   work-stealing pool; results fold deterministically, so the oracle is
 //!   byte-identical at any pool width.
 //!
@@ -49,16 +51,23 @@ use super::journal::{digest128_hex, oracle_fingerprint};
 use super::runner::{replication_inputs, reportable_ci, run_replication_traced, ScenarioResult};
 use super::scenario::Scenario;
 use crate::policy::{BagSelection, PolicyKind, View};
-use crate::sim::{simulate_replayed, RunResult, TraceEnv};
+use crate::sim::{
+    advance_replayed, resume_replayed, simulate_replayed, simulate_replayed_snapshots,
+    ReplaySnapshot, RunResult, SimConfig, SnapshotRun, TraceEnv,
+};
 use dgsched_des::stats::{ConfidenceInterval, StoppingRule, Welford};
-use dgsched_oracle::{fold, run_restart, RestartOutcome, SearchConfig, SplitMix64};
-use dgsched_workload::BotId;
+use dgsched_des::time::SimTime;
+use dgsched_grid::Grid;
+use dgsched_oracle::{fold, run_restart, Objective, RestartOutcome, SearchConfig, SplitMix64};
+use dgsched_workload::{BotId, Workload};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
+use std::rc::Rc;
 
 /// Knobs of the oracle computation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,7 +75,8 @@ pub struct OracleConfig {
     /// Independent search restarts per replication.
     #[serde(default = "default_restarts")]
     pub restarts: u32,
-    /// Move proposals per restart (each proposal is one trace replay).
+    /// Move proposals per restart (each proposal is one evaluation: a
+    /// trace replay, resumed from a neighbour's snapshot where exact).
     #[serde(default = "default_iters")]
     pub iters: u32,
     /// Seed of the search streams (independent of the simulation seeds).
@@ -115,7 +125,10 @@ pub struct RegretSection {
     /// Replications that contributed a regret observation (the policy's
     /// replay completed; saturated replications carry no turnaround).
     pub measured_replications: u64,
-    /// Trace replays the search spent, across restarts and replications.
+    /// Cost evaluations of each replication's winning restart (the one
+    /// [`fold`] picked), summed over replications. Restarts that lost the
+    /// fold are not counted, so the search evaluated about `restarts`
+    /// times this many orders in all.
     pub search_evaluations: u64,
     /// Search restarts per replication.
     pub restarts: u32,
@@ -178,6 +191,185 @@ fn penalized_cost(r: &RunResult) -> f64 {
     }
 }
 
+/// Snapshots kept per evaluated order: the state of its run before the
+/// first event at or after each of this many evenly spaced bag arrivals.
+const SNAPSHOTS: usize = 16;
+
+/// The search objective on one replication's timeline: the penalized cost
+/// of replaying a [`FixedPriority`] order, resumed from a snapshot of an
+/// already-evaluated neighbour instead of replayed from t = 0.
+///
+/// **Why resuming is exact.** `FixedPriority` dispatches the
+/// lowest-ranked active dispatchable bag, so two orders make the same
+/// choice whenever no two active bags have their relative rank flipped
+/// between them. Let `T` be the earliest instant at which the base
+/// order's run has both bags of a flipped pair active (their
+/// `[arrival, completion]` intervals overlap; `T` is the later arrival).
+/// Before `T` every selection agrees, so both runs process the same
+/// events in the same order with the same ids, and any snapshot the base
+/// run took before its first event at or after an instant `≤ T` is a
+/// snapshot of the candidate's run too. When no flipped pair is ever
+/// co-active, the runs are identical outright.
+struct ResumedReplay<'a> {
+    grid: &'a Grid,
+    workload: &'a Workload,
+    cfg: &'a SimConfig,
+    env: &'a TraceEnv,
+    /// Snapshot instants: ascending, distinct bag arrivals.
+    instants: Vec<SimTime>,
+}
+
+/// What replaying one order leaves for its neighbours: its result, each
+/// bag's completion instant, and the snapshots of its run taken so far.
+/// A full replay snapshots at every instant. A resumed one inherits its
+/// base's snapshots up to where it resumed, and takes later ones only
+/// when a neighbour first needs them, by continuing its run from the
+/// latest one: most candidates are rejected and never need any.
+struct Replayed<'a> {
+    perm: Vec<u32>,
+    result: RunResult,
+    completions: Vec<f64>,
+    snapshots: RefCell<Vec<Rc<ReplaySnapshot<'a>>>>,
+    /// The run ended before the next snapshot instant.
+    ended: Cell<bool>,
+    /// The run was resumed from a neighbour's snapshot.
+    resumed: bool,
+}
+
+impl<'a> ResumedReplay<'a> {
+    fn new(grid: &'a Grid, workload: &'a Workload, cfg: &'a SimConfig, env: &'a TraceEnv) -> Self {
+        let n = workload.len();
+        let k = SNAPSHOTS.min(n);
+        let mut instants: Vec<SimTime> = (0..k).map(|i| workload.bags[i * n / k].arrival).collect();
+        instants.dedup();
+        ResumedReplay {
+            grid,
+            workload,
+            cfg,
+            env,
+            instants,
+        }
+    }
+
+    fn policy(perm: &[u32]) -> Box<dyn BagSelection> {
+        Box::new(FixedPriority::from_perm(perm))
+    }
+
+    /// Replays `perm` from t = 0.
+    fn full(&self, perm: &[u32]) -> Rc<Replayed<'a>> {
+        let run = simulate_replayed_snapshots(
+            self.grid,
+            self.workload,
+            Self::policy(perm),
+            self.cfg,
+            self.env,
+            &self.instants,
+        );
+        let ended = run.snapshots.len() < self.instants.len();
+        Replayed::new(perm, run, Vec::new(), ended, false)
+    }
+
+    /// Replays `perm`, resuming from the latest snapshot of `base`'s run
+    /// taken no later than the first instant the two runs can differ.
+    fn near(&self, perm: &[u32], base: &[u32], memo: &Rc<Replayed<'a>>) -> Rc<Replayed<'a>> {
+        let diverge = self.divergence(perm, base, &memo.completions);
+        if diverge == f64::INFINITY {
+            return Rc::clone(memo);
+        }
+        let want = self.instants.partition_point(|t| t.as_secs() <= diverge);
+        let Some(k) = self.snapshots_upto(memo, want).checked_sub(1) else {
+            return self.full(perm);
+        };
+        let inherited = memo.snapshots.borrow()[..=k].to_vec();
+        let run = resume_replayed(&inherited[k], Self::policy(perm));
+        Replayed::new(perm, run, inherited, false, true)
+    }
+
+    /// Makes sure `memo` holds its first `want` snapshots, continuing its
+    /// run from its latest one as needed; returns how many it holds (fewer
+    /// when its run ended first).
+    fn snapshots_upto(&self, memo: &Replayed<'a>, want: usize) -> usize {
+        let mut snapshots = memo.snapshots.borrow_mut();
+        let have = snapshots.len();
+        if have < want && !memo.ended.get() {
+            let Some(last) = snapshots.last() else {
+                return 0;
+            };
+            let more = advance_replayed(last, Self::policy(&memo.perm), &self.instants[have..want]);
+            memo.ended.set(more.len() < want - have);
+            snapshots.extend(more.into_iter().map(Rc::new));
+        }
+        snapshots.len().min(want)
+    }
+
+    /// The earliest instant at which `base`'s run has both bags of a pair
+    /// whose relative order `perm` flips active; `∞` when there is none.
+    fn divergence(&self, perm: &[u32], base: &[u32], completions: &[f64]) -> f64 {
+        // Positions outside the first..last differing position hold the
+        // same bag in both orders, so only pairs inside can flip.
+        let Some(lo) = perm.iter().zip(base).position(|(a, b)| a != b) else {
+            return f64::INFINITY;
+        };
+        let hi = perm
+            .iter()
+            .zip(base)
+            .rposition(|(a, b)| a != b)
+            .expect("lo exists");
+        let rank = FixedPriority::from_perm(perm).rank;
+        let arrival = |b: u32| self.workload.bags[b as usize].arrival.as_secs();
+        let window = &base[lo..=hi];
+        let mut first = f64::INFINITY;
+        for (i, &a) in window.iter().enumerate() {
+            for &b in &window[i + 1..] {
+                // `a` precedes `b` in `base`; the pair flips when `perm`
+                // ranks `b` first.
+                if rank[b as usize] < rank[a as usize] {
+                    let start = arrival(a).max(arrival(b));
+                    if start <= completions[a as usize].min(completions[b as usize]) {
+                        first = first.min(start);
+                    }
+                }
+            }
+        }
+        first
+    }
+}
+
+impl<'a> Replayed<'a> {
+    /// `run`'s memo: the `inherited` snapshots, then those `run` took.
+    fn new(
+        perm: &[u32],
+        run: SnapshotRun<'a>,
+        mut inherited: Vec<Rc<ReplaySnapshot<'a>>>,
+        ended: bool,
+        resumed: bool,
+    ) -> Rc<Self> {
+        inherited.extend(run.snapshots.into_iter().map(Rc::new));
+        Rc::new(Replayed {
+            perm: perm.to_vec(),
+            result: run.result,
+            completions: run.completions,
+            snapshots: RefCell::new(inherited),
+            ended: Cell::new(ended),
+            resumed,
+        })
+    }
+}
+
+impl<'a> Objective for ResumedReplay<'a> {
+    type Memo = Rc<Replayed<'a>>;
+
+    fn evaluate(&self, perm: &[u32]) -> (f64, Self::Memo) {
+        let memo = self.full(perm);
+        (penalized_cost(&memo.result), memo)
+    }
+
+    fn evaluate_near(&self, perm: &[u32], base: &[u32], memo: &Self::Memo) -> (f64, Self::Memo) {
+        let memo = self.near(perm, base, memo);
+        (penalized_cost(&memo.result), memo)
+    }
+}
+
 /// The oracle's view of one replication.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OracleReplication {
@@ -200,6 +392,116 @@ pub struct OracleReplication {
 /// replications search independent streams.
 fn rep_search_seed(seed: u64, rep: u64) -> u64 {
     SplitMix64::new(seed ^ rep.wrapping_mul(0x2545_F491_4F6C_DD1D)).next_u64()
+}
+
+/// The search of replication `rep`.
+fn search_config(ocfg: &OracleConfig, rep: u64) -> SearchConfig {
+    SearchConfig {
+        restarts: ocfg.restarts,
+        iters: ocfg.iters,
+        seed: rep_search_seed(ocfg.seed, rep),
+        stall_kick: 24,
+    }
+}
+
+/// How the evaluations of a [`check_resumed_search`] ran.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResumeCheck {
+    /// Evaluations checked.
+    pub evaluations: u64,
+    /// Evaluations replayed from t = 0.
+    pub full: u64,
+    /// Evaluations resumed from a snapshot.
+    pub resumed: u64,
+    /// Evaluations whose run provably equals their base's, so nothing ran.
+    pub reused: u64,
+}
+
+/// Runs replication `rep`'s oracle search (restarts in order, on this
+/// thread) and checks every evaluation against a full `simulate_replayed`
+/// of the same order: the two [`RunResult`]s must serialise to the same
+/// bytes. `Err` names the first evaluation that differs.
+#[doc(hidden)]
+pub fn check_resumed_search(
+    scenario: &Scenario,
+    base_seed: u64,
+    rep: u64,
+    ocfg: &OracleConfig,
+) -> Result<ResumeCheck, String> {
+    struct Checked<'a, 'r> {
+        inner: &'r ResumedReplay<'a>,
+        stats: RefCell<ResumeCheck>,
+        error: RefCell<Option<String>>,
+    }
+    impl<'a> Checked<'a, '_> {
+        /// Counts one evaluation of `perm` and compares its result with a
+        /// full replay.
+        fn check(&self, perm: &[u32], memo: &Replayed<'a>, count: impl FnOnce(&mut ResumeCheck)) {
+            let mut stats = self.stats.borrow_mut();
+            stats.evaluations += 1;
+            count(&mut stats);
+            let r = self.inner;
+            let full = simulate_replayed(
+                r.grid,
+                r.workload,
+                ResumedReplay::policy(perm),
+                r.cfg,
+                r.env,
+            );
+            let bytes = |r: &RunResult| serde_json::to_string(r).expect("run results serialise");
+            let mut error = self.error.borrow_mut();
+            if error.is_none() && bytes(&memo.result) != bytes(&full) {
+                *error = Some(format!(
+                    "evaluation {} of order {perm:?} differs from its full replay",
+                    stats.evaluations
+                ));
+            }
+        }
+    }
+    impl<'a> Objective for Checked<'a, '_> {
+        type Memo = Rc<Replayed<'a>>;
+
+        fn evaluate(&self, perm: &[u32]) -> (f64, Self::Memo) {
+            let (cost, memo) = self.inner.evaluate(perm);
+            self.check(perm, &memo, |s| s.full += 1);
+            (cost, memo)
+        }
+
+        fn evaluate_near(
+            &self,
+            perm: &[u32],
+            base: &[u32],
+            memo: &Self::Memo,
+        ) -> (f64, Self::Memo) {
+            let (cost, next) = self.inner.evaluate_near(perm, base, memo);
+            let reused = Rc::ptr_eq(&next, memo);
+            self.check(perm, &next, |s| match (reused, next.resumed) {
+                (true, _) => s.reused += 1,
+                (false, true) => s.resumed += 1,
+                (false, false) => s.full += 1,
+            });
+            (cost, next)
+        }
+    }
+
+    let (_, trace) = run_replication_traced(scenario, base_seed, rep);
+    let (grid, workload, cfg) = replication_inputs(scenario, base_seed, rep);
+    let env = TraceEnv::from_trace(&trace.events, grid.len());
+    let inner = ResumedReplay::new(&grid, &workload, &cfg, &env);
+    let checked = Checked {
+        inner: &inner,
+        stats: RefCell::new(ResumeCheck::default()),
+        error: RefCell::new(None),
+    };
+    let scfg = search_config(ocfg, rep);
+    for r in 0..scfg.restarts {
+        run_restart(workload.len(), r, &scfg, &checked);
+    }
+    match checked.error.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(checked.stats.into_inner()),
+    }
 }
 
 /// Computes the oracle for one replication of a scenario's environment.
@@ -230,7 +532,7 @@ fn oracle_replication_inner(
     let env = TraceEnv::from_trace(&trace.events, grid.len());
 
     let policy_turnarounds: Vec<(String, Option<f64>)> = PolicyKind::all_with_baselines()
-        .into_iter()
+        .into_par_iter()
         .map(|kind| {
             let r = simulate_replayed(&grid, &workload, kind.create_seeded(cfg.seed), &cfg, &env);
             let t = if r.saturated || r.completed < r.total {
@@ -242,16 +544,8 @@ fn oracle_replication_inner(
         })
         .collect();
 
-    let scfg = SearchConfig {
-        restarts: ocfg.restarts,
-        iters: ocfg.iters,
-        seed: rep_search_seed(ocfg.seed, rep),
-        stall_kick: 24,
-    };
-    let cost = |perm: &[u32]| {
-        let policy = Box::new(FixedPriority::from_perm(perm));
-        penalized_cost(&simulate_replayed(&grid, &workload, policy, &cfg, &env))
-    };
+    let scfg = search_config(ocfg, rep);
+    let objective = ResumedReplay::new(&grid, &workload, &cfg, &env);
     // Restarts are the resumable unit: replay journaled ones, compute the
     // rest on the pool, journal fresh outcomes in restart order, fold.
     let outcomes: Vec<(RestartOutcome, bool)> = (0..scfg.restarts)
@@ -262,7 +556,7 @@ fn oracle_replication_inner(
                     return (done, true);
                 }
             }
-            (run_restart(workload.len(), r, &scfg, &cost), false)
+            (run_restart(workload.len(), r, &scfg, &objective), false)
         })
         .collect();
     if let Some((j, env_key)) = journal {

@@ -47,7 +47,7 @@ impl SimState {
     }
 }
 
-impl Driver<'_> {
+impl Driver<'_, '_> {
     /// The replication threshold in force right now: the policy's override
     /// of either the static configured value or the failure-adaptive one.
     pub(super) fn effective_threshold(&self, now: SimTime) -> u32 {

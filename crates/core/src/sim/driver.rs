@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 /// Everything a run needs besides the policy (split so the policy can
 /// borrow a read-only view while the driver stays mutable).
+#[derive(Clone)]
 pub(super) struct SimState {
     pub(super) machines: Machines,
     pub(super) bags: Vec<BagRt>,
@@ -60,13 +61,14 @@ pub(super) struct SimState {
     pub(super) power_prefix: Vec<f64>,
 }
 
-pub(super) struct Driver<'a> {
+/// `'a` borrows the run's inputs, `'o` the observer.
+pub(super) struct Driver<'a, 'o> {
     pub(super) state: SimState,
     pub(super) policy: Box<dyn BagSelection>,
     pub(super) workload: &'a Workload,
     pub(super) cfg: SimConfig,
     pub(super) saturated: bool,
-    pub(super) observer: &'a mut dyn SimObserver,
+    pub(super) observer: &'o mut dyn SimObserver,
     /// Full-scan mode: selection bypasses the incremental indices (the
     /// indices are still maintained, just not consulted). Used to validate
     /// index equivalence.
@@ -86,7 +88,7 @@ pub(super) struct Driver<'a> {
     pub(super) span_dispatch: SpanId,
 }
 
-impl Handler<Event> for Driver<'_> {
+impl Handler<Event> for Driver<'_, '_> {
     fn handle(&mut self, event: Event, sched: &mut Scheduler<'_, Event>) -> Control {
         match event {
             Event::BagArrival(i) => {
@@ -261,6 +263,11 @@ pub fn simulate_replayed_observed(
     env: &TraceEnv,
     observer: &mut dyn SimObserver,
 ) -> RunResult {
+    check_replay_inputs(grid, cfg, env);
+    run_reported(grid, workload, policy, cfg, observer, false, Some(env)).0
+}
+
+fn check_replay_inputs(grid: &Grid, cfg: &SimConfig, env: &TraceEnv) {
     assert_eq!(
         env.machines(),
         grid.len(),
@@ -270,7 +277,142 @@ pub fn simulate_replayed_observed(
         !cfg.lazy_availability,
         "trace replay requires eager availability (lazy traces reorder fault records)"
     );
-    run_reported(grid, workload, policy, cfg, observer, false, Some(env)).0
+}
+
+/// A replayed run paused before its first event at or after some instant:
+/// the engine, the run state and the trace cursors — everything but the
+/// policy and the observer, which a resumed run supplies afresh.
+#[derive(Clone)]
+pub(crate) struct ReplaySnapshot<'a> {
+    engine: Engine<Event>,
+    state: SimState,
+    cursors: ReplayState<'a>,
+    workload: &'a Workload,
+    cfg: SimConfig,
+}
+
+/// A replayed run together with the snapshots it took on the way.
+pub(crate) struct SnapshotRun<'a> {
+    pub(crate) result: RunResult,
+    /// Per bag, in id order: its completion instant, `f64::INFINITY` when
+    /// it never completed.
+    pub(crate) completions: Vec<f64>,
+    /// One snapshot per requested instant, in order, until the run ended.
+    pub(crate) snapshots: Vec<ReplaySnapshot<'a>>,
+}
+
+/// [`simulate_replayed`] that also snapshots the run before its first
+/// event at or after each of the ascending instants `at`.
+pub(crate) fn simulate_replayed_snapshots<'a>(
+    grid: &Grid,
+    workload: &'a Workload,
+    policy: Box<dyn BagSelection>,
+    cfg: &SimConfig,
+    env: &'a TraceEnv,
+    at: &[SimTime],
+) -> SnapshotRun<'a> {
+    check_replay_inputs(grid, cfg, env);
+    let mut observer = NullObserver;
+    let (mut engine, mut driver) =
+        start(grid, workload, policy, cfg, &mut observer, false, Some(env));
+    let (snapshots, ended) = take_snapshots(&mut engine, &mut driver, at);
+    conclude(engine, driver, ended, snapshots)
+}
+
+/// Continues `from` under `policy` to the end of the run.
+///
+/// The result equals a full replay of `policy` exactly when `policy`
+/// would have made every decision the snapshotted run made before the
+/// snapshot: the caller's proof obligation.
+pub(crate) fn resume_replayed<'a>(
+    from: &ReplaySnapshot<'a>,
+    policy: Box<dyn BagSelection>,
+) -> SnapshotRun<'a> {
+    let mut observer = NullObserver;
+    let (engine, driver) = restore(from, policy, &mut observer);
+    conclude(engine, driver, None, Vec::new())
+}
+
+/// Continues `from` under `policy` only as far as the ascending instants
+/// `at` (all later than `from`'s), snapshotting before the first event at
+/// or after each; fewer snapshots when the run ends first.
+pub(crate) fn advance_replayed<'a>(
+    from: &ReplaySnapshot<'a>,
+    policy: Box<dyn BagSelection>,
+    at: &[SimTime],
+) -> Vec<ReplaySnapshot<'a>> {
+    let mut observer = NullObserver;
+    let (mut engine, mut driver) = restore(from, policy, &mut observer);
+    take_snapshots(&mut engine, &mut driver, at).0
+}
+
+fn restore<'a, 'o>(
+    from: &ReplaySnapshot<'a>,
+    policy: Box<dyn BagSelection>,
+    observer: &'o mut dyn SimObserver,
+) -> (Engine<Event>, Driver<'a, 'o>) {
+    let (prof, span_round, span_dispatch) = profiler();
+    let driver = Driver {
+        state: from.state.clone(),
+        policy,
+        workload: from.workload,
+        cfg: from.cfg,
+        saturated: false,
+        observer,
+        reference: false,
+        lazy: false,
+        replay: Some(from.cursors.clone()),
+        prof,
+        span_round,
+        span_dispatch,
+    };
+    (from.engine.clone(), driver)
+}
+
+/// Runs to before the first event at or after each instant in turn and
+/// snapshots there; the outcome is `Some` when the run ended first.
+fn take_snapshots<'a>(
+    engine: &mut Engine<Event>,
+    driver: &mut Driver<'a, '_>,
+    at: &[SimTime],
+) -> (Vec<ReplaySnapshot<'a>>, Option<RunOutcome>) {
+    let mut snapshots = Vec::with_capacity(at.len());
+    for &t in at {
+        if let Some(outcome) = engine.run_until(driver, t) {
+            return (snapshots, Some(outcome));
+        }
+        snapshots.push(ReplaySnapshot {
+            engine: engine.clone(),
+            state: driver.state.clone(),
+            cursors: driver.replay.clone().expect("a replayed run"),
+            workload: driver.workload,
+            cfg: driver.cfg,
+        });
+    }
+    (snapshots, None)
+}
+
+/// Runs to the end (unless `ended` says the run is over) and settles.
+fn conclude<'a>(
+    mut engine: Engine<Event>,
+    mut driver: Driver<'a, '_>,
+    ended: Option<RunOutcome>,
+    snapshots: Vec<ReplaySnapshot<'a>>,
+) -> SnapshotRun<'a> {
+    let outcome = ended.unwrap_or_else(|| engine.run(&mut driver));
+    let mut completions: Vec<f64> = driver
+        .state
+        .bags
+        .iter()
+        .map(|b| b.completed_at.map_or(f64::INFINITY, SimTime::as_secs))
+        .collect();
+    completions.resize(driver.workload.len(), f64::INFINITY);
+    let (result, _) = finish(&engine, driver, outcome);
+    SnapshotRun {
+        result,
+        completions,
+        snapshots,
+    }
 }
 
 fn run(
@@ -293,6 +435,22 @@ fn run_reported(
     reference: bool,
     replay: Option<&TraceEnv>,
 ) -> (RunResult, SimReport) {
+    let (mut engine, mut driver) = start(grid, workload, policy, cfg, observer, reference, replay);
+    let outcome = engine.run(&mut driver);
+    finish(&engine, driver, outcome)
+}
+
+/// Builds the engine and driver of a run, with arrivals and first faults
+/// primed.
+fn start<'a, 'o>(
+    grid: &Grid,
+    workload: &'a Workload,
+    policy: Box<dyn BagSelection>,
+    cfg: &SimConfig,
+    observer: &'o mut dyn SimObserver,
+    reference: bool,
+    replay: Option<&'a TraceEnv>,
+) -> (Engine<Event>, Driver<'a, 'o>) {
     assert!(!grid.is_empty(), "cannot schedule on an empty grid");
     assert!(!workload.is_empty(), "cannot simulate an empty workload");
     workload.validate().expect("invalid workload");
@@ -340,9 +498,7 @@ fn run_reported(
     let horizon = cfg.horizon.unwrap_or_else(|| auto_horizon(grid, workload));
     engine.set_horizon(SimTime::new(horizon));
 
-    let mut prof = Profiler::new();
-    let span_round = prof.span("scheduler_round");
-    let span_dispatch = prof.span("dispatch");
+    let (prof, span_round, span_dispatch) = profiler();
 
     // Lazy availability needs a failure process to elide, and is off under
     // the two knobs that consume failure observations the moment they
@@ -438,7 +594,24 @@ fn run_reported(
         }
     }
 
-    let outcome = engine.run(&mut driver);
+    (engine, driver)
+}
+
+/// The profiler of a run and its two driver spans.
+fn profiler() -> (Profiler, SpanId, SpanId) {
+    let mut prof = Profiler::new();
+    let span_round = prof.span("scheduler_round");
+    let span_dispatch = prof.span("dispatch");
+    (prof, span_round, span_dispatch)
+}
+
+/// Settles a finished run into its result and report.
+fn finish(
+    engine: &Engine<Event>,
+    mut driver: Driver<'_, '_>,
+    outcome: RunOutcome,
+) -> (RunResult, SimReport) {
+    let workload = driver.workload;
     driver.saturated =
         !matches!(outcome, RunOutcome::Stopped) || driver.state.completed_bags < workload.len();
 

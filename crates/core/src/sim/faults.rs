@@ -11,7 +11,7 @@ use dgsched_des::engine::Scheduler;
 use dgsched_des::event::EventId;
 use dgsched_grid::MachineId;
 
-impl Driver<'_> {
+impl Driver<'_, '_> {
     /// A correlated outage: every up machine is hit independently with the
     /// configured probability; hit machines fail together and all come
     /// back when the outage ends. A hit machine's own pending transition

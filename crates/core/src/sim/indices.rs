@@ -165,7 +165,7 @@ impl ReplicaCountBuckets {
 ///   ascending id. Sound incrementally because a free machine's failure
 ///   count is frozen: failures strike `up` machines, which leave the index
 ///   in the same event.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FreeMachineIndex {
     order: MachineOrder,
     by_id: BitSet,
@@ -337,7 +337,7 @@ const FREE_LINK: Link = Link {
 /// Traversal follows `next` from the head, which is attach order — the
 /// order sibling replicas are killed in when a task completes, which the
 /// golden traces depend on.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TaskReplicaIndex {
     /// List endpoints per checkpoint key.
     ends: Vec<Ends>,

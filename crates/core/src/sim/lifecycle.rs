@@ -14,7 +14,7 @@ use dgsched_des::event::EventId;
 use dgsched_des::time::SimTime;
 use dgsched_workload::BotId;
 
-impl Driver<'_> {
+impl Driver<'_, '_> {
     /// Enters (or re-enters) the computing phase with `base` work already
     /// in hand, scheduling the next milestone: checkpoint-begin if Young's
     /// interval elapses before completion, completion otherwise.

@@ -55,6 +55,9 @@ mod tests;
 
 pub use check::CheckingObserver;
 pub use config::{DynamicReplication, MachineOrder, SimConfig, TaskOrder};
+pub(crate) use driver::{
+    advance_replayed, resume_replayed, simulate_replayed_snapshots, ReplaySnapshot, SnapshotRun,
+};
 pub use driver::{
     simulate, simulate_instrumented, simulate_observed, simulate_observed_reference,
     simulate_replayed, simulate_replayed_observed, simulate_with, SimReport,

@@ -130,6 +130,7 @@ impl TraceEnv {
 /// run) are represented by far-future sentinel events so the replay's
 /// schedule-call sequence — and with it event-id allocation — matches the
 /// live run one-for-one.
+#[derive(Clone)]
 pub(super) struct ReplayState<'a> {
     env: &'a TraceEnv,
     pfail_cur: Vec<usize>,

@@ -44,7 +44,7 @@ pub struct MachineHot {
 
 /// Runtime state of every machine: hot records indexed by machine id,
 /// cold columns alongside.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Machines {
     /// Per-event state, one packed record per machine.
     pub hot: Vec<MachineHot>,

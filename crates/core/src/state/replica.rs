@@ -93,7 +93,7 @@ struct Slot {
 }
 
 /// Generational slab of replicas, one packed record per slot.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicaSlab {
     slots: Vec<Slot>,
     free: Vec<u32>,

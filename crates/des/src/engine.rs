@@ -121,6 +121,11 @@ pub enum RunOutcome {
 }
 
 /// The simulation engine: clock + pending-event set + run loop.
+///
+/// Cloning an engine paused by [`Engine::run_until`] forks the run: the
+/// clone and the original each continue exactly as the uninterrupted run
+/// would, given handlers in equal states.
+#[derive(Debug, Clone)]
 pub struct Engine<E> {
     now: SimTime,
     queue: BinaryHeapQueue<E>,
@@ -225,6 +230,51 @@ impl<E> Engine<E> {
             };
             if handler.handle(payload, &mut sched) == Control::Stop {
                 return RunOutcome::Stopped;
+            }
+        }
+    }
+
+    /// [`Engine::run`] that pauses before the first event at or after
+    /// `until`. Returns `None` when paused there, or the outcome when the
+    /// run ended first.
+    ///
+    /// Pausing only peeks at the queue (which settles the root exactly as
+    /// the next pop would), so a later `run` or `run_until` — on this
+    /// engine or on a clone — continues the uninterrupted run: the same
+    /// events, ids, counts and queue layout.
+    pub fn run_until<H: Handler<E>>(
+        &mut self,
+        handler: &mut H,
+        until: SimTime,
+    ) -> Option<RunOutcome> {
+        loop {
+            if self.processed >= self.event_limit {
+                return Some(RunOutcome::EventLimit);
+            }
+            if self.queue.peek_time().is_some_and(|t| t >= until) {
+                return None;
+            }
+            #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
+            let t = stamp();
+            let popped = self.queue.pop();
+            self.pop_span.record(t);
+            let Some((time, _id, payload)) = popped else {
+                return Some(RunOutcome::Drained);
+            };
+            self.ops.popped += 1;
+            if time > self.horizon {
+                self.now = self.horizon;
+                return Some(RunOutcome::Horizon);
+            }
+            self.now = time;
+            self.processed += 1;
+            let mut sched = Scheduler {
+                now: self.now,
+                queue: &mut self.queue,
+                ops: &mut self.ops,
+            };
+            if handler.handle(payload, &mut sched) == Control::Stop {
+                return Some(RunOutcome::Stopped);
             }
         }
     }
@@ -364,6 +414,83 @@ mod tests {
         assert_eq!(ops.cancelled, 1);
         assert_eq!(ops.popped, 1);
         assert_eq!(ops.max_pending, 2);
+    }
+
+    /// Each event logs itself and, while below `cap`, schedules two
+    /// follow-ups one second later (and every fourth one a third at the
+    /// same instant), and cancels the previous event's second follow-up:
+    /// runs full of same-time ties, tombstones and a vacant root that the
+    /// next schedule overwrites.
+    #[derive(Debug, Clone, Default)]
+    struct Ties {
+        next: u32,
+        cap: u32,
+        doomed: Option<EventId>,
+        log: Vec<(f64, u32)>,
+    }
+
+    impl Handler<u32> for Ties {
+        fn handle(&mut self, event: u32, sched: &mut Scheduler<'_, u32>) -> Control {
+            self.log.push((sched.now().as_secs(), event));
+            if self.next < self.cap {
+                if let Some(id) = self.doomed.take() {
+                    sched.cancel(id);
+                }
+                if event.is_multiple_of(4) {
+                    sched.schedule_in(0.0, self.next);
+                }
+                sched.schedule_in(1.0, self.next + 1);
+                self.doomed = Some(sched.schedule_in(1.0, self.next + 2));
+                self.next += 3;
+            }
+            Control::Continue
+        }
+    }
+
+    #[test]
+    fn paused_clone_continues_through_same_time_ties() {
+        let fresh = || {
+            let mut engine = Engine::new();
+            engine.prime(SimTime::ZERO, 0);
+            engine.prime(SimTime::new(2.0), 1);
+            let ties = Ties {
+                next: 2,
+                cap: 300,
+                ..Ties::default()
+            };
+            (engine, ties)
+        };
+        let observed = |engine: &Engine<u32>, ties: &Ties, outcome: RunOutcome| {
+            let kernel = if cfg!(feature = "timing") {
+                format!("{:?} {:?}", engine.processed(), engine.queue_ops())
+            } else {
+                format!("{engine:?}")
+            };
+            format!("{outcome:?} {kernel} {ties:?}")
+        };
+        let (mut engine, mut ties) = fresh();
+        let outcome = engine.run(&mut ties);
+        let uninterrupted = observed(&engine, &ties, outcome);
+
+        // Integer instants hold several pending events at once.
+        for until in [1.0, 2.0, 3.0, 7.0, 7.5] {
+            let (mut engine, mut ties) = fresh();
+            assert_eq!(engine.run_until(&mut ties, SimTime::new(until)), None);
+            assert!(ties.log.iter().all(|&(t, _)| t < until));
+            let (mut fork, mut fork_ties) = (engine.clone(), ties.clone());
+            let outcome = engine.run(&mut ties);
+            assert_eq!(
+                observed(&engine, &ties, outcome),
+                uninterrupted,
+                "t={until}"
+            );
+            let outcome = fork.run(&mut fork_ties);
+            assert_eq!(
+                observed(&fork, &fork_ties, outcome),
+                uninterrupted,
+                "t={until}"
+            );
+        }
     }
 
     #[test]

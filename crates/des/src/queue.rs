@@ -48,7 +48,7 @@ pub trait PendingEvents<E> {
 /// Dense bitmap over sequentially issued event ids. Ids are allocated from
 /// a counter, so a bit vector indexed by id replaces a hash set: O(1)
 /// membership with no hashing, one bit per id ever issued.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 struct IdBits {
     words: Vec<u64>,
 }
@@ -109,7 +109,7 @@ fn time_key(bits: u64) -> u64 {
 
 /// A heap node: the event's raw time bits, its id and the slab slot that
 /// holds its payload. Small and `Copy`, so a sift moves 24 bytes per level.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     time: u64,
     id: u64,
@@ -140,6 +140,7 @@ impl Node {
 /// at most `2·live + 65` (the extra one is the vacant root).
 ///
 /// The name predates the 4-ary layout and is kept for the API.
+#[derive(Debug, Clone)]
 pub struct BinaryHeapQueue<E> {
     heap: Vec<Node>,
     /// `heap[0]` was already popped and awaits overwrite or removal.

@@ -7,7 +7,7 @@
 //! ground truth, independently of the grid domain.
 
 use dgsched_des::dist::DistConfig;
-use dgsched_des::engine::{Control, Engine, Handler, Scheduler};
+use dgsched_des::engine::{Control, Engine, Handler, RunOutcome, Scheduler};
 use dgsched_des::rng::StreamSeeder;
 use dgsched_des::stats::{TimeWeighted, Welford};
 use dgsched_des::time::SimTime;
@@ -19,6 +19,7 @@ enum Ev {
     Departure,
 }
 
+#[derive(Debug, Clone)]
 struct Mm1 {
     arrivals_rng: StdRng,
     service_rng: StdRng,
@@ -138,5 +139,64 @@ fn utilization_approaches_rho() {
     assert!(
         (little - l).abs() / l < 0.06,
         "Little's law: λW={little} vs L={l}"
+    );
+}
+
+/// Everything observable about a finished run: the engine's clock,
+/// counts and pending-event set (heap layout, event ids, the vacant root)
+/// and the model's statistics. Without the `timing` feature the engine's
+/// `Debug` holds it all; with it, wall-clock spans differ run to run, so
+/// only the deterministic parts are compared.
+fn observed(engine: &Engine<Ev>, model: &Mm1, outcome: RunOutcome) -> String {
+    let kernel = if cfg!(feature = "timing") {
+        format!(
+            "{:?} {} {:?}",
+            engine.now(),
+            engine.processed(),
+            engine.queue_ops()
+        )
+    } else {
+        format!("{engine:?}")
+    };
+    format!("{outcome:?} {kernel} {model:?}")
+}
+
+#[test]
+fn paused_clone_continues_like_the_uninterrupted_run() {
+    let fresh = || {
+        let mut engine = Engine::new();
+        engine.prime(SimTime::ZERO, Ev::Arrival);
+        (engine, Mm1::new(0.8, 1.0, 2_000, 11))
+    };
+    let (mut engine, mut model) = fresh();
+    let outcome = engine.run(&mut model);
+    let uninterrupted = observed(&engine, &model, outcome);
+
+    for until in [0.0, 1.0, 250.0, 1_000.0] {
+        let (mut engine, mut model) = fresh();
+        assert_eq!(engine.run_until(&mut model, SimTime::new(until)), None);
+        assert!(engine.processed() < 2_000, "paused at t={until}");
+        let (mut fork, mut fork_model) = (engine.clone(), model.clone());
+        let outcome = engine.run(&mut model);
+        assert_eq!(
+            observed(&engine, &model, outcome),
+            uninterrupted,
+            "original, t={until}"
+        );
+        let outcome = fork.run(&mut fork_model);
+        assert_eq!(
+            observed(&fork, &fork_model, outcome),
+            uninterrupted,
+            "clone, t={until}"
+        );
+    }
+
+    // Past the end of the run, run_until finishes it like run does.
+    let (mut engine, mut model) = fresh();
+    let outcome = engine.run_until(&mut model, SimTime::FAR_FUTURE);
+    assert_eq!(outcome, Some(RunOutcome::Stopped));
+    assert_eq!(
+        observed(&engine, &model, RunOutcome::Stopped),
+        uninterrupted
     );
 }

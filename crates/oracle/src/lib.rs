@@ -19,6 +19,13 @@
 //!   restarts from seeded shuffles. Restarts run in parallel on the
 //!   work-stealing pool; results are folded in restart order, so the
 //!   winner — and every reported byte — is identical at any pool width.
+//! * **Memo-aware objectives.** Every candidate is a small move away from
+//!   an already-evaluated permutation (the walk's incumbent, or its best
+//!   one after a kick). An [`Objective`] may leave a memo behind each
+//!   evaluation and reuse the neighbour's memo to evaluate the candidate
+//!   faster; the search keeps the memos of its current and best
+//!   permutations and nothing else. A plain `Fn(&[u32]) -> f64` is an
+//!   objective whose memo is `()`.
 //! * **Noise kicks.** A restart that stalls (no strict improvement for
 //!   [`SearchConfig::stall_kick`] proposals) jumps back to its incumbent
 //!   and perturbs it with a burst of random swaps, an ILS-style kick that
@@ -157,26 +164,59 @@ pub fn fold(outcomes: impl IntoIterator<Item = RestartOutcome>) -> Option<Restar
     best
 }
 
+/// The cost the search minimises.
+///
+/// [`evaluate_near`](Self::evaluate_near) must return exactly what
+/// [`evaluate`](Self::evaluate) returns for the same permutation — the
+/// memo may only make it cheaper — so a search's outcome never depends on
+/// which of the two ran.
+pub trait Objective {
+    /// What evaluating a permutation leaves behind for evaluating its
+    /// neighbours.
+    type Memo: Clone;
+
+    /// Evaluates `perm` from scratch.
+    fn evaluate(&self, perm: &[u32]) -> (f64, Self::Memo);
+
+    /// Evaluates `perm`, a neighbour of the already-evaluated `base`
+    /// whose evaluation left `memo`.
+    fn evaluate_near(&self, perm: &[u32], _base: &[u32], _memo: &Self::Memo) -> (f64, Self::Memo) {
+        self.evaluate(perm)
+    }
+}
+
+/// A plain cost function: nothing to remember.
+impl<F: Fn(&[u32]) -> f64 + ?Sized> Objective for F {
+    type Memo = ();
+
+    fn evaluate(&self, perm: &[u32]) -> (f64, ()) {
+        (self(perm), ())
+    }
+}
+
 /// Runs restart `restart` of the search: a pure function of its
 /// arguments, suitable as an independent work unit and as the replayable
 /// journal entry.
 ///
 /// The walk proposes swap and relocate moves, accepts strict
 /// improvements only, and kicks (incumbent + 3 random swaps) after
-/// [`SearchConfig::stall_kick`] consecutive rejections.
-pub fn run_restart<F>(n: usize, restart: u32, cfg: &SearchConfig, cost: &F) -> RestartOutcome
+/// [`SearchConfig::stall_kick`] consecutive rejections. Only the first
+/// evaluation starts from scratch; every later one is handed the current
+/// permutation (or, after a kick, the best one) and its memo.
+pub fn run_restart<O>(n: usize, restart: u32, cfg: &SearchConfig, objective: &O) -> RestartOutcome
 where
-    F: Fn(&[u32]) -> f64 + ?Sized,
+    O: Objective + ?Sized,
 {
     let mut rng = SplitMix64::new(restart_seed(cfg.seed, restart));
     let mut cur: Vec<u32> = (0..n as u32).collect();
     if restart > 0 {
         shuffle(&mut cur, &mut rng);
     }
-    let mut cur_cost = cost(&cur);
+    let (mut cur_cost, mut cur_memo) = objective.evaluate(&cur);
     let mut evaluations = 1u64;
     let mut best = cur.clone();
     let mut best_cost = cur_cost;
+    let mut best_memo = cur_memo.clone();
     let mut stall = 0u32;
 
     if n >= 2 {
@@ -191,15 +231,17 @@ where
                 let v = cand.remove(i);
                 cand.insert(j.min(cand.len()), v);
             }
-            let c = cost(&cand);
+            let (c, memo) = objective.evaluate_near(&cand, &cur, &cur_memo);
             evaluations += 1;
             if c.total_cmp(&cur_cost).is_lt() {
                 cur = cand;
                 cur_cost = c;
+                cur_memo = memo;
                 stall = 0;
                 if cur_cost.total_cmp(&best_cost).is_lt() {
                     best = cur.clone();
                     best_cost = cur_cost;
+                    best_memo = cur_memo.clone();
                 }
             } else {
                 stall += 1;
@@ -212,7 +254,7 @@ where
                     let b = rng.below(n as u64) as usize;
                     cur.swap(a, b);
                 }
-                cur_cost = cost(&cur);
+                (cur_cost, cur_memo) = objective.evaluate_near(&cur, &best, &best_memo);
                 evaluations += 1;
                 stall = 0;
             }
@@ -231,19 +273,19 @@ where
 /// on the work-stealing pool, folded into the winner.
 ///
 /// Bit-reproducible at any pool width: each restart is a pure function
-/// of `(n, restart, cfg, cost)` and the parallel map collects in restart
-/// order before the order-insensitive [`fold`].
+/// of `(n, restart, cfg, objective)` and the parallel map collects in
+/// restart order before the order-insensitive [`fold`].
 ///
 /// # Panics
 /// Panics when `cfg.restarts` is 0 (an empty search has no winner).
-pub fn search_permutation<F>(n: usize, cfg: &SearchConfig, cost: F) -> RestartOutcome
+pub fn search_permutation<O>(n: usize, cfg: &SearchConfig, objective: O) -> RestartOutcome
 where
-    F: Fn(&[u32]) -> f64 + Sync,
+    O: Objective + Sync,
 {
     assert!(cfg.restarts >= 1, "a search needs at least one restart");
     let outcomes: Vec<RestartOutcome> = (0..cfg.restarts)
         .into_par_iter()
-        .map(|r| run_restart(n, r, cfg, &cost))
+        .map(|r| run_restart(n, r, cfg, &objective))
         .collect();
     fold(outcomes).expect("restarts >= 1")
 }
@@ -330,6 +372,65 @@ mod tests {
             .collect();
         let resumed = fold(rest.into_iter().chain(first)).unwrap();
         assert_eq!(full, resumed);
+    }
+
+    /// [`reversal_cost`] with a memo: each evaluation remembers its
+    /// permutation and per-position terms, and a neighbour recomputes only
+    /// the positions where it differs from its base.
+    struct IncrementalReversal;
+
+    impl Objective for IncrementalReversal {
+        type Memo = (Vec<u32>, Vec<f64>);
+
+        fn evaluate(&self, perm: &[u32]) -> (f64, Self::Memo) {
+            let terms: Vec<f64> = (0..perm.len()).map(|pos| term(perm, pos)).collect();
+            (terms.iter().sum(), (perm.to_vec(), terms))
+        }
+
+        fn evaluate_near(
+            &self,
+            perm: &[u32],
+            base: &[u32],
+            memo: &Self::Memo,
+        ) -> (f64, Self::Memo) {
+            assert_eq!(memo.0, base, "the memo belongs to the base permutation");
+            let mut terms = memo.1.clone();
+            for pos in 0..perm.len() {
+                if perm[pos] != base[pos] {
+                    terms[pos] = term(perm, pos);
+                }
+            }
+            (terms.iter().sum(), (perm.to_vec(), terms))
+        }
+    }
+
+    fn term(perm: &[u32], pos: usize) -> f64 {
+        let item = perm[pos];
+        let want = perm.len() - 1 - item as usize;
+        (item as f64 + 1.0) * (pos as f64 - want as f64).abs()
+    }
+
+    #[test]
+    fn memo_aware_restarts_equal_the_pure_cost_path() {
+        for seed in [0, 7, 2008] {
+            let cfg = SearchConfig {
+                restarts: 4,
+                iters: 400,
+                seed,
+                stall_kick: 16,
+            };
+            for r in 0..cfg.restarts {
+                assert_eq!(
+                    run_restart(9, r, &cfg, &IncrementalReversal),
+                    run_restart(9, r, &cfg, &reversal_cost),
+                    "seed {seed} restart {r}"
+                );
+            }
+            assert_eq!(
+                search_permutation(9, &cfg, IncrementalReversal),
+                search_permutation(9, &cfg, reversal_cost)
+            );
+        }
     }
 
     #[test]

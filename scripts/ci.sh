@@ -68,13 +68,14 @@ DGSCHED_THREADS=4 cargo test -q -p dgsched-core --features lockcheck \
 
 echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4"
 # The hindsight-oracle contract: trace replay reproduces the live run
-# byte-identically (tests/trace_replay.rs), and the regret battery —
-# oracle ≤ best observed policy per cell, regret ≥ 0 across the full
-# matrix, search byte-identical across pool widths and across resumed
-# restarts (tests/oracle_regret.rs) — holds under both environment
-# baselines.
-DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test trace_replay --test oracle_regret
-DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test trace_replay --test oracle_regret
+# byte-identically (tests/trace_replay.rs), every search evaluation
+# resumed from a snapshot equals a full replay of the same order
+# (tests/oracle_resume.rs), and the regret battery — oracle ≤ best
+# observed policy per cell, regret ≥ 0 across the full matrix, search
+# byte-identical across pool widths and across resumed restarts
+# (tests/oracle_regret.rs) — holds under both environment baselines.
+DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
+DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
 
 echo "==> generator gate: sampler calibration + dgsched gen byte-identity at widths 1 and 4"
 # The trace-realistic workload contract: the Pareto/Zipf/lognormal/MMPP
