@@ -17,8 +17,8 @@
 //! bind error), `2` usage error (unknown flag, missing value).
 
 use dgsched_core::experiment::{
-    run_matrix_regret, run_matrix_regret_journaled, run_replication_instrumented, run_scenario,
-    run_scenario_journaled, OracleConfig, RepGuard, Scenario, WorkloadKind,
+    run_matrix_journaled, run_matrix_regret, run_matrix_regret_journaled,
+    run_replication_instrumented, run_scenario, OracleConfig, RepGuard, Scenario, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::{self_check, ServeConfig, Server};
@@ -121,8 +121,8 @@ fn cmd_run(mut args: Args) {
     eprintln!("running '{}' (seed {seed})...", scenario.name);
     let result = match &journal {
         Some(jpath) => {
-            let (result, stats) = run_scenario_journaled(
-                &scenario,
+            let outcome = run_matrix_journaled(
+                std::slice::from_ref(&scenario),
                 seed,
                 &rule,
                 Path::new(jpath),
@@ -130,6 +130,7 @@ fn cmd_run(mut args: Args) {
                 RepGuard::default(),
             )
             .unwrap_or_else(|e| die(&format!("journal {jpath}: {e}")));
+            let stats = outcome.stats;
             eprintln!(
                 "journal {jpath}: {} written, {} replayed{}{}{}",
                 stats.records_written,
@@ -146,7 +147,7 @@ fn cmd_run(mut args: Args) {
                     ""
                 },
             );
-            result
+            outcome.results.into_iter().next().expect("one scenario")
         }
         None => run_scenario(&scenario, seed, &rule),
     };

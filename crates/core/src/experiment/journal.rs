@@ -6,10 +6,10 @@
 //! lost everything. The journal makes each completed replication durable
 //! the moment it finishes:
 //!
-//! * line 1 is a **header** that fingerprints the sweep — FNV-1a 64 over
-//!   the canonical JSON of `(scenarios, base_seed, rule)` plus the code
-//!   and journal-schema versions — so a journal can never be replayed
-//!   against a different experiment;
+//! * line 1 is a **header** that fingerprints the sweep — a 128-bit
+//!   digest of the canonical JSON of `(scenarios, base_seed, rule)` plus
+//!   the code and journal-schema versions — so a journal can never be
+//!   replayed against a different experiment;
 //! * every following line is one completed [`RepSummary`]
 //!   (`{"kind":"rep","scenario":…,"rep":…,"key":…,"summary":…}`),
 //!   appended and `fsync`ed before the result can influence anything
@@ -46,9 +46,9 @@
 //! reporting path as saturation, plus `failed_replications` /
 //! `failure_reasons` on the result), and the sweep **continues** with the
 //! remaining scenarios — one poisoned cell no longer aborts the matrix.
-//! The torn tail left by a crash mid-append (a final line without its
-//! newline, or one that no longer parses) is truncated away on open and
-//! its replication simply re-run.
+//! The file itself is a [`RecordLog`]: a crash mid-append can tear only
+//! the final line, which the log truncates away on open, and that
+//! replication simply re-runs.
 //!
 //! ## Reuse across sweeps
 //!
@@ -63,6 +63,7 @@
 //!
 //! [`Welford`]: dgsched_des::stats::Welford
 
+use super::record_log::{self, invalid, LogLine, RecordLog};
 use super::runner::{
     finish_scenario, obs_enabled, run_replication_capped, sweep, ProgressSink, RepSummary,
     ScenarioResult,
@@ -70,17 +71,13 @@ use super::runner::{
 use super::scenario::Scenario;
 use crate::sim::RunResult;
 use dgsched_des::stats::StoppingRule;
-use dgsched_des::time::SimTime;
-use dgsched_obs::{MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Journal schema version; folded into the fingerprint, so a journal
@@ -124,29 +121,6 @@ pub struct JournalStats {
     pub replication_retries: u64,
 }
 
-impl JournalStats {
-    /// Renders the stats as an observability snapshot with the standard
-    /// counter names (`journal_records`, `journal_resumes`,
-    /// `replication_panics`, …), mergeable with the simulator's own
-    /// metrics pipeline.
-    pub fn to_metrics(&self) -> MetricsSnapshot {
-        let mut reg = MetricsRegistry::new();
-        for (name, value) in [
-            ("journal_records", self.records_written),
-            ("journal_replayed", self.records_replayed),
-            ("journal_reused", self.records_reused),
-            ("journal_resumes", self.resumes),
-            ("journal_torn_tails", self.torn_tails),
-            ("replication_panics", self.replication_panics),
-            ("replication_retries", self.replication_retries),
-        ] {
-            let id = reg.counter(name);
-            reg.add(id, value);
-        }
-        reg.snapshot(SimTime::new(0.0))
-    }
-}
-
 /// Result of a journaled sweep: the scenario results (identical to what
 /// [`run_matrix`](super::run_matrix) would produce) plus journal
 /// accounting.
@@ -161,11 +135,11 @@ pub struct JournalOutcome {
 /// One line of the journal file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
-enum JournalLine {
+pub(super) enum JournalLine {
     /// First line: identifies the sweep this journal belongs to.
     Header {
         version: u32,
-        /// Hex FNV-1a 64 over the canonical sweep configuration.
+        /// Hex 128-bit digest of the canonical sweep configuration.
         fingerprint: String,
         code_version: String,
         base_seed: u64,
@@ -173,16 +147,34 @@ enum JournalLine {
         rule: StoppingRule,
     },
     /// One completed replication.
-    Rep {
-        scenario: String,
-        rep: u64,
-        /// Replication key ([`rep_key`]). Absent from journals written
-        /// before keys existed and from sweeps under a wall-clock limit:
-        /// such records resume their own sweep but are never indexed.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
-        key: Option<String>,
-        summary: RepSummary,
-    },
+    Rep(RepLine),
+}
+
+/// The record of one completed replication.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(super) struct RepLine {
+    scenario: String,
+    rep: u64,
+    /// Replication key ([`rep_key`]). Absent from journals written
+    /// before keys existed and from sweeps under a wall-clock limit:
+    /// such records resume their own sweep but are never indexed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    key: Option<String>,
+    summary: RepSummary,
+}
+
+impl LogLine for JournalLine {
+    const VERSION: u32 = JOURNAL_VERSION;
+    fn header(&self) -> Option<(u32, &str)> {
+        match self {
+            JournalLine::Header {
+                version,
+                fingerprint,
+                ..
+            } => Some((*version, fingerprint)),
+            JournalLine::Rep(_) => None,
+        }
+    }
 }
 
 /// Two FNV-1a-style streams over `bytes`, advanced together: xor the
@@ -243,10 +235,6 @@ pub(crate) fn fingerprint_canonical(space: KeySpace, canonical: &[u8]) -> String
         format!("{space}v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
     tagged.extend_from_slice(canonical);
     digest128_hex(&tagged)
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Canonical byte encoding of a sweep configuration: the `serde_json`
@@ -337,13 +325,13 @@ impl RepIndex {
     /// damaged anywhere but its final line, is an error and indexes
     /// nothing.
     pub fn load_journal(&self, path: &Path) -> io::Result<()> {
-        let (records, _) = parse_journal(&std::fs::read(path)?, None)?;
+        let (lines, _) = record_log::parse(&std::fs::read(path)?, None)?;
         let mut reps = self.reps.lock();
-        for record in records {
-            if let Some(key) = record.key {
-                reps.entry(key)
-                    .or_default()
-                    .insert(record.rep, record.summary);
+        for line in lines {
+            if let JournalLine::Rep(r) = line {
+                if let Some(key) = r.key {
+                    reps.entry(key).or_default().insert(r.rep, r.summary);
+                }
             }
         }
         Ok(())
@@ -377,52 +365,33 @@ impl RepIndex {
     }
 }
 
-/// Shared mutable state of a sweep in progress: the append handle, the
-/// first write error (sticky — later appends are skipped), the index
-/// fresh records join, and the counters the parallel workers bump.
-struct Shared<'a> {
-    writer: Mutex<File>,
-    write_error: Mutex<Option<io::Error>>,
+/// Per-sweep context shared by every scenario of a journaled matrix:
+/// the configuration, the journal, the index fresh records join, and the
+/// counts the parallel workers bump.
+struct SweepCtx<'a> {
+    base_seed: u64,
+    rule: &'a StoppingRule,
+    obs: bool,
+    guard: RepGuard,
+    log: RecordLog,
     index: Option<&'a RepIndex>,
-    written: AtomicU64,
-    replayed: AtomicU64,
-    reused: AtomicU64,
-    panics: AtomicU64,
-    retries: AtomicU64,
+    stats: Mutex<JournalStats>,
 }
 
-impl Shared<'_> {
-    /// Appends one replication record, makes it durable, then indexes
-    /// it. A record is only readable by a future resume once `sync_data`
-    /// returned, so a crash can tear at most the final line — which
-    /// `load_journal` truncates away.
+impl SweepCtx<'_> {
+    /// Appends one replication record and, once it is durable, indexes
+    /// it.
     fn append(&self, scenario: &str, key: Option<&str>, rep: u64, summary: &RepSummary) {
-        let mut err_slot = self.write_error.lock();
-        if err_slot.is_some() {
-            return;
-        }
-        let line = JournalLine::Rep {
+        let line = JournalLine::Rep(RepLine {
             scenario: scenario.to_string(),
             rep,
             key: key.map(str::to_string),
             summary: summary.clone(),
-        };
-        let attempt = (|| -> io::Result<()> {
-            let mut text = serde_json::to_string(&line)
-                .map_err(|e| invalid(format!("journal record does not serialise: {e}")))?;
-            text.push('\n');
-            let mut file = self.writer.lock();
-            file.write_all(text.as_bytes())?;
-            file.sync_data()
-        })();
-        match attempt {
-            Ok(()) => {
-                self.written.fetch_add(1, Ordering::Relaxed);
-                if let (Some(index), Some(key)) = (self.index, key) {
-                    index.insert(key, rep, summary);
-                }
+        });
+        if self.log.append(&line) {
+            if let (Some(index), Some(key)) = (self.index, key) {
+                index.insert(key, rep, summary);
             }
-            Err(e) => *err_slot = Some(e),
         }
     }
 }
@@ -439,154 +408,6 @@ fn contiguous(reps: &BTreeMap<u64, RepSummary>) -> Vec<RepSummary> {
         .collect()
 }
 
-/// One replication record read back from a journal.
-struct RepRecord {
-    scenario: String,
-    rep: u64,
-    key: Option<String>,
-    summary: RepSummary,
-}
-
-/// Parses an existing journal: verifies the header (against
-/// `fingerprint`, or any sweep of this schema when `None`), collects the
-/// replication records, and reports how many bytes of the file are valid
-/// (anything past that is a torn tail).
-///
-/// Only the *final* line may be damaged — that is the only line a crash
-/// mid-append can tear. Damage anywhere else means the file was edited or
-/// corrupted, and resuming from it would silently skew results, so it is
-/// an error.
-fn parse_journal(data: &[u8], fingerprint: Option<&str>) -> io::Result<(Vec<RepRecord>, usize)> {
-    let mut records = Vec::new();
-    let mut valid_len = 0usize;
-    let mut offset = 0usize;
-    let mut first = true;
-    while let Some(nl) = data[offset..].iter().position(|&b| b == b'\n') {
-        let line_end = offset + nl + 1;
-        let parsed = std::str::from_utf8(&data[offset..line_end - 1])
-            .ok()
-            .and_then(|text| serde_json::from_str::<JournalLine>(text).ok());
-        let at_tail = line_end == data.len();
-        match parsed {
-            Some(JournalLine::Header {
-                version,
-                fingerprint: fp,
-                ..
-            }) if first => {
-                if version != JOURNAL_VERSION || fingerprint.is_some_and(|f| f != fp) {
-                    let this = fingerprint.unwrap_or("any sweep");
-                    return Err(invalid(format!(
-                        "journal belongs to a different sweep (fingerprint {fp}, schema v{version}; \
-                         this sweep is {this}, schema v{JOURNAL_VERSION}): refusing to resume"
-                    )));
-                }
-            }
-            Some(JournalLine::Rep {
-                scenario,
-                rep,
-                key,
-                summary,
-            }) if !first => records.push(RepRecord {
-                scenario,
-                rep,
-                key,
-                summary,
-            }),
-            _ if at_tail => break, // torn final line: drop it
-            _ if first => {
-                return Err(invalid(
-                    "journal does not start with a valid header line".to_string(),
-                ));
-            }
-            _ => {
-                return Err(invalid(format!(
-                    "journal is corrupt at byte {offset}: only the final record may be torn"
-                )));
-            }
-        }
-        first = false;
-        valid_len = line_end;
-        offset = line_end;
-    }
-    Ok((records, valid_len))
-}
-
-/// Opens (or creates) the journal for a sweep. Returns the append handle,
-/// the per-scenario contiguous replay prefixes, and the open-time stats.
-fn open_journal(
-    path: &Path,
-    fingerprint: &str,
-    base_seed: u64,
-    scenario_count: usize,
-    rule: &StoppingRule,
-    resume: bool,
-) -> io::Result<(File, BTreeMap<String, Vec<RepSummary>>, JournalStats)> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut stats = JournalStats::default();
-    let existing = if resume {
-        match std::fs::read(path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        }
-    } else {
-        Vec::new()
-    };
-
-    let (records, valid_len) = if existing.is_empty() {
-        (Vec::new(), 0)
-    } else {
-        parse_journal(&existing, Some(fingerprint))?
-    };
-    if valid_len < existing.len() {
-        stats.torn_tails = 1;
-    }
-
-    let mut prefixes = BTreeMap::new();
-    if valid_len > 0 {
-        // A valid header (and possibly records) survived: truncate the
-        // torn tail away and append from there.
-        stats.resumes = 1;
-        let mut by_scenario: BTreeMap<String, BTreeMap<u64, RepSummary>> = BTreeMap::new();
-        for r in records {
-            by_scenario
-                .entry(r.scenario)
-                .or_default()
-                .insert(r.rep, r.summary);
-        }
-        for (name, reps) in by_scenario {
-            prefixes.insert(name, contiguous(&reps));
-        }
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len as u64)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.sync_data()?;
-        Ok((file, prefixes, stats))
-    } else {
-        // Fresh start — including the case where a crash tore the header
-        // itself, leaving nothing replayable.
-        let mut file = File::create(path)?;
-        let header = JournalLine::Header {
-            version: JOURNAL_VERSION,
-            fingerprint: fingerprint.to_string(),
-            code_version: env!("CARGO_PKG_VERSION").to_string(),
-            base_seed,
-            scenarios: scenario_count as u64,
-            rule: *rule,
-        };
-        let mut text = serde_json::to_string(&header)
-            .map_err(|e| invalid(format!("journal header does not serialise: {e}")))?;
-        text.push('\n');
-        file.write_all(text.as_bytes())?;
-        file.sync_data()?;
-        Ok((file, prefixes, stats))
-    }
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
@@ -601,14 +422,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// on the worker (the pool never sees them), retried once, then recorded
 /// as a failed-with-reason summary; a wall-budget overrun is recorded as
 /// saturation.
-fn run_rep_isolated<R>(
-    scenario: &Scenario,
-    base_seed: u64,
-    rep: u64,
-    guard: RepGuard,
-    shared: &Shared,
-    rep_runner: &R,
-) -> RepSummary
+fn run_rep_isolated<R>(scenario: &Scenario, rep: u64, ctx: &SweepCtx, rep_runner: &R) -> RepSummary
 where
     R: Fn(&Scenario, u64, u64) -> RunResult + Sync,
 {
@@ -617,10 +431,10 @@ where
         // dgsched-analyze: allow(wall-clock) -- RepGuard's wall-clock limit is an explicit safety valve; a tripped limit serializes as `saturated`, the same value the event budget produces deterministically
         let start = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| {
-            RepSummary::of(&rep_runner(scenario, base_seed, rep))
+            RepSummary::of(&rep_runner(scenario, ctx.base_seed, rep))
         })) {
             Ok(summary) => {
-                if let Some(limit) = guard.wall_limit_s {
+                if let Some(limit) = ctx.guard.wall_limit_s {
                     if start.elapsed().as_secs_f64() > limit {
                         return RepSummary {
                             saturated: true,
@@ -631,11 +445,11 @@ where
                 return summary;
             }
             Err(payload) => {
-                shared.panics.fetch_add(1, Ordering::Relaxed);
+                ctx.stats.lock().replication_panics += 1;
                 let reason = panic_message(payload.as_ref()).to_string();
                 if !retried {
                     retried = true;
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
+                    ctx.stats.lock().replication_retries += 1;
                     continue;
                 }
                 return RepSummary::failure(format!(
@@ -644,17 +458,6 @@ where
             }
         }
     }
-}
-
-/// Per-sweep context shared by every scenario of a journaled matrix:
-/// everything [`run_scenario_journaled_inner`] needs besides the scenario
-/// itself and its replay prefix.
-struct SweepCtx<'a> {
-    base_seed: u64,
-    rule: &'a StoppingRule,
-    obs: bool,
-    guard: RepGuard,
-    shared: &'a Shared<'a>,
 }
 
 /// What a scenario replays: replications `0..summaries.len()`, of which
@@ -681,25 +484,15 @@ where
             .into_par_iter()
             .map(|rep| match replay.summaries.get(rep as usize) {
                 Some(summary) => {
-                    let counter = if (rep as usize) < replay.journaled {
-                        &ctx.shared.replayed
+                    let mut stats = ctx.stats.lock();
+                    if (rep as usize) < replay.journaled {
+                        stats.records_replayed += 1;
                     } else {
-                        &ctx.shared.reused
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
+                        stats.records_reused += 1;
+                    }
                     (summary.clone(), true)
                 }
-                None => (
-                    run_rep_isolated(
-                        scenario,
-                        ctx.base_seed,
-                        rep,
-                        ctx.guard,
-                        ctx.shared,
-                        rep_runner,
-                    ),
-                    false,
-                ),
+                None => (run_rep_isolated(scenario, rep, ctx, rep_runner), false),
             })
             .collect();
         // Journal fresh summaries in replication order before absorbing:
@@ -708,7 +501,7 @@ where
         // in this journal or in the one the index read them from.
         for (i, (summary, replayed)) in summaries.iter().enumerate() {
             if !replayed {
-                ctx.shared.append(
+                ctx.append(
                     &scenario.name,
                     replay.key.as_deref(),
                     start + i as u64,
@@ -845,9 +638,24 @@ where
             "scenario names must be unique: the journal keys records by name",
         ));
     }
-    let fingerprint = sweep_fingerprint(scenarios, base_seed, rule)?;
-    let (file, mut journaled, mut stats) =
-        open_journal(path, &fingerprint, base_seed, scenarios.len(), rule, resume)?;
+    let header = JournalLine::Header {
+        version: JOURNAL_VERSION,
+        fingerprint: sweep_fingerprint(scenarios, base_seed, rule)?,
+        code_version: env!("CARGO_PKG_VERSION").to_string(),
+        base_seed,
+        scenarios: scenarios.len() as u64,
+        rule: *rule,
+    };
+    let (log, records) = RecordLog::open(path, &header, resume)?;
+    let mut journaled: BTreeMap<String, BTreeMap<u64, RepSummary>> = BTreeMap::new();
+    for line in records {
+        if let JournalLine::Rep(r) = line {
+            journaled
+                .entry(r.scenario)
+                .or_default()
+                .insert(r.rep, r.summary);
+        }
+    }
     let mut replays = Vec::with_capacity(scenarios.len());
     for scenario in scenarios {
         // A wall-clock saturation is not a function of the key: such
@@ -856,7 +664,10 @@ where
             Some(_) => None,
             None => Some(rep_key(scenario, base_seed, guard.max_events)?),
         };
-        let own = journaled.remove(&scenario.name).unwrap_or_default();
+        let own = journaled
+            .remove(&scenario.name)
+            .map(|reps| contiguous(&reps))
+            .unwrap_or_default();
         let indexed = match (index, &key) {
             (Some(index), Some(key)) => index.prefix(key),
             _ => Vec::new(),
@@ -873,22 +684,14 @@ where
             journaled,
         });
     }
-    let shared = Shared {
-        writer: Mutex::new(file),
-        write_error: Mutex::new(None),
-        index,
-        written: AtomicU64::new(0),
-        replayed: AtomicU64::new(0),
-        reused: AtomicU64::new(0),
-        panics: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
-    };
     let ctx = SweepCtx {
         base_seed,
         rule,
         obs: obs_enabled(),
         guard,
-        shared: &shared,
+        log,
+        index,
+        stats: Mutex::default(),
     };
     let sink = ProgressSink::new(scenarios.len(), progress);
     let results: Vec<ScenarioResult> = scenarios
@@ -901,71 +704,21 @@ where
             r
         })
         .collect();
-    if let Some(e) = shared.write_error.lock().take() {
-        return Err(e);
-    }
-    stats.records_written = shared.written.load(Ordering::Relaxed);
-    stats.records_replayed = shared.replayed.load(Ordering::Relaxed);
-    stats.records_reused = shared.reused.load(Ordering::Relaxed);
-    stats.replication_panics = shared.panics.load(Ordering::Relaxed);
-    stats.replication_retries = shared.retries.load(Ordering::Relaxed);
+    let stats = JournalStats {
+        records_written: ctx.log.finish()?,
+        resumes: ctx.log.resumes,
+        torn_tails: ctx.log.torn_tails,
+        ..ctx.stats.into_inner()
+    };
     Ok(JournalOutcome { results, stats })
-}
-
-/// One-scenario convenience wrapper around [`run_matrix_journaled`] — the
-/// shape `dgsched run --journal` uses.
-pub fn run_scenario_journaled(
-    scenario: &Scenario,
-    base_seed: u64,
-    rule: &StoppingRule,
-    path: &Path,
-    resume: bool,
-    guard: RepGuard,
-) -> io::Result<(ScenarioResult, JournalStats)> {
-    let mut outcome = run_matrix_journaled(
-        std::slice::from_ref(scenario),
-        base_seed,
-        rule,
-        path,
-        resume,
-        guard,
-    )?;
-    let result = outcome.results.pop().expect("exactly one scenario");
-    Ok((result, outcome.stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::runner::run_matrix;
-    use crate::experiment::scenario::WorkloadKind;
+    use crate::experiment::scenario::fixed_rule;
     use crate::policy::PolicyKind;
-    use dgsched_grid::{Availability, GridConfig, Heterogeneity};
-    use dgsched_workload::{BotType, Intensity, WorkloadSpec};
-
-    fn scenario(name: &str, policy: PolicyKind) -> Scenario {
-        Scenario {
-            name: name.into(),
-            grid: GridConfig {
-                total_power: 100.0,
-                heterogeneity: Heterogeneity::HOM,
-                availability: Availability::HIGH,
-                checkpoint: Default::default(),
-                outages: None,
-            },
-            workload: WorkloadKind::Single(WorkloadSpec {
-                bot_type: BotType {
-                    granularity: 1_000.0,
-                    app_size: 20_000.0,
-                    jitter: 0.5,
-                },
-                intensity: Intensity::Low,
-                count: 6,
-            }),
-            policy,
-            sim: crate::sim::SimConfig::default(),
-        }
-    }
 
     fn rule() -> StoppingRule {
         StoppingRule {
@@ -983,7 +736,7 @@ mod tests {
 
     #[test]
     fn journaled_matches_plain_run_matrix() {
-        let scenarios = vec![scenario("a", PolicyKind::Rr)];
+        let scenarios = vec![Scenario::small("a", PolicyKind::Rr)];
         let path = tmp("plain");
         let out = run_matrix_journaled(&scenarios, 11, &rule(), &path, false, RepGuard::default())
             .unwrap();
@@ -1000,7 +753,7 @@ mod tests {
 
     #[test]
     fn resume_replays_instead_of_recomputing() {
-        let scenarios = vec![scenario("a", PolicyKind::Rr)];
+        let scenarios = vec![Scenario::small("a", PolicyKind::Rr)];
         let path = tmp("resume");
         let first =
             run_matrix_journaled(&scenarios, 11, &rule(), &path, false, RepGuard::default())
@@ -1020,7 +773,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_refuses_to_resume() {
-        let scenarios = vec![scenario("a", PolicyKind::Rr)];
+        let scenarios = vec![Scenario::small("a", PolicyKind::Rr)];
         let path = tmp("fingerprint");
         run_matrix_journaled(&scenarios, 11, &rule(), &path, false, RepGuard::default()).unwrap();
         let err = run_matrix_journaled(&scenarios, 12, &rule(), &path, true, RepGuard::default())
@@ -1032,7 +785,10 @@ mod tests {
 
     #[test]
     fn duplicate_scenario_names_are_rejected() {
-        let scenarios = vec![scenario("a", PolicyKind::Rr), scenario("a", PolicyKind::Rr)];
+        let scenarios = vec![
+            Scenario::small("a", PolicyKind::Rr),
+            Scenario::small("a", PolicyKind::Rr),
+        ];
         let path = tmp("dup");
         let err = run_matrix_journaled(&scenarios, 11, &rule(), &path, false, RepGuard::default())
             .unwrap_err();
@@ -1042,7 +798,7 @@ mod tests {
 
     #[test]
     fn event_budget_guard_trips_saturation() {
-        let scenarios = vec![scenario("a", PolicyKind::Rr)];
+        let scenarios = vec![Scenario::small("a", PolicyKind::Rr)];
         let path = tmp("guard");
         let guard = RepGuard {
             max_events: Some(10),
@@ -1053,35 +809,6 @@ mod tests {
         assert!(out.results[0].saturated_replications > 0);
         assert_eq!(out.results[0].failed_replications, 0);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stats_render_as_obs_counters() {
-        let stats = JournalStats {
-            records_written: 7,
-            records_replayed: 3,
-            records_reused: 4,
-            resumes: 1,
-            torn_tails: 1,
-            replication_panics: 2,
-            replication_retries: 1,
-        };
-        let snap = stats.to_metrics();
-        assert_eq!(snap.counters["journal_records"], 7);
-        assert_eq!(snap.counters["journal_replayed"], 3);
-        assert_eq!(snap.counters["journal_reused"], 4);
-        assert_eq!(snap.counters["journal_resumes"], 1);
-        assert_eq!(snap.counters["journal_torn_tails"], 1);
-        assert_eq!(snap.counters["replication_panics"], 2);
-        assert_eq!(snap.counters["replication_retries"], 1);
-    }
-
-    fn fixed(reps: u64) -> StoppingRule {
-        StoppingRule {
-            min_replications: reps,
-            max_replications: reps,
-            ..Default::default()
-        }
     }
 
     fn json(results: &[ScenarioResult]) -> String {
@@ -1115,15 +842,15 @@ mod tests {
             rayon::with_num_threads(width, || {
                 let index = RepIndex::default();
                 let base = vec![
-                    scenario("a", PolicyKind::Rr),
-                    scenario("b", PolicyKind::Sbf),
+                    Scenario::small("a", PolicyKind::Rr),
+                    Scenario::small("b", PolicyKind::Sbf),
                 ];
                 let tag = |what: &str| format!("index-{what}-w{width}");
                 let stats = indexed(
                     &tag("base"),
                     &base,
                     11,
-                    &fixed(3),
+                    &fixed_rule(3),
                     RepGuard::default(),
                     &index,
                 );
@@ -1131,12 +858,12 @@ mod tests {
                 assert_eq!(index.len(), 6);
                 // One scenario added: only its replications run.
                 let mut overlap = base.clone();
-                overlap.push(scenario("c", PolicyKind::LongIdle));
+                overlap.push(Scenario::small("c", PolicyKind::LongIdle));
                 let stats = indexed(
                     &tag("overlap"),
                     &overlap,
                     11,
-                    &fixed(3),
+                    &fixed_rule(3),
                     RepGuard::default(),
                     &index,
                 );
@@ -1147,7 +874,7 @@ mod tests {
                     &tag("cap"),
                     &base,
                     11,
-                    &fixed(5),
+                    &fixed_rule(5),
                     RepGuard::default(),
                     &index,
                 );
@@ -1162,20 +889,20 @@ mod tests {
         for width in [1usize, 4] {
             rayon::with_num_threads(width, || {
                 let index = RepIndex::default();
-                let base = vec![scenario("a", PolicyKind::Rr)];
+                let base = vec![Scenario::small("a", PolicyKind::Rr)];
                 let tag = |what: &str| format!("keys-{what}-w{width}");
                 let clean = RepGuard::default();
-                indexed(&tag("base"), &base, 11, &fixed(3), clean, &index);
-                let stats = indexed(&tag("seed"), &base, 12, &fixed(3), clean, &index);
+                indexed(&tag("base"), &base, 11, &fixed_rule(3), clean, &index);
+                let stats = indexed(&tag("seed"), &base, 12, &fixed_rule(3), clean, &index);
                 assert_eq!((stats.records_written, stats.records_reused), (3, 0));
                 let clamp = RepGuard {
                     max_events: Some(u64::MAX),
                     wall_limit_s: None,
                 };
-                let stats = indexed(&tag("clamp"), &base, 11, &fixed(3), clamp, &index);
+                let stats = indexed(&tag("clamp"), &base, 11, &fixed_rule(3), clamp, &index);
                 assert_eq!((stats.records_written, stats.records_reused), (3, 0));
-                let renamed = vec![scenario("a2", PolicyKind::Rr)];
-                let stats = indexed(&tag("name"), &renamed, 11, &fixed(3), clean, &index);
+                let renamed = vec![Scenario::small("a2", PolicyKind::Rr)];
+                let stats = indexed(&tag("name"), &renamed, 11, &fixed_rule(3), clean, &index);
                 assert_eq!((stats.records_written, stats.records_reused), (3, 0));
                 assert_eq!(index.len(), 12);
             });
@@ -1185,14 +912,14 @@ mod tests {
     #[test]
     fn wall_limit_bypasses_the_index() {
         let index = RepIndex::default();
-        let base = vec![scenario("a", PolicyKind::Rr)];
+        let base = vec![Scenario::small("a", PolicyKind::Rr)];
         let clean = RepGuard::default();
-        indexed("wall-base", &base, 11, &fixed(3), clean, &index);
+        indexed("wall-base", &base, 11, &fixed_rule(3), clean, &index);
         let wall = RepGuard {
             max_events: None,
             wall_limit_s: Some(1e9),
         };
-        let stats = indexed("wall-limited", &base, 11, &fixed(5), wall, &index);
+        let stats = indexed("wall-limited", &base, 11, &fixed_rule(5), wall, &index);
         assert_eq!((stats.records_written, stats.records_reused), (5, 0));
         assert_eq!(index.len(), 3, "unkeyed records are not indexed");
     }
@@ -1201,7 +928,7 @@ mod tests {
     fn torn_header_means_fresh_start_is_required() {
         let path = tmp("torn-header");
         std::fs::write(&path, "{\"kind\":\"head").unwrap();
-        let scenarios = vec![scenario("a", PolicyKind::Rr)];
+        let scenarios = vec![Scenario::small("a", PolicyKind::Rr)];
         // The torn line is the only line, so it is dropped and the file
         // treated as empty — but an empty resume cannot verify a header,
         // so the journal is rewritten from scratch.

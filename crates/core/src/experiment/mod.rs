@@ -5,8 +5,8 @@
 mod figures;
 mod journal;
 mod plot;
+mod record_log;
 mod regret;
-mod report;
 mod runner;
 mod scenario;
 mod table;
@@ -14,8 +14,8 @@ mod table;
 pub use figures::{extended_panels, fig1_panels, fig2_panels, PanelSpec};
 pub use journal::{
     canonical_oracle_bytes, canonical_sweep_bytes, oracle_fingerprint, run_matrix_journaled,
-    run_matrix_journaled_indexed, run_matrix_journaled_with, run_scenario_journaled,
-    sweep_fingerprint, JournalOutcome, JournalStats, RepGuard, RepIndex,
+    run_matrix_journaled_indexed, run_matrix_journaled_with, sweep_fingerprint, JournalOutcome,
+    JournalStats, RepGuard, RepIndex,
 };
 pub(crate) use journal::{fingerprint_canonical, KeySpace};
 pub use plot::{panel_chart, BarChart};
@@ -23,10 +23,10 @@ pub use regret::{
     check_resumed_search, oracle_replication, run_matrix_regret, run_matrix_regret_journaled,
     OracleConfig, OracleJournalStats, OracleReplication, RegretSection, ResumeCheck,
 };
-pub use report::Report;
 pub use runner::{
     obs_enabled, replication_inputs, run_matrix, run_matrix_with_progress, run_replication,
     run_replication_instrumented, run_replication_traced, run_scenario, ScenarioResult,
 };
+pub(crate) use scenario::fixed_rule;
 pub use scenario::{Scenario, WorkloadKind};
 pub use table::{format_cell, panel_table, Table};

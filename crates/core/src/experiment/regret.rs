@@ -41,13 +41,14 @@
 //! ## Journaled restarts
 //!
 //! [`run_matrix_regret_journaled`] makes each completed search restart
-//! durable the moment it finishes (append + fsync, torn tails truncated
-//! on open — the same discipline as the replication journal), keyed by
-//! `(environment digest, replication, restart)`. Because a restart is a
+//! durable the moment it finishes, keyed by `(environment digest,
+//! replication, restart)`. The file is a [`RecordLog`], the same log the
+//! replication journal writes. Because a restart is a
 //! pure function of its key and [`fold`] is order-insensitive, a resumed
 //! search is byte-identical to an uninterrupted one.
 
 use super::journal::{digest128_hex, oracle_fingerprint};
+use super::record_log::{LogLine, RecordLog};
 use super::runner::{replication_inputs, reportable_ci, run_replication_traced, ScenarioResult};
 use super::scenario::Scenario;
 use crate::policy::{BagSelection, PolicyKind, View};
@@ -64,10 +65,10 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Knobs of the oracle computation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -560,12 +561,9 @@ fn oracle_replication_inner(
         })
         .collect();
     if let Some((j, env_key)) = journal {
-        for (outcome, replayed) in &outcomes {
-            if !replayed {
-                j.append(env_key, rep, outcome);
-            } else {
-                j.note_replayed();
-            }
+        for (outcome, _) in outcomes.iter().filter(|(_, replayed)| !replayed) {
+            let (env, outcome) = (env_key.to_string(), outcome.clone());
+            j.log.append(&OracleLine::Restart { env, rep, outcome });
         }
     }
     let search = fold(outcomes.into_iter().map(|(o, _)| o)).expect("restarts >= 1");
@@ -705,13 +703,13 @@ pub struct OracleJournalStats {
     pub torn_tails: u64,
 }
 
-/// Oracle journal schema version, folded into the fingerprint.
+/// Oracle journal schema version, checked against the header on resume.
 const ORACLE_JOURNAL_VERSION: u32 = 1;
 
 /// One line of the oracle restart journal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
-enum OracleLine {
+pub(super) enum OracleLine {
     Header {
         version: u32,
         fingerprint: String,
@@ -724,165 +722,37 @@ enum OracleLine {
     },
 }
 
-/// Append-only JSONL store of completed search restarts, with the same
-/// durability discipline as the replication journal: a record exists for
-/// downstream purposes only once fsynced, and only the final line of a
-/// crashed run may be torn.
+impl LogLine for OracleLine {
+    const VERSION: u32 = ORACLE_JOURNAL_VERSION;
+    fn header(&self) -> Option<(u32, &str)> {
+        match self {
+            OracleLine::Header {
+                version,
+                fingerprint,
+                ..
+            } => Some((*version, fingerprint)),
+            OracleLine::Restart { .. } => None,
+        }
+    }
+}
+
+/// The restart journal of a search in progress: the log, the restarts
+/// it held on open, and how many of them were used.
 struct OracleJournal {
-    writer: parking_lot::Mutex<File>,
-    write_error: parking_lot::Mutex<Option<io::Error>>,
+    log: RecordLog,
     records: BTreeMap<(String, u64, u32), RestartOutcome>,
-    written: std::sync::atomic::AtomicU64,
-    replayed: std::sync::atomic::AtomicU64,
+    replayed: AtomicU64,
 }
 
 impl OracleJournal {
+    /// The journaled outcome of a restart, counted as replayed.
     fn lookup(&self, env: &str, rep: u64, restart: u32) -> Option<RestartOutcome> {
-        self.records.get(&(env.to_string(), rep, restart)).cloned()
+        let done = self.records.get(&(env.to_string(), rep, restart)).cloned();
+        if done.is_some() {
+            self.replayed.fetch_add(1, Ordering::Relaxed);
+        }
+        done
     }
-
-    fn note_replayed(&self) {
-        self.replayed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn append(&self, env: &str, rep: u64, outcome: &RestartOutcome) {
-        let mut err_slot = self.write_error.lock();
-        if err_slot.is_some() {
-            return;
-        }
-        let line = OracleLine::Restart {
-            env: env.to_string(),
-            rep,
-            outcome: outcome.clone(),
-        };
-        let attempt = (|| -> io::Result<()> {
-            let mut text = serde_json::to_string(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            text.push('\n');
-            let mut file = self.writer.lock();
-            file.write_all(text.as_bytes())?;
-            file.sync_data()
-        })();
-        match attempt {
-            Ok(()) => {
-                self.written
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            Err(e) => *err_slot = Some(e),
-        }
-    }
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Opens (or creates) the restart journal at `path`; parses the replay
-/// map on resume. Mirrors the replication journal's torn-tail rules:
-/// only the final line may be damaged.
-fn open_oracle_journal(
-    path: &Path,
-    fingerprint: &str,
-    resume: bool,
-) -> io::Result<(OracleJournal, OracleJournalStats)> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut stats = OracleJournalStats::default();
-    let existing = if resume {
-        match std::fs::read(path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        }
-    } else {
-        Vec::new()
-    };
-
-    let mut records = BTreeMap::new();
-    let mut valid_len = 0usize;
-    let mut offset = 0usize;
-    let mut first = true;
-    while let Some(nl) = existing[offset..].iter().position(|&b| b == b'\n') {
-        let line_end = offset + nl + 1;
-        let parsed = std::str::from_utf8(&existing[offset..line_end - 1])
-            .ok()
-            .and_then(|text| serde_json::from_str::<OracleLine>(text).ok());
-        let at_tail = line_end == existing.len();
-        match parsed {
-            Some(OracleLine::Header {
-                version,
-                fingerprint: fp,
-                ..
-            }) if first => {
-                if version != ORACLE_JOURNAL_VERSION || fp != fingerprint {
-                    return Err(invalid(format!(
-                        "oracle journal belongs to a different search (fingerprint {fp}, \
-                         schema v{version}; this search is {fingerprint}, schema \
-                         v{ORACLE_JOURNAL_VERSION}): refusing to resume"
-                    )));
-                }
-            }
-            Some(OracleLine::Restart { env, rep, outcome }) if !first => {
-                records.insert((env, rep, outcome.restart), outcome);
-            }
-            _ if at_tail => break, // torn final line: drop it
-            _ if first => {
-                return Err(invalid(
-                    "oracle journal does not start with a valid header line".to_string(),
-                ));
-            }
-            _ => {
-                return Err(invalid(format!(
-                    "oracle journal is corrupt at byte {offset}: only the final record may be torn"
-                )));
-            }
-        }
-        first = false;
-        valid_len = line_end;
-        offset = line_end;
-    }
-
-    let file = if valid_len > 0 {
-        stats.resumes = 1;
-        if valid_len < existing.len() {
-            stats.torn_tails = 1;
-        }
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len as u64)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.sync_data()?;
-        file
-    } else {
-        if !existing.is_empty() {
-            stats.torn_tails = 1;
-        }
-        let mut file = File::create(path)?;
-        let header = OracleLine::Header {
-            version: ORACLE_JOURNAL_VERSION,
-            fingerprint: fingerprint.to_string(),
-            code_version: env!("CARGO_PKG_VERSION").to_string(),
-        };
-        let mut text = serde_json::to_string(&header)
-            .map_err(|e| invalid(format!("oracle journal header does not serialise: {e}")))?;
-        text.push('\n');
-        file.write_all(text.as_bytes())?;
-        file.sync_data()?;
-        file
-    };
-    Ok((
-        OracleJournal {
-            writer: parking_lot::Mutex::new(file),
-            write_error: parking_lot::Mutex::new(None),
-            records,
-            written: std::sync::atomic::AtomicU64::new(0),
-            replayed: std::sync::atomic::AtomicU64::new(0),
-        },
-        stats,
-    ))
 }
 
 /// [`run_matrix_regret`] with a crash-safe restart journal at `path`.
@@ -899,8 +769,24 @@ pub fn run_matrix_regret_journaled(
     path: &Path,
     resume: bool,
 ) -> io::Result<(Vec<ScenarioResult>, OracleJournalStats)> {
-    let fingerprint = oracle_fingerprint(scenarios, base_seed, rule, ocfg)?;
-    let (journal, mut stats) = open_oracle_journal(path, &fingerprint, resume)?;
+    let header = OracleLine::Header {
+        version: ORACLE_JOURNAL_VERSION,
+        fingerprint: oracle_fingerprint(scenarios, base_seed, rule, ocfg)?,
+        code_version: env!("CARGO_PKG_VERSION").to_string(),
+    };
+    let (log, lines) = RecordLog::open(path, &header, resume)?;
+    let mut records = BTreeMap::new();
+    for line in lines {
+        if let OracleLine::Restart { env, rep, outcome } = line {
+            records.insert((env, rep, outcome.restart), outcome);
+        }
+    }
+    let replayed = AtomicU64::new(0);
+    let journal = OracleJournal {
+        log,
+        records,
+        replayed,
+    };
     let mut results = super::runner::run_matrix(scenarios, base_seed, rule);
     regret_pass(
         scenarios,
@@ -910,18 +796,19 @@ pub fn run_matrix_regret_journaled(
         ocfg,
         Some(&journal),
     );
-    if let Some(e) = journal.write_error.lock().take() {
-        return Err(e);
-    }
-    stats.restarts_written = journal.written.load(std::sync::atomic::Ordering::Relaxed);
-    stats.restarts_replayed = journal.replayed.load(std::sync::atomic::Ordering::Relaxed);
+    let stats = OracleJournalStats {
+        restarts_written: journal.log.finish()?,
+        restarts_replayed: journal.replayed.into_inner(),
+        resumes: journal.log.resumes,
+        torn_tails: journal.log.torn_tails,
+    };
     Ok((results, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::scenario::WorkloadKind;
+    use crate::experiment::scenario::{fixed_rule, WorkloadKind};
     use crate::sim::SimConfig;
     use dgsched_grid::{Availability, GridConfig, Heterogeneity};
     use dgsched_workload::{BotType, Intensity, WorkloadSpec};
@@ -1012,11 +899,7 @@ mod tests {
             .into_iter()
             .map(small_scenario)
             .collect();
-        let rule = StoppingRule {
-            min_replications: 2,
-            max_replications: 2,
-            ..Default::default()
-        };
+        let rule = fixed_rule(2);
         let results = run_matrix_regret(&scenarios, 2008, &rule, &tiny_oracle());
         let oracles: Vec<String> = results
             .iter()
@@ -1033,11 +916,7 @@ mod tests {
 
     #[test]
     fn regret_section_stays_off_the_wire_when_absent() {
-        let rule = StoppingRule {
-            min_replications: 2,
-            max_replications: 2,
-            ..Default::default()
-        };
+        let rule = fixed_rule(2);
         let plain = super::super::runner::run_matrix(
             std::slice::from_ref(&small_scenario(PolicyKind::Rr)),
             2008,
@@ -1055,11 +934,7 @@ mod tests {
     #[test]
     fn journaled_regret_resumes_byte_identically() {
         let scenarios = vec![small_scenario(PolicyKind::Rr)];
-        let rule = StoppingRule {
-            min_replications: 2,
-            max_replications: 2,
-            ..Default::default()
-        };
+        let rule = fixed_rule(2);
         let ocfg = tiny_oracle();
         let dir = std::env::temp_dir().join("dgsched-oracle-journal-unit");
         std::fs::create_dir_all(&dir).unwrap();

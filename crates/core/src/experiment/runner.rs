@@ -518,32 +518,10 @@ mod tests {
     use super::*;
     use crate::experiment::scenario::WorkloadKind;
     use crate::policy::PolicyKind;
-    use dgsched_grid::{Availability, GridConfig, Heterogeneity};
-    use dgsched_workload::{BotType, Intensity, WorkloadSpec};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn small_scenario(policy: PolicyKind) -> Scenario {
-        Scenario {
-            name: format!("test {policy}"),
-            grid: GridConfig {
-                total_power: 100.0,
-                heterogeneity: Heterogeneity::HOM,
-                availability: Availability::HIGH,
-                checkpoint: Default::default(),
-                outages: None,
-            },
-            workload: WorkloadKind::Single(WorkloadSpec {
-                bot_type: BotType {
-                    granularity: 1_000.0,
-                    app_size: 20_000.0,
-                    jitter: 0.5,
-                },
-                intensity: Intensity::Low,
-                count: 6,
-            }),
-            policy,
-            sim: SimConfig::default(),
-        }
+        Scenario::small(&format!("test {policy}"), policy)
     }
 
     fn quick_rule() -> StoppingRule {

@@ -2,8 +2,9 @@
 
 use crate::policy::PolicyKind;
 use crate::sim::SimConfig;
-use dgsched_grid::GridConfig;
-use dgsched_workload::{ArrivalModel, MixSpec, RealisticSpec, WorkloadSpec};
+use dgsched_des::stats::StoppingRule;
+use dgsched_grid::{Availability, GridConfig, Heterogeneity};
+use dgsched_workload::{ArrivalModel, BotType, Intensity, MixSpec, RealisticSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 /// The workload half of a scenario.
@@ -119,6 +120,42 @@ impl Scenario {
             .validate()
             .map_err(|e| format!("scenario '{}': {e}", self.name))?;
         Ok(())
+    }
+
+    /// A small, fast cell: 6 bags of 20 tasks at low intensity on the
+    /// Hom-HighAvail platform. The `serve --check` self-test sweeps it
+    /// under [`fixed_rule`]`(2)`, and unit tests use both as fixtures.
+    pub(crate) fn small(name: &str, policy: PolicyKind) -> Scenario {
+        Scenario {
+            name: name.into(),
+            grid: GridConfig {
+                total_power: 100.0,
+                heterogeneity: Heterogeneity::HOM,
+                availability: Availability::HIGH,
+                checkpoint: Default::default(),
+                outages: None,
+            },
+            workload: WorkloadKind::Single(WorkloadSpec {
+                bot_type: BotType {
+                    granularity: 1_000.0,
+                    app_size: 20_000.0,
+                    jitter: 0.5,
+                },
+                intensity: Intensity::Low,
+                count: 6,
+            }),
+            policy,
+            sim: SimConfig::default(),
+        }
+    }
+}
+
+/// The stopping rule that runs exactly `reps` replications.
+pub(crate) fn fixed_rule(reps: u64) -> StoppingRule {
+    StoppingRule {
+        min_replications: reps,
+        max_replications: reps,
+        ..StoppingRule::default()
     }
 }
 

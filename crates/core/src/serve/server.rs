@@ -34,17 +34,13 @@ use super::protocol::{
 };
 use super::single_flight::{FlightRole, LeaderToken, SingleFlight};
 use crate::experiment::{
-    canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical,
+    canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical, fixed_rule,
     run_matrix_journaled_indexed, run_matrix_regret, run_matrix_regret_journaled, KeySpace,
-    RepGuard, Scenario, WorkloadKind,
+    RepGuard, Scenario,
 };
 use crate::policy::PolicyKind;
-use crate::sim::SimConfig;
-use dgsched_des::stats::StoppingRule;
 use dgsched_des::time::SimTime;
-use dgsched_grid::{Availability, GridConfig, Heterogeneity};
 use dgsched_obs::{MetricsRegistry, MetricsSnapshot};
-use dgsched_workload::{BotType, Intensity, WorkloadSpec};
 use parking_lot::Mutex;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -826,45 +822,16 @@ fn run_oracle_collision(
     conn.send_result(fingerprint, CacheDisposition::Collision, &entry)
 }
 
-/// One small self-test cell: 6 bags on the Hom-HighAvail platform.
-fn check_scenario(name: &str, policy: PolicyKind) -> Scenario {
-    Scenario {
-        name: name.to_string(),
-        grid: GridConfig {
-            total_power: 100.0,
-            heterogeneity: Heterogeneity::HOM,
-            availability: Availability::HIGH,
-            checkpoint: Default::default(),
-            outages: None,
-        },
-        workload: WorkloadKind::Single(WorkloadSpec {
-            bot_type: BotType {
-                granularity: 1_000.0,
-                app_size: 20_000.0,
-                jitter: 0.5,
-            },
-            intensity: Intensity::Low,
-            count: 6,
-        }),
-        policy,
-        sim: SimConfig::default(),
-    }
-}
-
 /// A tiny, fast scenario pair for the `serve --check` self-test: small
 /// bags, two replications, milliseconds of compute.
 pub(super) fn check_request() -> SweepRequest {
     SweepRequest {
         scenarios: vec![
-            check_scenario("check: RR", PolicyKind::Rr),
-            check_scenario("check: FCFS-Share", PolicyKind::FcfsShare),
+            Scenario::small("check: RR", PolicyKind::Rr),
+            Scenario::small("check: FCFS-Share", PolicyKind::FcfsShare),
         ],
         base_seed: 2008,
-        rule: StoppingRule {
-            min_replications: 2,
-            max_replications: 2,
-            ..StoppingRule::default()
-        },
+        rule: fixed_rule(2),
         tenant: Some("self-check".to_string()),
     }
 }
@@ -909,7 +876,7 @@ pub fn self_check(addr: &str) -> Result<String, String> {
         let shared = overlap.scenarios.len();
         overlap
             .scenarios
-            .push(check_scenario("check: LongIdle", PolicyKind::LongIdle));
+            .push(Scenario::small("check: LongIdle", PolicyKind::LongIdle));
         let body = serde_json::to_vec(&overlap).expect("request serialises");
         let third = http_request(&addr, "POST", "/sweep", &[], &body)
             .map_err(|e| format!("overlap request failed: {e}"))?;

@@ -53,18 +53,21 @@ echo "==> codec gate: vendored serde/serde_json unit tests"
 # a hostile request from overflowing a daemon thread's stack, and errors.
 cargo test -q -p serde_json -p serde
 
-echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal batteries"
+echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal/oracle batteries"
 # The witness must (a) catch the reconstructed PR-5 hold-and-wait cycle
 # deterministically (parking_lot unit tests + tests/lockcheck.rs), and
 # (b) stay result-passive: the golden-fingerprint test inside
 # tests/lockcheck.rs pins run_matrix bytes to the seed value in BOTH
 # feature configurations, and the determinism batteries re-run with the
-# witness live at widths 1 and 4.
+# witness live at widths 1 and 4. Both journals take the same record-log
+# lock, so the oracle battery runs under the witness too.
 cargo test -q -p parking_lot --features lockcheck
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --features lockcheck \
-  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve
+  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
+  --test oracle_regret
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --features lockcheck \
-  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve
+  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
+  --test oracle_regret
 
 echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4"
 # The hindsight-oracle contract: trace replay reproduces the live run

@@ -19,8 +19,9 @@
 //! baseline.
 
 use dgsched_core::experiment::{
-    run_matrix, run_matrix_journaled, run_matrix_journaled_indexed, run_matrix_journaled_with,
-    sweep_fingerprint, JournalOutcome, RepGuard, Scenario, WorkloadKind,
+    oracle_fingerprint, run_matrix, run_matrix_journaled, run_matrix_journaled_indexed,
+    run_matrix_journaled_with, run_matrix_regret_journaled, sweep_fingerprint, JournalOutcome,
+    OracleConfig, RepGuard, Scenario, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::ResultCache;
@@ -406,8 +407,10 @@ fn corrupt_journal_is_left_out_of_the_index() {
         "{}.journal.jsonl",
         sweep_fingerprint(&scenarios, 42, &rule()).unwrap()
     ));
-    // A copy damaged in the middle, under another fingerprint, and a
-    // file that is no journal at all.
+    // A copy damaged in the middle, under another fingerprint, a file
+    // that is no journal at all, and the oracle restart journal the
+    // daemon keeps under the same suffix: its records are no
+    // replications, whatever its header says.
     let full = std::fs::read(&path).unwrap();
     let mid = full.len() / 2;
     let mut damaged = full[..mid].to_vec();
@@ -415,8 +418,21 @@ fn corrupt_journal_is_left_out_of_the_index() {
     damaged.extend_from_slice(&full[mid..]);
     std::fs::write(dir.join("00ff.journal.jsonl"), damaged).unwrap();
     std::fs::write(dir.join("11ee.journal.jsonl"), b"\x00\xff garbage\n").unwrap();
+    let ocfg = OracleConfig {
+        restarts: 2,
+        iters: 4,
+        seed: 5,
+        replications: 2,
+    };
+    let oracle = dir.join(format!(
+        "{}.journal.jsonl",
+        oracle_fingerprint(&scenarios, 42, &rule(), &ocfg).unwrap()
+    ));
+    let (_, stats) =
+        run_matrix_regret_journaled(&scenarios, 42, &rule(), &ocfg, &oracle, false).unwrap();
+    assert_eq!(stats.restarts_written, 4);
     let cache = ResultCache::open(&dir).expect("damaged journals do not fail open");
     assert_eq!(cache.rep_index().len(), journaled);
-    assert_eq!(cache.pending_journals(), 3);
+    assert_eq!(cache.pending_journals(), 4);
     std::fs::remove_dir_all(&dir).ok();
 }
