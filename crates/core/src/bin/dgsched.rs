@@ -3,6 +3,7 @@
 //! ```text
 //! dgsched demo                          # print a sample scenario JSON
 //! dgsched run scenario.json             # run it (replications + CI) and report
+//! dgsched run experiments/fig1.json     # run a sweep request, as POST /sweep would
 //! dgsched oracle scenario.json          # run it, then report hindsight regret
 //! dgsched serve --addr 127.0.0.1:7700   # sweep service with a result cache
 //! dgsched gen --size pareto:alpha=1.5,min=8e5 --arrivals mmpp:ratio=9,frac=0.1,len=25 \
@@ -11,17 +12,22 @@
 //! dgsched summarize w.json              # describe a saved workload
 //! ```
 //!
-//! Scenario files are the serde form of [`dgsched_core::experiment::Scenario`].
+//! Scenario files are the serde form of [`dgsched_core::experiment::Scenario`];
+//! `run` also takes a sweep request, the serde form of
+//! [`dgsched_core::serve::SweepRequest`] (the files under `experiments/`).
 //!
 //! Exit codes: `0` success, `1` runtime failure (bad file, failed sweep,
 //! bind error), `2` usage error (unknown flag, missing value).
 
 use dgsched_core::experiment::{
-    run_matrix_journaled, run_matrix_regret, run_matrix_regret_journaled,
-    run_replication_instrumented, run_scenario, OracleConfig, RepGuard, Scenario, WorkloadKind,
+    pivot_table, run_matrix_journaled_with_progress, run_matrix_regret,
+    run_matrix_regret_journaled, run_matrix_with_progress, run_replication_instrumented,
+    sweep_fingerprint, OracleConfig, RepGuard, Scenario, ScenarioResult, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
-use dgsched_core::serve::{self_check, ServeConfig, Server};
+use dgsched_core::serve::{
+    self_check, validate_scenarios, ServeConfig, Server, SweepRequest, SweepResponse,
+};
 use dgsched_core::sim::Gantt;
 use dgsched_core::sim::SimConfig;
 use dgsched_core::sim::{TraceRecorder, TraceRing};
@@ -37,7 +43,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dgsched demo\n  dgsched run <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n               [--journal <file.jsonl> [--resume]]\n  dgsched oracle <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n                 [--restarts N] [--iters N] [--oracle-seed N] [--oracle-reps N]\n                 [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.json]\n                [--jsonl trace.jsonl] [--bin trace.dgtr] [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run`, `oracle` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\noracle:\n  runs the sweep, then replays each replication's captured environment\n  and searches for the hindsight-optimal bag schedule; the result JSON\n  gains a 'regret' section ((policy - oracle) / oracle with a CI)\n  --restarts N      independent search restarts per replication (default 8)\n  --iters N         move proposals per restart (default 120)\n  --oracle-seed N   search stream seed (default 0)\n  --oracle-reps N   replications the oracle evaluates (default 3)\n  --journal FILE    append each completed search restart to FILE (fsynced\n                    JSONL); with --resume, journaled restarts are folded\n                    in instead of recomputed, byte-identically\n\njournal:\n  --journal FILE    append each completed replication to FILE (fsynced\n                    JSONL) so a killed run loses at most the replication\n                    in flight; replications are panic-isolated\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit\n\nenvironment:\n  DGSCHED_TRACE=1   attach the metrics registry to `dgsched run` (adds a\n                    'metrics' snapshot of replication 0 to the result JSON)"
+        "usage:\n  dgsched demo\n  dgsched run <scenario.json|sweep.json> [--seed N] [--min-reps N] [--max-reps N]\n               [--journal <file.jsonl> [--resume]]\n  dgsched oracle <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n                 [--restarts N] [--iters N] [--oracle-seed N] [--oracle-reps N]\n                 [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.json]\n                [--jsonl trace.jsonl] [--bin trace.dgtr] [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run`, `oracle` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\noracle:\n  runs the sweep, then replays each replication's captured environment\n  and searches for the hindsight-optimal bag schedule; the result JSON\n  gains a 'regret' section ((policy - oracle) / oracle with a CI)\n  --restarts N      independent search restarts per replication (default 8)\n  --iters N         move proposals per restart (default 120)\n  --oracle-seed N   search stream seed (default 0)\n  --oracle-reps N   replications the oracle evaluates (default 3)\n  --journal FILE    append each completed search restart to FILE (fsynced\n                    JSONL); with --resume, journaled restarts are folded\n                    in instead of recomputed, byte-identically\n\nrun:\n  takes one scenario (stdout: its result JSON) or a sweep request, the\n  body of POST /sweep such as experiments/fig1.json (stdout: the exact\n  bytes /sweep answers; stderr: progress and one table of the results);\n  --seed, --min-reps and --max-reps override the file's values\n\njournal:\n  --journal FILE    append each completed replication to FILE (fsynced\n                    JSONL) so a killed run loses at most the replication\n                    in flight; replications are panic-isolated\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit\n\nenvironment:\n  DGSCHED_TRACE=1   attach the metrics registry to `dgsched run` (adds a\n                    'metrics' snapshot of replication 0 to the result JSON)"
     );
     exit(2)
 }
@@ -85,30 +91,63 @@ fn parse_u64(args: &mut Args, flag: &str) -> u64 {
         .unwrap_or_else(|_| fail(&format!("{flag} takes a number")))
 }
 
-fn load_scenario(path: &str) -> Scenario {
-    let data =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
+}
+
+fn parse_scenario(data: &str) -> Scenario {
     let scenario: Scenario =
-        serde_json::from_str(&data).unwrap_or_else(|e| die(&format!("invalid scenario file: {e}")));
+        serde_json::from_str(data).unwrap_or_else(|e| die(&format!("invalid scenario file: {e}")));
     if let Err(e) = scenario.validate() {
         die(&format!("invalid scenario file: {e}"))
     }
     scenario
 }
 
+fn load_scenario(path: &str) -> Scenario {
+    parse_scenario(&read_file(path))
+}
+
+/// Loads what `dgsched run` accepts: one scenario, or a sweep request
+/// (the body of `POST /sweep`, told apart by its `scenarios` key). A
+/// scenario comes back as a one-scenario request with the defaults, and
+/// `true` marks it as one.
+fn load_run_file(path: &str) -> (SweepRequest, bool) {
+    let data = read_file(path);
+    let value = serde_json::from_str::<serde_json::Value>(&data).ok();
+    let fields = value
+        .as_ref()
+        .and_then(|v| v.as_object())
+        .unwrap_or_default();
+    if !fields.iter().any(|(key, _)| key == "scenarios") {
+        let request = SweepRequest {
+            scenarios: vec![parse_scenario(&data)],
+            base_seed: 2008,
+            rule: StoppingRule::default(),
+            tenant: None,
+        };
+        return (request, true);
+    }
+    let request: SweepRequest =
+        serde_json::from_str(&data).unwrap_or_else(|e| die(&format!("invalid sweep request: {e}")));
+    if let Err(e) = validate_scenarios(&request.scenarios) {
+        die(&format!("invalid sweep request: {e}"))
+    }
+    (request, false)
+}
+
 fn cmd_run(mut args: Args) {
     let path = args
         .next()
         .unwrap_or_else(|| fail("run needs a scenario file"));
-    let mut seed = 2008u64;
-    let mut rule = StoppingRule::default();
+    let (mut seed, mut min_reps, mut max_reps) = (None, None, None);
     let mut journal: Option<String> = None;
     let mut resume = false;
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--seed" => seed = parse_u64(&mut args, "--seed"),
-            "--min-reps" => rule.min_replications = parse_u64(&mut args, "--min-reps"),
-            "--max-reps" => rule.max_replications = parse_u64(&mut args, "--max-reps"),
+            "--seed" => seed = Some(parse_u64(&mut args, "--seed")),
+            "--min-reps" => min_reps = Some(parse_u64(&mut args, "--min-reps")),
+            "--max-reps" => max_reps = Some(parse_u64(&mut args, "--max-reps")),
             "--journal" => journal = Some(flag_value(&mut args, "--journal")),
             "--resume" => resume = true,
             _ => fail(&format!("unknown flag {flag:?} for 'run'")),
@@ -117,17 +156,32 @@ fn cmd_run(mut args: Args) {
     if resume && journal.is_none() {
         fail("--resume requires --journal")
     }
-    let scenario = load_scenario(&path);
-    eprintln!("running '{}' (seed {seed})...", scenario.name);
-    let result = match &journal {
+    let (mut req, single) = load_run_file(&path);
+    req.base_seed = seed.unwrap_or(req.base_seed);
+    let rule = &mut req.rule;
+    rule.min_replications = min_reps.unwrap_or(rule.min_replications);
+    rule.max_replications = max_reps.unwrap_or(rule.max_replications);
+    let (scenarios, seed, rule) = (&req.scenarios, req.base_seed, &req.rule);
+    if single {
+        eprintln!("running '{}' (seed {seed})...", scenarios[0].name);
+    } else {
+        eprintln!("running {} scenarios (seed {seed})...", scenarios.len());
+    }
+    let progress = |done, total, name: &str| {
+        if !single {
+            eprintln!("[{done}/{total}] {name}");
+        }
+    };
+    let results = match &journal {
         Some(jpath) => {
-            let outcome = run_matrix_journaled(
-                std::slice::from_ref(&scenario),
+            let outcome = run_matrix_journaled_with_progress(
+                scenarios,
                 seed,
-                &rule,
+                rule,
                 Path::new(jpath),
                 resume,
                 RepGuard::default(),
+                progress,
             )
             .unwrap_or_else(|e| die(&format!("journal {jpath}: {e}")));
             let stats = outcome.stats;
@@ -147,13 +201,22 @@ fn cmd_run(mut args: Args) {
                     ""
                 },
             );
-            outcome.results.into_iter().next().expect("one scenario")
+            outcome.results
         }
-        None => run_scenario(&scenario, seed, &rule),
+        None => run_matrix_with_progress(scenarios, seed, rule, progress),
     };
+    if single {
+        report_scenario(&results[0]);
+    } else {
+        report_sweep(&req, results);
+    }
+}
+
+/// One scenario's result: pretty JSON on stdout, a summary on stderr.
+fn report_scenario(result: &ScenarioResult) {
     println!(
         "{}",
-        serde_json::to_string_pretty(&result).expect("result serialises")
+        serde_json::to_string_pretty(result).expect("result serialises")
     );
     if result.failed_replications > 0 {
         eprintln!(
@@ -173,6 +236,26 @@ fn cmd_run(mut args: Args) {
             result.turnaround.mean, result.turnaround.half_width, result.replications
         );
     }
+}
+
+/// A sweep's result: on stdout the exact bytes `POST /sweep` answers for
+/// the same request, on stderr the results pivoted into one table.
+fn report_sweep(req: &SweepRequest, results: Vec<ScenarioResult>) {
+    // `run` clamps no events, so this is the key a daemon without a
+    // clamp caches the request under.
+    let fingerprint = sweep_fingerprint(&req.scenarios, req.base_seed, &req.rule)
+        .unwrap_or_else(|e| die(&format!("cannot fingerprint the sweep: {e}")));
+    let table = pivot_table(&results);
+    let response = SweepResponse {
+        fingerprint,
+        results,
+    };
+    let bytes = serde_json::to_vec(&response).expect("response serialises");
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_all(&bytes).and_then(|()| stdout.flush()) {
+        die(&format!("cannot write the result: {e}"))
+    }
+    eprint!("\n{}", table.to_markdown());
 }
 
 fn cmd_oracle(mut args: Args) {

@@ -4,8 +4,8 @@
 //! low-availability ones; each panel sweeps the four task granularities for
 //! all five policies with average turnaround time as the metric. The
 //! medium-availability / medium-intensity combinations the paper summarises
-//! as "do not significantly differ" are available through
-//! [`extended_panels`].
+//! as "do not significantly differ" are the sweep request
+//! `experiments/extended.json`.
 
 use super::scenario::{Scenario, WorkloadKind};
 use crate::policy::PolicyKind;
@@ -122,39 +122,6 @@ pub fn fig2_panels() -> Vec<PanelSpec> {
     ]
 }
 
-/// The combinations the paper omits for space: MedAvail platforms at all
-/// intensities, and medium intensity on High/Low platforms.
-pub fn extended_panels() -> Vec<PanelSpec> {
-    let mut out = Vec::new();
-    for (het, hname) in [(Heterogeneity::HOM, "Hom"), (Heterogeneity::HET, "Het")] {
-        for intensity in Intensity::all() {
-            out.push(panel(
-                &format!("E-{hname}-Med-{intensity}"),
-                het,
-                hname,
-                Availability::MED,
-                "MedAvail",
-                intensity,
-            ));
-        }
-        // Medium intensity on the High/Low platforms of Figs. 1–2.
-        for (avail, aname) in [
-            (Availability::HIGH, "HighAvail"),
-            (Availability::LOW, "LowAvail"),
-        ] {
-            out.push(panel(
-                &format!("E-{hname}-{aname}-medium"),
-                het,
-                hname,
-                avail,
-                aname,
-                Intensity::Medium,
-            ));
-        }
-    }
-    out
-}
-
 impl PanelSpec {
     /// The grid configuration of this panel.
     pub fn grid(&self) -> GridConfig {
@@ -229,16 +196,5 @@ mod tests {
             .filter(|s| s.policy == PolicyKind::Rr)
             .count();
         assert_eq!(rr, 4);
-    }
-
-    #[test]
-    fn extended_panels_cover_the_omitted_grid() {
-        let panels = extended_panels();
-        // 2 het × (3 Med intensities + 2 medium-on-High/Low) = 10.
-        assert_eq!(panels.len(), 10);
-        assert!(panels.iter().any(|p| p.availability == Availability::MED));
-        assert!(panels
-            .iter()
-            .any(|p| p.availability == Availability::HIGH && p.intensity == Intensity::Medium));
     }
 }

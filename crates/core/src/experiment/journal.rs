@@ -75,7 +75,7 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufRead, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
@@ -323,9 +323,18 @@ impl RepIndex {
     /// Indexes every keyed replication record of the sweep journal at
     /// `path`. A file that is not a sweep journal of this schema, or is
     /// damaged anywhere but its final line, is an error and indexes
-    /// nothing.
+    /// nothing. A file whose first line is not a sweep-journal header (an
+    /// oracle restart journal, say) is refused before the rest is read.
     pub fn load_journal(&self, path: &Path) -> io::Result<()> {
-        let (lines, _) = record_log::parse(&std::fs::read(path)?, None)?;
+        let mut reader = io::BufReader::new(std::fs::File::open(path)?);
+        let mut data = Vec::new();
+        reader.read_until(b'\n', &mut data)?;
+        let header = serde_json::from_slice::<JournalLine>(&data).ok();
+        if header.as_ref().and_then(LogLine::header).map(|(v, _)| v) != Some(JOURNAL_VERSION) {
+            return Err(invalid("not a sweep journal of this schema".to_string()));
+        }
+        reader.read_to_end(&mut data)?;
+        let (lines, _) = record_log::parse(&data, None)?;
         let mut reps = self.reps.lock();
         for line in lines {
             if let JournalLine::Rep(r) = line {
@@ -538,11 +547,45 @@ pub fn run_matrix_journaled(
     resume: bool,
     guard: RepGuard,
 ) -> io::Result<JournalOutcome> {
-    run_matrix_journaled_with(scenarios, base_seed, rule, path, resume, guard, {
-        move |s: &Scenario, seed: u64, rep: u64| {
+    run_matrix_journaled_with_progress(
+        scenarios,
+        base_seed,
+        rule,
+        path,
+        resume,
+        guard,
+        |_, _, _| {},
+    )
+}
+
+/// [`run_matrix_journaled`] reporting scenario completions through
+/// `progress`, with the contract of
+/// [`run_matrix_with_progress`](super::run_matrix_with_progress).
+pub fn run_matrix_journaled_with_progress<F>(
+    scenarios: &[Scenario],
+    base_seed: u64,
+    rule: &StoppingRule,
+    path: &Path,
+    resume: bool,
+    guard: RepGuard,
+    progress: F,
+) -> io::Result<JournalOutcome>
+where
+    F: Fn(usize, usize, &str) + Send + Sync,
+{
+    run_matrix_journaled_core(
+        scenarios,
+        base_seed,
+        rule,
+        path,
+        resume,
+        guard,
+        None,
+        &move |s: &Scenario, seed: u64, rep: u64| {
             run_replication_capped(s, seed, rep, guard.max_events)
-        }
-    })
+        },
+        &progress,
+    )
 }
 
 /// [`run_matrix_journaled`] as the sweep service runs it: resumes any

@@ -4,21 +4,20 @@
 
 mod figures;
 mod journal;
-mod plot;
 mod record_log;
 mod regret;
 mod runner;
 mod scenario;
 mod table;
 
-pub use figures::{extended_panels, fig1_panels, fig2_panels, PanelSpec};
+pub use figures::{fig1_panels, fig2_panels, PanelSpec};
 pub use journal::{
     canonical_oracle_bytes, canonical_sweep_bytes, oracle_fingerprint, run_matrix_journaled,
-    run_matrix_journaled_indexed, run_matrix_journaled_with, sweep_fingerprint, JournalOutcome,
-    JournalStats, RepGuard, RepIndex,
+    run_matrix_journaled_indexed, run_matrix_journaled_with, run_matrix_journaled_with_progress,
+    sweep_fingerprint, JournalOutcome, JournalStats, RepGuard, RepIndex,
 };
 pub(crate) use journal::{fingerprint_canonical, KeySpace};
-pub use plot::{panel_chart, BarChart};
+pub(crate) use record_log::sync_dir;
 pub use regret::{
     check_resumed_search, oracle_replication, run_matrix_regret, run_matrix_regret_journaled,
     OracleConfig, OracleJournalStats, OracleReplication, RegretSection, ResumeCheck,
@@ -29,4 +28,4 @@ pub use runner::{
 };
 pub(crate) use scenario::fixed_rule;
 pub use scenario::{Scenario, WorkloadKind};
-pub use table::{format_cell, panel_table, Table};
+pub use table::{format_cell, pivot_table, Table};

@@ -90,6 +90,12 @@ pub(crate) fn parse<L: LogLine>(
     Ok((records, valid_len))
 }
 
+/// Makes the directory entries under `dir` durable: a file created or
+/// renamed there survives a power cut only once its directory is synced.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 /// An open log, with what opening it found.
 pub(crate) struct RecordLog {
     /// The append handle and the first write error, under one lock.
@@ -124,9 +130,9 @@ impl RecordLog {
         header: &L,
         resume: bool,
     ) -> io::Result<(Self, Vec<L>)> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+        let dir = dir.unwrap_or(Path::new("."));
+        std::fs::create_dir_all(dir)?;
         let existing = match resume.then(|| std::fs::read(path)) {
             Some(Ok(data)) => data,
             Some(Err(e)) if e.kind() != io::ErrorKind::NotFound => return Err(e),
@@ -137,13 +143,16 @@ impl RecordLog {
         let file = if valid_len > 0 {
             let file = OpenOptions::new().append(true).open(path)?;
             file.set_len(valid_len as u64)?;
+            file.sync_data()?;
             file
         } else {
             let mut file = File::create(path)?;
             file.write_all(&encode(header)?)?;
+            file.sync_data()?;
+            // A fresh log's directory entry must outlive a power cut too.
+            sync_dir(dir)?;
             file
         };
-        file.sync_data()?;
         let writer = Mutex::new(Writer {
             file,
             appended: 0,

@@ -58,33 +58,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders CSV (RFC-4180-style quoting for cells containing commas or
-    /// quotes).
-    pub fn to_csv(&self) -> String {
-        let quote = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a scenario cell the way the figures encode it: mean turnaround
@@ -98,30 +71,40 @@ pub fn format_cell(r: &ScenarioResult) -> String {
     }
 }
 
-/// Builds one figure panel: rows = granularities, columns = policies.
-///
-/// `results` must contain one entry per (granularity, policy) pair; lookup
-/// is by substring `g=<granularity>` in the scenario name plus exact policy
-/// name, mirroring how [`super::figures::PanelSpec::scenarios`] names them.
-pub fn panel_table(granularities: &[f64], policies: &[&str], results: &[ScenarioResult]) -> Table {
-    let mut headers = vec!["granularity (s)".to_string()];
-    headers.extend(policies.iter().map(|p| p.to_string()));
-    let mut table = Table::new(headers);
-    for &g in granularities {
-        let needle = format!("g={g} ");
-        let mut row = vec![format!("{g}")];
-        for &p in policies {
-            let cell = results
-                .iter()
-                .find(|r| {
-                    r.policy == p
-                        && (r.name.contains(&needle) || r.name.ends_with(&format!("g={g}")))
-                })
-                .map(format_cell)
-                .unwrap_or_else(|| "—".to_string());
-            row.push(cell);
+/// Pivots a sweep's results into one table: a row per scenario name with
+/// its policy's paper name removed, a column per policy in order of first
+/// appearance, and [`format_cell`] in each cell (`—` where a row lacks
+/// that policy). Rows keep their order of first appearance too.
+pub fn pivot_table(results: &[ScenarioResult]) -> Table {
+    let row_of = |r: &ScenarioResult| {
+        let words: Vec<&str> = r
+            .name
+            .split_whitespace()
+            .filter(|w| *w != r.policy)
+            .collect();
+        words.join(" ")
+    };
+    let mut rows: Vec<String> = Vec::new();
+    let mut policies: Vec<&str> = Vec::new();
+    for r in results {
+        let row = row_of(r);
+        if !rows.contains(&row) {
+            rows.push(row);
         }
-        table.push_row(row);
+        if !policies.contains(&r.policy.as_str()) {
+            policies.push(&r.policy);
+        }
+    }
+    let mut headers = vec!["scenario"];
+    headers.extend(&policies);
+    let mut table = Table::new(headers);
+    for row in rows {
+        let mut cells = vec![row.clone()];
+        for &p in &policies {
+            let cell = results.iter().find(|r| r.policy == p && row_of(r) == row);
+            cells.push(cell.map_or_else(|| "—".to_string(), format_cell));
+        }
+        table.push_row(cells);
     }
     table
 }
@@ -158,15 +141,13 @@ mod tests {
     }
 
     #[test]
-    fn markdown_and_csv_render() {
+    fn markdown_renders() {
         let mut t = Table::new(vec!["a", "b"]);
         t.push_row(vec!["1", "hello, world"]);
         let md = t.to_markdown();
         assert!(md.starts_with("| a"));
-        assert!(md.contains("hello, world"));
-        let csv = t.to_csv();
-        assert!(csv.contains("\"hello, world\""));
-        assert_eq!(csv.lines().count(), 2);
+        assert!(md.contains("| 1 | hello, world |"));
+        assert_eq!(md.lines().count(), 3);
     }
 
     #[test]
@@ -184,26 +165,28 @@ mod tests {
             result("P g=25000 RR", "RR", 900.0, false),
             result("P g=25000 FCFS-Excl", "FCFS-Excl", 3000.0, true),
         ];
-        let t = panel_table(&[1000.0, 25000.0], &["FCFS-Excl", "RR"], &results);
+        let t = pivot_table(&results);
+        assert_eq!(t.headers, ["scenario", "RR", "FCFS-Excl"]);
         assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.rows[0][0], "1000");
-        assert!(t.rows[0][1].starts_with("450"));
-        assert!(t.rows[0][2].starts_with("500"));
-        assert_eq!(t.rows[1][1], "SATURATED");
-        assert!(t.rows[1][2].starts_with("900"));
+        assert_eq!(t.rows[0][0], "P g=1000");
+        assert!(t.rows[0][1].starts_with("500"));
+        assert!(t.rows[0][2].starts_with("450"));
+        assert_eq!(t.rows[1][0], "P g=25000");
+        assert!(t.rows[1][1].starts_with("900"));
+        assert_eq!(t.rows[1][2], "SATURATED");
     }
 
     #[test]
     fn missing_cell_renders_dash() {
-        let results = vec![result("P g=1000 RR", "RR", 500.0, false)];
-        let t = panel_table(&[1000.0, 5000.0], &["RR"], &results);
+        let results = vec![
+            result("P g=1000 RR", "RR", 500.0, false),
+            result("P g=5000 RR-NRF", "RR-NRF", 700.0, false),
+        ];
+        let t = pivot_table(&results);
+        assert_eq!(t.headers, ["scenario", "RR", "RR-NRF"]);
+        assert_eq!(t.rows[0][2], "—");
+        assert_eq!(t.rows[1][0], "P g=5000");
         assert_eq!(t.rows[1][1], "—");
-    }
-
-    #[test]
-    fn csv_quotes_quotes() {
-        let mut t = Table::new(vec!["x"]);
-        t.push_row(vec!["say \"hi\""]);
-        assert!(t.to_csv().contains("\"say \"\"hi\"\"\""));
+        assert!(t.rows[1][2].starts_with("700"));
     }
 }

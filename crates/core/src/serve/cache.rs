@@ -29,7 +29,7 @@
 //! skipped — the journal, if intact, still lets the next request resume
 //! instead of recomputing from scratch.
 
-use crate::experiment::RepIndex;
+use crate::experiment::{sync_dir, RepIndex};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs;
@@ -184,6 +184,7 @@ impl ResultCache {
             file.sync_data()?;
         }
         fs::rename(&tmp, self.dir.join(format!("{fingerprint}.response.json")))?;
+        sync_dir(&self.dir)?;
         let entry = Arc::new(CacheEntry {
             request: request.to_vec(),
             response,

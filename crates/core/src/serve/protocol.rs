@@ -55,6 +55,28 @@ pub struct SweepRequest {
     pub tenant: Option<String>,
 }
 
+/// Validates a request's scenario matrix the way `dgsched run` validates
+/// a scenario file, plus the journal's unique-name requirement. The
+/// daemon and `dgsched run FILE` both call it, so they reject the same
+/// matrices before any work starts.
+pub fn validate_scenarios(scenarios: &[Scenario]) -> Result<(), String> {
+    if scenarios.is_empty() {
+        return Err("request contains no scenarios".to_string());
+    }
+    for scenario in scenarios {
+        scenario.validate()?;
+    }
+    let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+    names.sort_unstable();
+    if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
+        return Err(format!(
+            "scenario names must be unique (duplicate: {:?})",
+            w[0]
+        ));
+    }
+    Ok(())
+}
+
 /// Body of a successful sweep response. Serialised once, cached, and
 /// replayed byte-for-byte on every cache hit — the determinism contract
 /// (same request ⇒ same bytes at any pool width) is what makes cache

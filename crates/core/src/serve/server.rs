@@ -29,14 +29,15 @@
 use super::admission::Admission;
 use super::cache::{CacheEntry, CacheLookup, ResultCache};
 use super::protocol::{
-    header_value, http_request, read_http_request, write_http_response, write_http_stream_head,
-    HttpRequest, OracleRequest, OracleResponse, StreamEvent, SweepRequest, SweepResponse,
+    header_value, http_request, read_http_request, validate_scenarios, write_http_response,
+    write_http_stream_head, HttpRequest, OracleRequest, OracleResponse, StreamEvent, SweepRequest,
+    SweepResponse,
 };
 use super::single_flight::{FlightRole, LeaderToken, SingleFlight};
 use crate::experiment::{
     canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical, fixed_rule,
-    run_matrix_journaled_indexed, run_matrix_regret, run_matrix_regret_journaled, KeySpace,
-    RepGuard, Scenario,
+    run_matrix_journaled_indexed, run_matrix_regret, run_matrix_regret_journaled,
+    run_matrix_with_progress, KeySpace, RepGuard, Scenario,
 };
 use crate::policy::PolicyKind;
 use dgsched_des::time::SimTime;
@@ -44,7 +45,7 @@ use dgsched_obs::{MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -322,26 +323,6 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) -> io::Result<
     }
 }
 
-/// Validates a request's scenario matrix the way the CLI validates a
-/// scenario file, plus the journal's unique-name requirement.
-fn validate_scenarios(scenarios: &[Scenario]) -> Result<(), String> {
-    if scenarios.is_empty() {
-        return Err("request contains no scenarios".to_string());
-    }
-    for scenario in scenarios {
-        scenario.validate()?;
-    }
-    let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
-    names.sort_unstable();
-    if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
-        return Err(format!(
-            "scenario names must be unique (duplicate: {:?})",
-            w[0]
-        ));
-    }
-    Ok(())
-}
-
 /// How the response body was obtained; sent as the `x-dgsched-cache`
 /// header and on the streamed result line.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -495,159 +476,43 @@ fn handle_sweep(
         Some(max_events) => KeySpace::ClampedSweep(max_events),
     };
     let fingerprint = fingerprint_canonical(space, &canonical);
-
-    match inner.cache.lookup(&fingerprint, &canonical) {
-        CacheLookup::Hit(entry) => {
-            ServeMetrics::bump(&inner.metrics.cache_hits);
-            return conn.send_result(&fingerprint, CacheDisposition::Hit, &entry);
-        }
-        CacheLookup::Collision => {
-            ServeMetrics::bump(&inner.metrics.cache_collisions);
-            return run_collision(inner, &req, &fingerprint, &conn);
-        }
-        CacheLookup::Miss => {}
-    }
-    ServeMetrics::bump(&inner.metrics.cache_misses);
-
-    match inner.flight.join(&fingerprint) {
-        FlightRole::Follower(Ok(entry)) => {
-            ServeMetrics::bump(&inner.metrics.single_flight_waits);
-            if entry.request == canonical {
-                conn.send_result(&fingerprint, CacheDisposition::Wait, &entry)
-            } else {
-                // A fingerprint collision raced the leader; compute this
-                // request's own answer, uncached.
-                ServeMetrics::bump(&inner.metrics.cache_collisions);
-                run_collision(inner, &req, &fingerprint, &conn)
-            }
-        }
-        FlightRole::Follower(Err(msg)) => {
-            ServeMetrics::bump(&inner.metrics.single_flight_waits);
-            conn.send_error(500, &format!("sweep failed: {msg}"))
-        }
-        FlightRole::Leader(token) => {
-            run_leader(inner, &req, &fingerprint, &canonical, token, &conn)
-        }
-    }
-}
-
-/// The leader path: admission, journaled sweep (resuming any journal a
-/// crashed instance left, reusing indexed replications), cache insert,
-/// publish.
-fn run_leader(
-    inner: &Arc<ServerInner>,
-    req: &SweepRequest,
-    fingerprint: &str,
-    canonical: &[u8],
-    token: LeaderToken,
-    conn: &SweepConnection<'_>,
-) -> io::Result<()> {
-    // Double-check the cache under leadership: a previous leader may
-    // have inserted between our probe and our join.
-    if let CacheLookup::Hit(entry) = inner.cache.lookup(fingerprint, canonical) {
-        ServeMetrics::bump(&inner.metrics.cache_hits);
-        inner.flight.finish(token, Ok(entry.clone()));
-        return conn.send_result(fingerprint, CacheDisposition::Hit, &entry);
-    }
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    conn.send_stream_head(fingerprint);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
-    let journal_path = inner.cache.journal_path(fingerprint);
-    let run = || {
-        run_matrix_journaled_indexed(
-            &req.scenarios,
-            req.base_seed,
-            &req.rule,
-            &journal_path,
-            inner.guard,
-            inner.cache.rep_index(),
-            |done, total, name| conn.send_progress(done, total, name),
-        )
+    let job = Job {
+        kind: "sweep",
+        tenant: req.tenant.as_deref().unwrap_or("anonymous"),
+        fingerprint: &fingerprint,
+        canonical: &canonical,
     };
-    let outcome = match inner.width {
-        Some(w) => rayon::with_num_threads(w, run),
-        None => run(),
-    };
-    drop(permit);
-    match outcome {
-        Ok(outcome) => {
-            inner
-                .metrics
-                .journal_replayed
-                .fetch_add(outcome.stats.records_replayed, Ordering::Relaxed);
-            inner
-                .metrics
-                .journal_resumes
-                .fetch_add(outcome.stats.resumes, Ordering::Relaxed);
-            inner
-                .metrics
-                .replications_reused
-                .fetch_add(outcome.stats.records_reused, Ordering::Relaxed);
-            let response = SweepResponse {
-                fingerprint: fingerprint.to_string(),
-                results: outcome.results,
-            };
-            let bytes = serde_json::to_vec(&response).expect("response serialises");
-            match inner.cache.insert(fingerprint, canonical, bytes) {
-                Ok(entry) => {
-                    inner.flight.finish(token, Ok(entry.clone()));
-                    conn.send_result(fingerprint, CacheDisposition::Miss, &entry)
-                }
-                Err(e) => {
-                    let msg = format!("result computed but cache write failed: {e}");
-                    ServeMetrics::bump(&inner.metrics.sweeps_failed);
-                    inner.flight.finish(token, Err(msg.clone()));
-                    conn.send_error(500, &msg)
-                }
+    // Journaled, the sweep resumes any journal a crashed instance left
+    // and reuses indexed replications.
+    let run = |journal: Option<&Path>| -> io::Result<Computed> {
+        let progress = |done, total, name: &str| conn.send_progress(done, total, name);
+        let (results, counts) = match journal {
+            Some(path) => {
+                let outcome = run_matrix_journaled_indexed(
+                    &req.scenarios,
+                    req.base_seed,
+                    &req.rule,
+                    path,
+                    inner.guard,
+                    inner.cache.rep_index(),
+                    progress,
+                )?;
+                let stats = outcome.stats;
+                let counts = [stats.records_replayed, stats.resumes, stats.records_reused];
+                (outcome.results, counts)
             }
-        }
-        Err(e) => {
-            ServeMetrics::bump(&inner.metrics.sweeps_failed);
-            let msg = e.to_string();
-            inner.flight.finish(token, Err(msg.clone()));
-            conn.send_error(500, &format!("sweep failed: {msg}"))
-        }
-    }
-}
-
-/// The fingerprint-collision path (2⁻¹²⁸ odds, or a corrupted store):
-/// compute this request's answer under admission, without touching the
-/// stored entry or the journal keyed by the colliding fingerprint.
-fn run_collision(
-    inner: &Arc<ServerInner>,
-    req: &SweepRequest,
-    fingerprint: &str,
-    conn: &SweepConnection<'_>,
-) -> io::Result<()> {
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    conn.send_stream_head(fingerprint);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
-    let results = {
-        let run = || {
-            crate::experiment::run_matrix_with_progress(
-                &req.scenarios,
-                req.base_seed,
-                &req.rule,
-                |done, total, name| conn.send_progress(done, total, name),
-            )
+            None => (
+                run_matrix_with_progress(&req.scenarios, req.base_seed, &req.rule, progress),
+                [0; 3],
+            ),
         };
-        match inner.width {
-            Some(w) => rayon::with_num_threads(w, run),
-            None => run(),
-        }
+        let response = SweepResponse {
+            fingerprint: fingerprint.clone(),
+            results,
+        };
+        Ok(Computed::new(&response, counts))
     };
-    drop(permit);
-    let response = SweepResponse {
-        fingerprint: fingerprint.to_string(),
-        results,
-    };
-    let entry = CacheEntry {
-        request: Vec::new(),
-        response: serde_json::to_vec(&response).expect("response serialises"),
-    };
-    conn.send_result(fingerprint, CacheDisposition::Collision, &entry)
+    serve_job(inner, &conn, &job, run)
 }
 
 /// `POST /oracle`: the sweep plus per-policy hindsight regret. Shares
@@ -687,92 +552,158 @@ fn handle_oracle(
             Err(e) => return conn.send_error(500, &e.to_string()),
         };
     let fingerprint = fingerprint_canonical(KeySpace::Oracle, &canonical);
+    let job = Job {
+        kind: "oracle",
+        tenant: req.tenant.as_deref().unwrap_or("anonymous"),
+        fingerprint: &fingerprint,
+        canonical: &canonical,
+    };
+    let run = |journal: Option<&Path>| -> io::Result<Computed> {
+        let (s, seed, rule, ocfg) = (&req.scenarios, req.base_seed, &req.rule, &req.oracle);
+        let (results, counts) = match journal {
+            Some(path) => {
+                let resume = path.exists();
+                let (results, stats) =
+                    run_matrix_regret_journaled(s, seed, rule, ocfg, path, resume)?;
+                (results, [stats.restarts_replayed, stats.resumes, 0])
+            }
+            None => (run_matrix_regret(s, seed, rule, ocfg), [0; 3]),
+        };
+        let response = OracleResponse {
+            fingerprint: fingerprint.clone(),
+            results,
+        };
+        Ok(Computed::new(&response, counts))
+    };
+    serve_job(inner, &conn, &job, run)
+}
 
-    match inner.cache.lookup(&fingerprint, &canonical) {
+/// The request-specific half of a `/sweep` or `/oracle` request that the
+/// shared path needs besides its runner.
+struct Job<'a> {
+    /// `"sweep"` or `"oracle"`: the prefix of a failure message.
+    kind: &'static str,
+    /// Fair-share admission bucket.
+    tenant: &'a str,
+    fingerprint: &'a str,
+    canonical: &'a [u8],
+}
+
+/// What one run computed: the response bytes, and the journal's
+/// `[replayed, resumes, reused]` counts for the `serve_journal_*` and
+/// `serve_replications_reused` counters.
+struct Computed {
+    response: Vec<u8>,
+    counts: [u64; 3],
+}
+
+impl Computed {
+    fn new(response: &impl serde::Serialize, counts: [u64; 3]) -> Self {
+        Computed {
+            response: serde_json::to_vec(response).expect("response serialises"),
+            counts,
+        }
+    }
+}
+
+/// The path every computing request takes once parsed and fingerprinted:
+/// cache probe, single-flight, then the leader or the collision path.
+/// `run` computes the answer, journaled at the given path (leader) or
+/// unjournaled (collision).
+fn serve_job<R>(
+    inner: &Arc<ServerInner>,
+    conn: &SweepConnection<'_>,
+    job: &Job<'_>,
+    run: R,
+) -> io::Result<()>
+where
+    R: Fn(Option<&Path>) -> io::Result<Computed>,
+{
+    let fingerprint = job.fingerprint;
+    match inner.cache.lookup(fingerprint, job.canonical) {
         CacheLookup::Hit(entry) => {
             ServeMetrics::bump(&inner.metrics.cache_hits);
-            return conn.send_result(&fingerprint, CacheDisposition::Hit, &entry);
+            return conn.send_result(fingerprint, CacheDisposition::Hit, &entry);
         }
         CacheLookup::Collision => {
             ServeMetrics::bump(&inner.metrics.cache_collisions);
-            return run_oracle_collision(inner, &req, &fingerprint, &conn);
+            return run_collision(inner, conn, job, run);
         }
         CacheLookup::Miss => {}
     }
     ServeMetrics::bump(&inner.metrics.cache_misses);
 
-    match inner.flight.join(&fingerprint) {
+    match inner.flight.join(fingerprint) {
         FlightRole::Follower(Ok(entry)) => {
             ServeMetrics::bump(&inner.metrics.single_flight_waits);
-            if entry.request == canonical {
-                conn.send_result(&fingerprint, CacheDisposition::Wait, &entry)
+            if entry.request == job.canonical {
+                conn.send_result(fingerprint, CacheDisposition::Wait, &entry)
             } else {
+                // A fingerprint collision raced the leader; compute this
+                // request's own answer, uncached.
                 ServeMetrics::bump(&inner.metrics.cache_collisions);
-                run_oracle_collision(inner, &req, &fingerprint, &conn)
+                run_collision(inner, conn, job, run)
             }
         }
         FlightRole::Follower(Err(msg)) => {
             ServeMetrics::bump(&inner.metrics.single_flight_waits);
-            conn.send_error(500, &format!("oracle failed: {msg}"))
+            conn.send_error(500, &format!("{} failed: {msg}", job.kind))
         }
-        FlightRole::Leader(token) => {
-            run_oracle_leader(inner, &req, &fingerprint, &canonical, token, &conn)
-        }
+        FlightRole::Leader(token) => run_leader(inner, conn, job, token, run),
     }
 }
 
-/// The `/oracle` leader path: admission, regret matrix with journaled
-/// search restarts (resuming any journal a crashed instance left), cache
-/// insert, publish.
-fn run_oracle_leader(
-    inner: &Arc<ServerInner>,
-    req: &OracleRequest,
-    fingerprint: &str,
-    canonical: &[u8],
-    token: LeaderToken,
+/// Runs `run` under a fair-share slot at the configured pool width,
+/// counting it as executed.
+fn run_admitted<T>(
+    inner: &ServerInner,
     conn: &SweepConnection<'_>,
-) -> io::Result<()> {
+    job: &Job<'_>,
+    run: impl FnOnce() -> T,
+) -> T {
+    let permit = inner.admission.admit(job.tenant);
+    conn.send_stream_head(job.fingerprint);
+    ServeMetrics::bump(&inner.metrics.sweeps_executed);
+    let out = match inner.width {
+        Some(w) => rayon::with_num_threads(w, run),
+        None => run(),
+    };
+    drop(permit);
+    out
+}
+
+/// The leader path: admission, the journaled run (under the
+/// fingerprint's journal), cache insert, publish.
+fn run_leader<R>(
+    inner: &Arc<ServerInner>,
+    conn: &SweepConnection<'_>,
+    job: &Job<'_>,
+    token: LeaderToken,
+    run: R,
+) -> io::Result<()>
+where
+    R: Fn(Option<&Path>) -> io::Result<Computed>,
+{
+    let (fingerprint, canonical) = (job.fingerprint, job.canonical);
+    // Double-check the cache under leadership: a previous leader may
+    // have inserted between our probe and our join.
     if let CacheLookup::Hit(entry) = inner.cache.lookup(fingerprint, canonical) {
         ServeMetrics::bump(&inner.metrics.cache_hits);
         inner.flight.finish(token, Ok(entry.clone()));
         return conn.send_result(fingerprint, CacheDisposition::Hit, &entry);
     }
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
     let journal_path = inner.cache.journal_path(fingerprint);
-    let resume = journal_path.exists();
-    let run = || {
-        run_matrix_regret_journaled(
-            &req.scenarios,
-            req.base_seed,
-            &req.rule,
-            &req.oracle,
-            &journal_path,
-            resume,
-        )
-    };
-    let outcome = match inner.width {
-        Some(w) => rayon::with_num_threads(w, run),
-        None => run(),
-    };
-    drop(permit);
-    match outcome {
-        Ok((results, stats)) => {
-            inner
-                .metrics
-                .journal_replayed
-                .fetch_add(stats.restarts_replayed, Ordering::Relaxed);
-            inner
-                .metrics
-                .journal_resumes
-                .fetch_add(stats.resumes, Ordering::Relaxed);
-            let response = OracleResponse {
-                fingerprint: fingerprint.to_string(),
-                results,
-            };
-            let bytes = serde_json::to_vec(&response).expect("response serialises");
-            match inner.cache.insert(fingerprint, canonical, bytes) {
+    match run_admitted(inner, conn, job, || run(Some(&journal_path))) {
+        Ok(computed) => {
+            let m = &inner.metrics;
+            let [replayed, resumes, reused] = computed.counts;
+            m.journal_replayed.fetch_add(replayed, Ordering::Relaxed);
+            m.journal_resumes.fetch_add(resumes, Ordering::Relaxed);
+            m.replications_reused.fetch_add(reused, Ordering::Relaxed);
+            match inner
+                .cache
+                .insert(fingerprint, canonical, computed.response)
+            {
                 Ok(entry) => {
                     inner.flight.finish(token, Ok(entry.clone()));
                     conn.send_result(fingerprint, CacheDisposition::Miss, &entry)
@@ -789,37 +720,36 @@ fn run_oracle_leader(
             ServeMetrics::bump(&inner.metrics.sweeps_failed);
             let msg = e.to_string();
             inner.flight.finish(token, Err(msg.clone()));
-            conn.send_error(500, &format!("oracle failed: {msg}"))
+            conn.send_error(500, &format!("{} failed: {msg}", job.kind))
         }
     }
 }
 
-/// The `/oracle` fingerprint-collision path: compute this request's
-/// answer under admission, unjournaled and uncached.
-fn run_oracle_collision(
+/// The fingerprint-collision path (2⁻¹²⁸ odds, or a corrupted store):
+/// compute this request's answer under admission, without touching the
+/// stored entry or the journal keyed by the colliding fingerprint.
+fn run_collision<R>(
     inner: &Arc<ServerInner>,
-    req: &OracleRequest,
-    fingerprint: &str,
     conn: &SweepConnection<'_>,
-) -> io::Result<()> {
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
-    let run = || run_matrix_regret(&req.scenarios, req.base_seed, &req.rule, &req.oracle);
-    let results = match inner.width {
-        Some(w) => rayon::with_num_threads(w, run),
-        None => run(),
-    };
-    drop(permit);
-    let response = OracleResponse {
-        fingerprint: fingerprint.to_string(),
-        results,
-    };
-    let entry = CacheEntry {
-        request: Vec::new(),
-        response: serde_json::to_vec(&response).expect("response serialises"),
-    };
-    conn.send_result(fingerprint, CacheDisposition::Collision, &entry)
+    job: &Job<'_>,
+    run: R,
+) -> io::Result<()>
+where
+    R: Fn(Option<&Path>) -> io::Result<Computed>,
+{
+    match run_admitted(inner, conn, job, || run(None)) {
+        Ok(computed) => {
+            let entry = CacheEntry {
+                request: Vec::new(),
+                response: computed.response,
+            };
+            conn.send_result(job.fingerprint, CacheDisposition::Collision, &entry)
+        }
+        Err(e) => {
+            ServeMetrics::bump(&inner.metrics.sweeps_failed);
+            conn.send_error(500, &format!("{} failed: {e}", job.kind))
+        }
+    }
 }
 
 /// A tiny, fast scenario pair for the `serve --check` self-test: small

@@ -47,6 +47,22 @@ DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test serve
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test serve
 cargo run --release -q -p dgsched-core --bin dgsched -- serve --check
 
+echo "==> experiments gate: the experiments/ sweep requests at widths 1 and 4"
+# Every file under experiments/ is a POST /sweep body: it must parse and
+# validate, the figure files must equal the library's panels, each file
+# must run end to end once shrunk, and `dgsched run` must print the
+# bytes the daemon serves for it, journaled or not (tests/experiments.rs).
+# A real file then runs at both pool widths and the stdouts must match.
+DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test experiments
+DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test experiments
+exp_out="$(mktemp -d)"
+for width in 1 4; do
+  DGSCHED_THREADS=$width target/release/dgsched run experiments/e9-burstiness.json \
+    --min-reps 2 --max-reps 2 > "$exp_out/e9.w$width.json" 2> /dev/null
+done
+cmp "$exp_out/e9.w1.json" "$exp_out/e9.w4.json"
+rm -rf "$exp_out"
+
 echo "==> codec gate: vendored serde/serde_json unit tests"
 # vendor/ is not a workspace member, so `cargo test` above never runs the
 # vendored codec's own tests: string decoding, the nesting cap that keeps

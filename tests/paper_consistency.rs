@@ -1,6 +1,7 @@
 //! Scaled-down checks of the paper's qualitative findings (§4.3). These run
 //! the real experiment pipeline at a size small enough for CI; the full
-//! figures come from the dgsched-bench binaries (see EXPERIMENTS.md).
+//! figures come from `dgsched run experiments/fig1.json` and its siblings
+//! (see EXPERIMENTS.md).
 
 use dgsched_core::experiment::{run_scenario, Scenario, WorkloadKind};
 use dgsched_core::policy::PolicyKind;
