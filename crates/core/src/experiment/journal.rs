@@ -20,9 +20,12 @@
 //! On `--resume`, the journaled records form, per scenario, a contiguous
 //! prefix of replication summaries. [`run_matrix_journaled`] feeds that
 //! prefix — and then freshly-computed replications — through the *same*
-//! [`sweep`] loop the plain runner uses: batch sizes and the stopping
-//! index are decided from the summaries alone, never from whether a
-//! summary was replayed or recomputed. Because [`Welford`] state
+//! replication pool and batch plan the plain runner uses: batch sizes and
+//! the stopping index are decided from the summaries alone, never from
+//! whether a summary was replayed or recomputed. Each scenario's fresh
+//! records are appended in replication order, a batch at a time, so its
+//! records in the file always form a prefix of its replications, however
+//! the pool interleaves scenarios. Because [`Welford`] state
 //! round-trips bit-for-bit through the journal
 //! (`crates/des/src/stats/welford.rs`), the final matrix JSON is
 //! **byte-identical** whether the sweep ran straight through or was
@@ -64,15 +67,11 @@
 //! [`Welford`]: dgsched_des::stats::Welford
 
 use super::record_log::{self, invalid, LogLine, RecordLog};
-use super::runner::{
-    finish_scenario, obs_enabled, run_replication_capped, sweep, ProgressSink, RepSummary,
-    ScenarioResult,
-};
+use super::runner::{run_pool, run_replication_capped, RepSummary, ScenarioResult};
 use super::scenario::Scenario;
 use crate::sim::RunResult;
 use dgsched_des::stats::StoppingRule;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Read};
@@ -379,8 +378,6 @@ impl RepIndex {
 /// counts the parallel workers bump.
 struct SweepCtx<'a> {
     base_seed: u64,
-    rule: &'a StoppingRule,
-    obs: bool,
     guard: RepGuard,
     log: RecordLog,
     index: Option<&'a RepIndex>,
@@ -476,58 +473,6 @@ struct Replay {
     key: Option<String>,
     summaries: Vec<RepSummary>,
     journaled: usize,
-}
-
-fn run_scenario_journaled_inner<R>(
-    scenario: &Scenario,
-    replay: &Replay,
-    ctx: &SweepCtx<'_>,
-    rep_runner: &R,
-) -> ScenarioResult
-where
-    R: Fn(&Scenario, u64, u64) -> RunResult + Sync,
-{
-    let (acc, replications) = sweep(ctx.rule, |range| {
-        let start = range.start;
-        let summaries: Vec<(RepSummary, bool)> = range
-            .into_par_iter()
-            .map(|rep| match replay.summaries.get(rep as usize) {
-                Some(summary) => {
-                    let mut stats = ctx.stats.lock();
-                    if (rep as usize) < replay.journaled {
-                        stats.records_replayed += 1;
-                    } else {
-                        stats.records_reused += 1;
-                    }
-                    (summary.clone(), true)
-                }
-                None => (run_rep_isolated(scenario, rep, ctx, rep_runner), false),
-            })
-            .collect();
-        // Journal fresh summaries in replication order before absorbing:
-        // by the time a summary can influence a published number, a
-        // durable record of it exists. Replayed ones already have one,
-        // in this journal or in the one the index read them from.
-        for (i, (summary, replayed)) in summaries.iter().enumerate() {
-            if !replayed {
-                ctx.append(
-                    &scenario.name,
-                    replay.key.as_deref(),
-                    start + i as u64,
-                    summary,
-                );
-            }
-        }
-        summaries.into_iter().map(|(s, _)| s).collect()
-    });
-    finish_scenario(
-        scenario,
-        ctx.base_seed,
-        ctx.rule,
-        acc,
-        replications,
-        ctx.obs,
-    )
 }
 
 /// [`run_matrix`](super::run_matrix) with a crash-safe journal at `path`.
@@ -729,24 +674,37 @@ where
     }
     let ctx = SweepCtx {
         base_seed,
-        rule,
-        obs: obs_enabled(),
         guard,
         log,
         index,
         stats: Mutex::default(),
     };
-    let sink = ProgressSink::new(scenarios.len(), progress);
-    let results: Vec<ScenarioResult> = scenarios
-        .iter()
-        .zip(&replays)
-        .into_par_iter()
-        .map(|(scenario, replay)| {
-            let r = run_scenario_journaled_inner(scenario, replay, &ctx, rep_runner);
-            sink.complete(&scenario.name);
-            r
-        })
-        .collect();
+    let results = run_pool(
+        scenarios,
+        base_seed,
+        rule,
+        progress,
+        |i, rep| match replays[i].summaries.get(rep as usize) {
+            Some(summary) => {
+                let mut stats = ctx.stats.lock();
+                if (rep as usize) < replays[i].journaled {
+                    stats.records_replayed += 1;
+                } else {
+                    stats.records_reused += 1;
+                }
+                summary.clone()
+            }
+            None => run_rep_isolated(&scenarios[i], rep, &ctx, rep_runner),
+        },
+        // Replayed summaries already have a durable record, in this
+        // journal or in the one the index read them from.
+        |i, rep, summary| {
+            let replay = &replays[i];
+            if rep as usize >= replay.summaries.len() {
+                ctx.append(&scenarios[i].name, replay.key.as_deref(), rep, summary);
+            }
+        },
+    );
     let stats = JournalStats {
         records_written: ctx.log.finish()?,
         resumes: ctx.log.resumes,

@@ -640,39 +640,75 @@ fn attach_regret(
     });
 }
 
-fn regret_pass(
+/// The oracle replications of every environment group, by environment
+/// digest. Scenarios are grouped by digest (BTreeMap: deterministic
+/// iteration) so each timeline is captured and searched exactly once,
+/// then shared by all policies in the group; every (group, replication)
+/// pair is one item of a single parallel map, in group-then-replication
+/// order.
+fn oracle_pass(
     scenarios: &[Scenario],
-    results: &mut [ScenarioResult],
     base_seed: u64,
-    rule: &StoppingRule,
     ocfg: &OracleConfig,
     journal: Option<&OracleJournal>,
-) {
-    // Group scenarios by environment digest (BTreeMap: deterministic
-    // iteration) so each timeline is captured and searched exactly once,
-    // then shared by all policies in the group.
+) -> BTreeMap<String, (Vec<usize>, Vec<OracleReplication>)> {
     let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (i, s) in scenarios.iter().enumerate() {
         groups.entry(env_key(s)).or_default().push(i);
     }
-    for (key, members) in &groups {
-        let donor = &scenarios[members[0]];
-        let oracle_reps: Vec<OracleReplication> = (0..ocfg.replications)
-            .map(|rep| {
-                oracle_replication_inner(
-                    donor,
-                    base_seed,
-                    rep,
-                    ocfg,
-                    journal.map(|j| (j, key.as_str())),
-                )
+    let pairs: Vec<(&str, usize, u64)> = groups
+        .iter()
+        .flat_map(|(key, members)| {
+            (0..ocfg.replications).map(move |rep| (key.as_str(), members[0], rep))
+        })
+        .collect();
+    // The pairs share the pool's width: a pair's own parallel maps (the
+    // policy replays and the search restarts) get what is left over.
+    let inner = (rayon::current_num_threads() / pairs.len().max(1)).max(1);
+    let mut oracle_reps = pairs
+        .into_par_iter()
+        .map(|(key, donor, rep)| {
+            let journal = journal.map(|j| (j, key));
+            rayon::with_num_threads(inner, || {
+                oracle_replication_inner(&scenarios[donor], base_seed, rep, ocfg, journal)
             })
-            .collect();
+        })
+        .collect::<Vec<_>>()
+        .into_iter();
+    groups
+        .into_iter()
+        .map(|(key, members)| {
+            let reps = oracle_reps
+                .by_ref()
+                .take(ocfg.replications as usize)
+                .collect();
+            (key, (members, reps))
+        })
+        .collect()
+}
+
+/// The sweep and the oracle pass, overlapped: the oracle needs only the
+/// scenarios, not the sweep's results, so its replications fill the pool
+/// while the sweep's last batches drain. At width 1 the sweep runs first
+/// and the oracle after it, in group-then-replication order.
+fn sweep_with_regret(
+    scenarios: &[Scenario],
+    base_seed: u64,
+    rule: &StoppingRule,
+    ocfg: &OracleConfig,
+    journal: Option<&OracleJournal>,
+) -> Vec<ScenarioResult> {
+    let (mut results, groups) = rayon::join(
+        || super::runner::run_matrix(scenarios, base_seed, rule),
+        || oracle_pass(scenarios, base_seed, ocfg, journal),
+    );
+    for (members, oracle_reps) in groups.values() {
         for &i in members {
             let policy = results[i].policy.clone();
-            attach_regret(&mut results[i], &policy, &oracle_reps, ocfg, rule.level);
+            attach_regret(&mut results[i], &policy, oracle_reps, ocfg, rule.level);
         }
     }
+    results
 }
 
 /// [`run_matrix`](super::run_matrix) plus a [`RegretSection`] on every
@@ -685,9 +721,7 @@ pub fn run_matrix_regret(
     rule: &StoppingRule,
     ocfg: &OracleConfig,
 ) -> Vec<ScenarioResult> {
-    let mut results = super::runner::run_matrix(scenarios, base_seed, rule);
-    regret_pass(scenarios, &mut results, base_seed, rule, ocfg, None);
-    results
+    sweep_with_regret(scenarios, base_seed, rule, ocfg, None)
 }
 
 /// What the oracle journal did during one run.
@@ -787,15 +821,7 @@ pub fn run_matrix_regret_journaled(
         records,
         replayed,
     };
-    let mut results = super::runner::run_matrix(scenarios, base_seed, rule);
-    regret_pass(
-        scenarios,
-        &mut results,
-        base_seed,
-        rule,
-        ocfg,
-        Some(&journal),
-    );
+    let results = sweep_with_regret(scenarios, base_seed, rule, ocfg, Some(&journal));
     let stats = OracleJournalStats {
         restarts_written: journal.log.finish()?,
         restarts_replayed: journal.replayed.into_inner(),

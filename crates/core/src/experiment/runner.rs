@@ -1,37 +1,59 @@
 //! The experiment runner: independent replications, sequential stopping on
-//! the 95 % / 2.5 % rule of §4.3, and rayon-parallel sweeps.
+//! the 95 % / 2.5 % rule of §4.3, and the replication pool every sweep
+//! runs on.
 //!
 //! Replication `r` of every scenario draws its grid, workload and failure
 //! traces from seed streams keyed by `(base_seed, r)` only — *not* by
 //! policy — so policies are compared under common random numbers.
 //!
+//! ## One replication pool per sweep
+//!
+//! Every sweep — [`run_matrix`], [`run_scenario`], the journaled runners
+//! and the regret runners — runs on one pool of
+//! `rayon::current_num_threads()` workers, spawned once per sweep. Each
+//! scenario follows a fixed *batch plan*: replications `[0, min)`, then
+//! batches of the pool width up to the cap, the next batch opened only
+//! once the last is absorbed without the stopping rule ending the
+//! scenario. The workers pull (scenario, replication) jobs from every
+//! scenario's open batch, lowest scenario first, so no scenario's batch
+//! holds the pool behind a barrier while other scenarios' work waits. The
+//! worker that completes a batch records its summaries (the journal
+//! appends fresh ones, in replication order, durable before use), absorbs
+//! them, and opens the scenario's next batch or finishes it.
+//!
 //! ## Thread-count invariance
 //!
-//! The sweep runs on a real thread pool, so every statistical decision is
-//! kept independent of how work lands on threads:
+//! Every statistical decision is kept independent of how work lands on
+//! threads:
 //!
 //! * replication `r` is always seeded from `(base_seed, r)`, wherever it
 //!   executes;
 //! * workers return per-replication [`Welford`] partials which are merged
-//!   (fork/join, [`Welford::merge`]) into the scenario accumulators in
+//!   ([`Welford::merge`]) into the scenario accumulators in
 //!   replication-index order;
 //! * the stopping rule is evaluated after each *absorbed* replication, in
 //!   index order, so the stopping index is a pure function of the
 //!   replication results — the batch width is only a speculation knob:
 //!   replications past the stopping index are discarded, never absorbed.
 //!
-//! Consequently `run_matrix` produces byte-identical JSON at any pool
-//! width (`tests/parallel_determinism.rs` pins this).
+//! Which replications are computed depends on the width (the batch plan
+//! does) but never on timing: nothing is started speculatively because a
+//! worker is idle. Consequently `run_matrix` produces byte-identical JSON
+//! at any pool width (`tests/parallel_determinism.rs` pins this), and at
+//! width 1 the single worker runs scenarios one after another, in input
+//! order, exactly as a plain loop would.
 
 use super::scenario::Scenario;
 use crate::sim::{simulate, RunResult, SimConfig, SimReport};
 use dgsched_des::rng::StreamSeeder;
 use dgsched_des::stats::{ConfidenceInterval, StoppingRule, Welford};
 use dgsched_obs::MetricsSnapshot;
-use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::any::Any;
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Aggregated result of one scenario across replications.
 ///
@@ -321,128 +343,350 @@ impl ScenarioAccum {
     }
 }
 
-/// The sequential-stopping sweep loop, parameterised over how a batch of
-/// replication summaries is produced. Both the plain runner (compute
-/// every batch) and the journal runner (replay the journaled prefix, then
-/// compute) share it, which is what makes resumed sweeps byte-identical:
-/// batch sizes and the stopping index are decided *here*, from the
-/// summaries alone, never from where they came from.
-///
-/// Returns the accumulated state and the stopping index (the number of
-/// absorbed replications).
-pub(crate) fn sweep<F>(rule: &StoppingRule, mut batch: F) -> (ScenarioAccum, u64)
-where
-    F: FnMut(std::ops::Range<u64>) -> Vec<RepSummary>,
-{
-    let mut acc = ScenarioAccum::default();
-    let width = rayon::current_num_threads().max(1) as u64;
-    let mut next_rep = 0u64;
-    let mut stop: Option<u64> = None;
-
-    while stop.is_none() {
-        // Batch size: reach the minimum first, then run pool-width batches
-        // (speculatively — absorption below may stop mid-batch).
-        let size = if next_rep < rule.min_replications {
-            rule.min_replications - next_rep
-        } else {
-            (rule.max_replications - next_rep).min(width)
-        };
-        if size == 0 {
-            break;
-        }
-        let summaries = batch(next_rep..next_rep + size);
-        // Absorb in replication order, re-evaluating the stopping rule
-        // after every replication: the stopping index — and therefore the
-        // result — cannot depend on the batch width. A saturated (or
-        // failed) replication means the scenario is operationally
-        // unstable; more replications cannot tighten anything meaningful.
-        for (i, s) in summaries.iter().enumerate() {
-            acc.absorb(s);
-            let done = next_rep + i as u64 + 1;
-            if done >= rule.min_replications
-                && (acc.unusable()
-                    || done >= rule.max_replications
-                    || rule.satisfied(&acc.turnaround))
-            {
-                stop = Some(done);
-                break;
-            }
-        }
-        next_rep += size;
-    }
-
-    let replications = stop.unwrap_or(next_rep);
-    (acc, replications)
+/// The batch that follows `next_rep` in a scenario's batch plan: the
+/// minimum first, then pool-width batches (speculative: absorption may
+/// stop mid-batch) up to the cap. Empty once the cap is reached.
+fn next_batch(rule: &StoppingRule, next_rep: u64, width: u64) -> Range<u64> {
+    let size = if next_rep < rule.min_replications {
+        rule.min_replications - next_rep
+    } else {
+        rule.max_replications.saturating_sub(next_rep).min(width)
+    };
+    next_rep..next_rep + size
 }
 
-/// Packages a finished sweep, attaching the instrumented replay of
-/// replication 0 when observation was requested. The replay uses the
-/// same seeds as the measured run, so the snapshot is pure addition,
-/// never a perturbation.
-pub(crate) fn finish_scenario(
-    scenario: &Scenario,
+/// Absorbs the batch starting at `start` in replication order,
+/// re-evaluating the stopping rule after every replication, so the
+/// stopping index — and therefore the result — cannot depend on the batch
+/// width. A saturated (or failed) replication means the scenario is
+/// operationally unstable; more replications cannot tighten anything
+/// meaningful. Returns the stopping index once the rule stops the
+/// scenario; summaries past it are discarded.
+fn absorb_batch(
+    acc: &mut ScenarioAccum,
+    rule: &StoppingRule,
+    start: u64,
+    summaries: &[RepSummary],
+) -> Option<u64> {
+    for (done, s) in (start + 1..).zip(summaries) {
+        acc.absorb(s);
+        if done >= rule.min_replications
+            && (acc.unusable() || done >= rule.max_replications || rule.satisfied(&acc.turnaround))
+        {
+            return Some(done);
+        }
+    }
+    None
+}
+
+/// One scenario's place in its batch plan.
+#[derive(Default)]
+struct Cell {
+    /// The batches absorbed so far. Taken out by the worker that absorbs
+    /// the open batch, and put back when it opens the next one.
+    acc: ScenarioAccum,
+    /// The open batch.
+    batch: Range<u64>,
+    /// The open batch's next replication to hand out.
+    next: u64,
+    /// The open batch's summaries by offset, as workers deliver them.
+    slots: Vec<Option<RepSummary>>,
+}
+
+impl Cell {
+    fn open(&mut self, batch: Range<u64>) {
+        self.next = batch.start;
+        self.slots = batch.clone().map(|_| None).collect();
+        self.batch = batch;
+    }
+}
+
+/// Nothing that can panic runs under the pool lock, so it cannot be
+/// poisoned.
+const POISONED: &str = "the pool lock is never held across a panic";
+
+struct PoolState {
+    cells: Vec<Cell>,
+    /// Scenarios whose open batch has replications left to hand out.
+    /// Workers claim from the lowest, so a scenario's next batch goes
+    /// ahead of later scenarios' work and scenarios finish roughly in
+    /// order.
+    claimable: BTreeSet<usize>,
+    /// Scenarios not finished yet.
+    unfinished: usize,
+    /// The first panic payload: once set, no worker claims again.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// The replication pool behind every sweep: `width` workers, spawned
+/// once, pull (scenario, replication) jobs from every scenario's open
+/// batch. A batch is absorbed by the worker that completes it, so a
+/// scenario waiting on its last replication holds no one else up.
+struct Pool<'a, J, D> {
+    scenarios: &'a [Scenario],
+    base_seed: u64,
+    rule: &'a StoppingRule,
+    obs: bool,
+    width: u64,
+    summarize: J,
+    record: D,
+    sink: ProgressSink<'a>,
+    /// A std lock, which the `lockcheck` witness cannot see, so it is
+    /// held only to claim a job, deliver a summary, or open or close a
+    /// batch: never across a replication, a journal append
+    /// (`record`), [`finish`](Self::finish) or a progress callback.
+    state: Mutex<PoolState>,
+    wake: Condvar,
+}
+
+impl<J, D> Pool<'_, J, D>
+where
+    J: Fn(usize, u64) -> RepSummary + Sync,
+    D: Fn(usize, u64, &RepSummary) + Sync,
+{
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// The next job, in scenario-then-replication order; blocks while
+    /// every open batch is handed out but scenarios remain unfinished.
+    /// `None` when the sweep is over or a worker panicked.
+    fn claim(&self) -> Option<(usize, u64)> {
+        let mut state = self.lock();
+        loop {
+            if state.panic.is_some() || state.unfinished == 0 {
+                return None;
+            }
+            if let Some(&i) = state.claimable.first() {
+                let cell = &mut state.cells[i];
+                let rep = cell.next;
+                cell.next += 1;
+                if cell.next == cell.batch.end {
+                    state.claimable.remove(&i);
+                }
+                return Some((i, rep));
+            }
+            state = self.wake.wait(state).expect(POISONED);
+        }
+    }
+
+    /// Files one summary; when it completes its batch, returns the
+    /// batch's start, its summaries in replication order and the
+    /// scenario's accumulator.
+    fn deliver(
+        &self,
+        i: usize,
+        rep: u64,
+        summary: RepSummary,
+    ) -> Option<(u64, Vec<RepSummary>, ScenarioAccum)> {
+        let mut state = self.lock();
+        let cell = &mut state.cells[i];
+        cell.slots[(rep - cell.batch.start) as usize] = Some(summary);
+        if cell.slots.iter().any(Option::is_none) {
+            return None;
+        }
+        let summaries = std::mem::take(&mut cell.slots)
+            .into_iter()
+            .map(|s| s.expect("a complete batch has every summary"))
+            .collect();
+        Some((cell.batch.start, summaries, std::mem::take(&mut cell.acc)))
+    }
+
+    /// Opens scenario `i`'s batch after `next_rep`, or, when the rule
+    /// stopped it or the plan is exhausted, finishes it and returns its
+    /// accumulator and replication count.
+    fn advance(
+        &self,
+        i: usize,
+        acc: ScenarioAccum,
+        stop: Option<u64>,
+        next_rep: u64,
+    ) -> Option<(ScenarioAccum, u64)> {
+        let batch = match stop {
+            Some(_) => next_rep..next_rep,
+            None => next_batch(self.rule, next_rep, self.width),
+        };
+        let mut state = self.lock();
+        if batch.is_empty() {
+            state.unfinished -= 1;
+            if state.unfinished == 0 {
+                self.wake.notify_all();
+            }
+            return Some((acc, stop.unwrap_or(next_rep)));
+        }
+        let cell = &mut state.cells[i];
+        cell.acc = acc;
+        cell.open(batch);
+        state.claimable.insert(i);
+        self.wake.notify_all();
+        None
+    }
+
+    /// One worker: claims jobs until the sweep is over, and returns the
+    /// scenarios it finished.
+    fn work(&self) -> Vec<(usize, ScenarioResult)> {
+        let mut finished = Vec::new();
+        while let Some((i, rep)) = self.claim() {
+            let summary = (self.summarize)(i, rep);
+            let Some((start, summaries, mut acc)) = self.deliver(i, rep, summary) else {
+                continue;
+            };
+            // Make fresh summaries durable in replication order before
+            // absorbing: by the time a summary can influence a published
+            // number, a durable record of it exists.
+            for (rep, s) in (start..).zip(&summaries) {
+                (self.record)(i, rep, s);
+            }
+            let stop = absorb_batch(&mut acc, self.rule, start, &summaries);
+            let next_rep = start + summaries.len() as u64;
+            if let Some((acc, replications)) = self.advance(i, acc, stop, next_rep) {
+                finished.push((i, self.finish(i, acc, replications)));
+            }
+        }
+        finished
+    }
+
+    /// Packages scenario `i`'s finished sweep and reports it, attaching
+    /// the instrumented replay of replication 0 when observation was
+    /// requested. The replay uses the same seeds as the measured run, so
+    /// the snapshot is pure addition, never a perturbation.
+    fn finish(&self, i: usize, acc: ScenarioAccum, replications: u64) -> ScenarioResult {
+        let scenario = &self.scenarios[i];
+        let mut result = acc.into_result(scenario, self.rule, replications);
+        if self.obs && !result.saturated {
+            let mut null = crate::sim::NullObserver;
+            let (_, report) = run_replication_instrumented(scenario, self.base_seed, 0, &mut null);
+            result.metrics = Some(report.metrics);
+        }
+        self.sink.complete(&scenario.name);
+        result
+    }
+
+    /// [`work`](Self::work) with a panic caught and parked for the
+    /// caller, waking every waiting worker so the pool drains.
+    fn run_worker(&self) -> Vec<(usize, ScenarioResult)> {
+        match catch_unwind(AssertUnwindSafe(|| self.work())) {
+            Ok(finished) => finished,
+            Err(payload) => {
+                self.lock().panic.get_or_insert(payload);
+                self.wake.notify_all();
+                Vec::new()
+            }
+        }
+    }
+}
+
+/// Runs every scenario's batch plan on one replication pool of
+/// `rayon::current_num_threads()` workers (the caller and `width − 1`
+/// spawned threads) and returns one result per scenario, in input order.
+///
+/// `summarize(i, rep)` yields replication `rep` of scenario `i`, computed
+/// or replayed. `record(i, rep, summary)` is called for every summary of
+/// a completed batch, in replication order, before any of them is
+/// absorbed; it is the journal's hook. Progress is reported as in
+/// [`run_matrix_with_progress`]. A panic in any of them stops the pool
+/// and is re-raised on the caller with its payload once every worker has
+/// returned.
+pub(crate) fn run_pool<J, D>(
+    scenarios: &[Scenario],
     base_seed: u64,
     rule: &StoppingRule,
-    acc: ScenarioAccum,
-    replications: u64,
-    obs: bool,
-) -> ScenarioResult {
-    let mut result = acc.into_result(scenario, rule, replications);
-    if obs && !result.saturated {
-        let mut null = crate::sim::NullObserver;
-        let (_, report) = run_replication_instrumented(scenario, base_seed, 0, &mut null);
-        result.metrics = Some(report.metrics);
+    progress: &(dyn Fn(usize, usize, &str) + Send + Sync),
+    summarize: J,
+    record: D,
+) -> Vec<ScenarioResult>
+where
+    J: Fn(usize, u64) -> RepSummary + Sync,
+    D: Fn(usize, u64, &RepSummary) + Sync,
+{
+    let width = rayon::current_num_threads().max(1);
+    let first = next_batch(rule, 0, width as u64);
+    let cells: Vec<Cell> = scenarios
+        .iter()
+        .map(|_| {
+            let mut cell = Cell::default();
+            cell.open(first.clone());
+            cell
+        })
+        .collect();
+    let pool = Pool {
+        scenarios,
+        base_seed,
+        rule,
+        // Read the instrumentation toggle once for the whole sweep: the
+        // environment is ambient mutable state, and consulting it per
+        // scenario would let a mid-sweep change produce a chimera result
+        // (some scenarios instrumented, some not).
+        obs: obs_enabled(),
+        width: width as u64,
+        summarize,
+        record,
+        sink: ProgressSink::new(scenarios.len(), progress),
+        state: Mutex::new(PoolState {
+            cells,
+            claimable: (0..scenarios.len()).collect(),
+            unfinished: scenarios.len(),
+            panic: None,
+        }),
+        wake: Condvar::new(),
+    };
+    let finished = if first.is_empty() {
+        // A rule that asks for no replications: nothing to run.
+        (0..scenarios.len())
+            .map(|i| (i, pool.finish(i, ScenarioAccum::default(), 0)))
+            .collect()
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..width)
+                .map(|_| scope.spawn(|| rayon::with_num_threads(width, || pool.run_worker())))
+                .collect();
+            let mut finished = pool.run_worker();
+            for worker in workers {
+                finished.extend(worker.join().expect("workers catch their own panics"));
+            }
+            finished
+        })
+    };
+    if let Some(payload) = pool.state.into_inner().expect(POISONED).panic {
+        resume_unwind(payload);
     }
-    result
+    let mut results: Vec<Option<ScenarioResult>> = scenarios.iter().map(|_| None).collect();
+    for (i, result) in finished {
+        results[i] = Some(result);
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every scenario finishes once"))
+        .collect()
 }
 
 /// Runs a scenario with the sequential stopping rule, replications in
 /// parallel batches sized to the pool width.
 pub fn run_scenario(scenario: &Scenario, base_seed: u64, rule: &StoppingRule) -> ScenarioResult {
-    run_scenario_with_obs(scenario, base_seed, rule, obs_enabled())
+    let mut results = run_matrix(std::slice::from_ref(scenario), base_seed, rule);
+    results.pop().expect("one result per scenario")
 }
 
-/// [`run_scenario`] with the instrumentation toggle passed explicitly.
-/// Callers that sweep many scenarios read the environment once and thread
-/// the flag through, instead of consulting it per scenario.
-pub(crate) fn run_scenario_with_obs(
-    scenario: &Scenario,
-    base_seed: u64,
-    rule: &StoppingRule,
-    obs: bool,
-) -> ScenarioResult {
-    let (acc, replications) = sweep(rule, |range| {
-        range
-            .into_par_iter()
-            .map(|rep| RepSummary::of(&run_replication(scenario, base_seed, rep)))
-            .collect()
-    });
-    finish_scenario(scenario, base_seed, rule, acc, replications, obs)
-}
-
-/// Monotone, non-blocking completion reporting, shared by the plain and
-/// journaled matrix runners: workers queue completed-scenario names and
-/// whoever holds the reporter lock (the running `done` count) drains the
-/// queue, so `done` is strictly increasing across callback invocations
-/// and reporting never blocks the sweep — a worker that finishes while
-/// another worker is inside the (possibly slow) callback hands its
-/// completion to that worker's drain loop instead of waiting.
-pub(crate) struct ProgressSink<'a> {
+/// Monotone, non-blocking completion reporting: workers queue
+/// completed-scenario names and whoever holds the reporter lock (the
+/// running `done` count) drains the queue, so `done` is strictly
+/// increasing across callback invocations and reporting never blocks the
+/// sweep — a worker that finishes while another worker is inside the
+/// (possibly slow) callback hands its completion to that worker's drain
+/// loop instead of waiting.
+struct ProgressSink<'a> {
     total: usize,
-    pending: Mutex<VecDeque<String>>,
-    done: Mutex<usize>,
+    pending: parking_lot::Mutex<VecDeque<String>>,
+    done: parking_lot::Mutex<usize>,
     callback: &'a (dyn Fn(usize, usize, &str) + Send + Sync),
 }
 
 impl<'a> ProgressSink<'a> {
-    pub(crate) fn new(
-        total: usize,
-        callback: &'a (dyn Fn(usize, usize, &str) + Send + Sync),
-    ) -> Self {
+    fn new(total: usize, callback: &'a (dyn Fn(usize, usize, &str) + Send + Sync)) -> Self {
         ProgressSink {
             total,
-            pending: Mutex::new(VecDeque::new()),
-            done: Mutex::new(0),
+            pending: Default::default(),
+            done: Default::default(),
             callback,
         }
     }
@@ -450,7 +694,7 @@ impl<'a> ProgressSink<'a> {
     /// Queues one completed scenario and drains the queue unless another
     /// worker already holds the reporter lock (that worker will pick the
     /// entry up — its post-drop re-check closes the race).
-    pub(crate) fn complete(&self, name: &str) {
+    fn complete(&self, name: &str) {
         self.pending.lock().push_back(name.to_string());
         loop {
             let Some(mut done) = self.done.try_lock() else {
@@ -472,9 +716,9 @@ impl<'a> ProgressSink<'a> {
     }
 }
 
-/// Runs a list of scenarios, scenarios in parallel, reporting completion
-/// through `progress` (called with `(done, total, name)` after each
-/// scenario finishes).
+/// Runs a list of scenarios on one replication pool, reporting
+/// completion through `progress` (called with `(done, total, name)` after
+/// each scenario finishes).
 ///
 /// `done` is strictly increasing across calls and `name` is the
 /// scenario completed by the `done`-th finish. Reporting never blocks
@@ -488,20 +732,14 @@ pub fn run_matrix_with_progress<F>(
 where
     F: Fn(usize, usize, &str) + Send + Sync,
 {
-    // Read the instrumentation toggle once for the whole sweep: the
-    // environment is ambient mutable state, and consulting it per
-    // scenario would let a mid-sweep change produce a chimera result
-    // (some scenarios instrumented, some not).
-    let obs = obs_enabled();
-    let sink = ProgressSink::new(scenarios.len(), &progress);
-    scenarios
-        .par_iter()
-        .map(|s| {
-            let r = run_scenario_with_obs(s, base_seed, rule, obs);
-            sink.complete(&s.name);
-            r
-        })
-        .collect()
+    run_pool(
+        scenarios,
+        base_seed,
+        rule,
+        &progress,
+        |i, rep| RepSummary::of(&run_replication(&scenarios[i], base_seed, rep)),
+        |_, _, _| {},
+    )
 }
 
 /// [`run_matrix_with_progress`] without progress reporting.
@@ -518,7 +756,10 @@ mod tests {
     use super::*;
     use crate::experiment::scenario::WorkloadKind;
     use crate::policy::PolicyKind;
+    use parking_lot::Mutex;
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn small_scenario(policy: PolicyKind) -> Scenario {
         Scenario::small(&format!("test {policy}"), policy)
@@ -773,5 +1014,64 @@ mod tests {
         let mut expect: Vec<String> = scenarios.iter().map(|s| s.name.clone()).collect();
         expect.sort();
         assert_eq!(names, expect, "each scenario reported once");
+    }
+
+    #[test]
+    fn a_panicking_replication_reaches_the_caller_and_stops_the_pool() {
+        // Counts down when a spawned worker thread exits.
+        struct Exit(Arc<AtomicUsize>);
+        impl Drop for Exit {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static EXIT: RefCell<Option<Exit>> = const { RefCell::new(None) };
+        }
+        let caller = std::thread::current().id();
+        let scenarios: Vec<Scenario> = [PolicyKind::Rr, PolicyKind::FcfsShare, PolicyKind::Sbf]
+            .map(small_scenario)
+            .to_vec();
+        for width in [1usize, 2, 4] {
+            let live = Arc::new(AtomicUsize::new(0));
+            // run_matrix's own job, failing at replication 1 of scenario 1.
+            let job = |i: usize, rep: u64| {
+                if std::thread::current().id() != caller {
+                    EXIT.with(|exit| {
+                        exit.borrow_mut().get_or_insert_with(|| {
+                            live.fetch_add(1, Ordering::SeqCst);
+                            Exit(Arc::clone(&live))
+                        });
+                    });
+                }
+                if (i, rep) == (1, 1) {
+                    panic!("replication {rep} of scenario {i} failed");
+                }
+                RepSummary::of(&run_replication(&scenarios[i], 3, rep))
+            };
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                rayon::with_num_threads(width, || {
+                    run_pool(
+                        &scenarios,
+                        3,
+                        &quick_rule(),
+                        &|_, _, _| {},
+                        job,
+                        |_, _, _| {},
+                    )
+                })
+            }));
+            let payload = caught.expect_err("the panic reaches the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(msg, "replication 1 of scenario 1 failed", "width {width}");
+            assert_eq!(
+                live.load(Ordering::SeqCst),
+                0,
+                "a worker thread outlived the sweep at width {width}"
+            );
+        }
     }
 }

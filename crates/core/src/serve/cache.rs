@@ -22,12 +22,16 @@
 //! reports [`CacheLookup::Collision`] on mismatch, so a colliding —
 //! or corrupted — entry can never serve the wrong sweep's numbers.
 //!
-//! Response files are written to a temp name and renamed into place, so
-//! a daemon killed mid-insert leaves no half-written entry under the
-//! final name; warm-up additionally validates that each response parses
-//! as JSON before trusting it. An entry that fails warm-up is simply
-//! skipped — the journal, if intact, still lets the next request resume
-//! instead of recomputing from scratch.
+//! Request and response files are each written to a temp name, synced
+//! and renamed into place, request first, so a daemon killed mid-insert —
+//! or a power cut after it — leaves no half-written file under a final
+//! name; warm-up additionally validates that both files parse as JSON
+//! before trusting the pair. An entry that fails warm-up is simply
+//! skipped: the next request for it is a miss that re-inserts it, and
+//! the journal, if intact, lets that request resume instead of
+//! recomputing from scratch. (A request file with the wrong bytes would
+//! instead read as a collision on every request and never be cached
+//! again.)
 
 use crate::experiment::{sync_dir, RepIndex};
 use parking_lot::Mutex;
@@ -101,10 +105,12 @@ impl ResultCache {
                 let Ok(response) = fs::read(entry.path()) else {
                     continue;
                 };
-                // A torn or truncated response must not be served; JSON
+                // A torn or truncated file must not be trusted; JSON
                 // well-formedness is the cheap integrity check the
-                // rename-into-place write should already guarantee.
-                if serde_json::from_slice::<serde_json::Value>(&response).is_err() {
+                // rename-into-place writes should already guarantee.
+                let json =
+                    |bytes: &[u8]| serde_json::from_slice::<serde_json::Value>(bytes).is_ok();
+                if !json(&request) || !json(&response) {
                     continue;
                 }
                 entries.insert(fp, Arc::new(CacheEntry { request, response }));
@@ -164,26 +170,27 @@ impl ResultCache {
         }
     }
 
+    /// Writes `bytes` to `<fingerprint>.<kind>.json` durably: to a temp
+    /// name, synced, then renamed into place.
+    fn write_durable(&self, fingerprint: &str, kind: &str, bytes: &[u8]) -> io::Result<()> {
+        let tmp = self.dir.join(format!("{fingerprint}.{kind}.tmp"));
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_data()?;
+        fs::rename(&tmp, self.dir.join(format!("{fingerprint}.{kind}.json")))
+    }
+
     /// Inserts a computed result, persisting it under the cache
-    /// directory (request first, then response renamed into place — the
-    /// order warm-up relies on). Returns the shared entry.
+    /// directory (request first, then response — the order warm-up
+    /// relies on). Returns the shared entry.
     pub fn insert(
         &self,
         fingerprint: &str,
         request: &[u8],
         response: Vec<u8>,
     ) -> io::Result<Arc<CacheEntry>> {
-        fs::write(
-            self.dir.join(format!("{fingerprint}.request.json")),
-            request,
-        )?;
-        let tmp = self.dir.join(format!("{fingerprint}.response.tmp"));
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&response)?;
-            file.sync_data()?;
-        }
-        fs::rename(&tmp, self.dir.join(format!("{fingerprint}.response.json")))?;
+        self.write_durable(fingerprint, "request", request)?;
+        self.write_durable(fingerprint, "response", &response)?;
         sync_dir(&self.dir)?;
         let entry = Arc::new(CacheEntry {
             request: request.to_vec(),
@@ -229,10 +236,10 @@ mod tests {
         let dir = tmp_dir("warm");
         let cache = ResultCache::open(&dir).unwrap();
         cache
-            .insert("aa11", b"req-a", br#"{"ok":1}"#.to_vec())
+            .insert("aa11", br#"["a"]"#, br#"{"ok":1}"#.to_vec())
             .unwrap();
         cache
-            .insert("bb22", b"req-b", br#"{"ok":2}"#.to_vec())
+            .insert("bb22", br#"["b"]"#, br#"{"ok":2}"#.to_vec())
             .unwrap();
         drop(cache);
         // Damage bb22's response (torn JSON) and add an orphan journal.
@@ -242,10 +249,41 @@ mod tests {
         assert_eq!(cache.warmed(), 1, "only the intact pair reloads");
         assert_eq!(cache.pending_journals(), 1);
         assert!(matches!(
-            cache.lookup("aa11", b"req-a"),
+            cache.lookup("aa11", br#"["a"]"#),
             CacheLookup::Hit(_)
         ));
-        assert!(matches!(cache.lookup("bb22", b"req-b"), CacheLookup::Miss));
+        assert!(matches!(
+            cache.lookup("bb22", br#"["b"]"#),
+            CacheLookup::Miss
+        ));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_request_is_not_warmed_and_reinserts_cleanly() {
+        let dir = tmp_dir("torn-request");
+        let request = br#"[["scenario"],7]"#;
+        let cache = ResultCache::open(&dir).unwrap();
+        cache
+            .insert("cc33", request, br#"{"ok":3}"#.to_vec())
+            .unwrap();
+        drop(cache);
+        // What a power cut could leave of an unsynced request file.
+        fs::write(dir.join("cc33.request.json"), &request[..5]).unwrap();
+        let cache = ResultCache::open(&dir).unwrap();
+        assert_eq!(cache.warmed(), 0, "a torn request is not trusted");
+        assert!(matches!(cache.lookup("cc33", request), CacheLookup::Miss));
+        cache
+            .insert("cc33", request, br#"{"ok":3}"#.to_vec())
+            .unwrap();
+        drop(cache);
+        let cache = ResultCache::open(&dir).unwrap();
+        assert!(matches!(cache.lookup("cc33", request), CacheLookup::Hit(_)));
+        let leftovers = fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension() == Some("tmp".as_ref()))
+            .count();
+        assert_eq!(leftovers, 0, "every temp file was renamed into place");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -980,6 +980,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A request file torn by a power cut is not warmed: the next
+    /// identical sweep is a miss that re-inserts the entry, and later
+    /// ones hit, instead of reading as a collision forever.
+    #[test]
+    fn torn_request_file_is_a_miss_then_a_hit() {
+        let dir = tmp_dir("torn-request");
+        let body = serde_json::to_vec(&check_request()).unwrap();
+        let post = |addr: &str| http_request(addr, "POST", "/sweep", &[], &body).unwrap();
+        let cache = |resp: &crate::serve::HttpResponse| {
+            header_value(&resp.headers, "x-dgsched-cache").map(str::to_string)
+        };
+        let handle = spawn_server(&dir);
+        let first = post(&handle.addr().to_string());
+        assert_eq!(cache(&first).as_deref(), Some("miss"));
+        handle.shutdown();
+
+        let request_file = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.to_string_lossy().ends_with(".request.json"))
+            .expect("the insert wrote a request file");
+        let full = std::fs::read(&request_file).unwrap();
+        std::fs::write(&request_file, &full[..full.len() / 2]).unwrap();
+
+        let handle = spawn_server(&dir);
+        let addr = handle.addr().to_string();
+        let again = post(&addr);
+        assert_eq!(cache(&again).as_deref(), Some("miss"));
+        assert_eq!(again.body, first.body);
+        assert_eq!(std::fs::read(&request_file).unwrap(), full, "re-inserted");
+        let third = post(&addr);
+        assert_eq!(cache(&third).as_deref(), Some("hit"));
+        assert_eq!(third.body, first.body);
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A daemon restarted on the same directory with a different event
     /// clamp computes under its own clamp: neither the cached response
     /// nor the journaled replications of the unclamped sweep are served.

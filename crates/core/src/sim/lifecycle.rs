@@ -175,7 +175,7 @@ impl Driver<'_, '_> {
         self.state.active.retain(|&b| b != bag_id);
         self.policy.on_bag_complete(bag_id);
         self.observer.on_bag_complete(now, bag_id);
-        let bag = &self.state.bags[bag_id.index()];
+        let bag = &mut self.state.bags[bag_id.index()];
         if (bag_id.index()) >= self.cfg.warmup_bags {
             let work: f64 = bag.tasks.iter().map(|t| t.work).sum();
             let largest = bag.tasks.iter().map(|t| t.work).fold(0.0f64, f64::max);
@@ -198,6 +198,7 @@ impl Driver<'_, '_> {
                 slowdown: turnaround / ideal,
             });
         }
+        bag.release();
     }
 
     /// Kills a replica (machine failure or sibling kill): cancels its

@@ -43,6 +43,8 @@ pub struct BagRt {
     pub(crate) pending_fresh: VecDeque<TaskId>,
     /// Number of completed tasks.
     pub done: usize,
+    /// Number of tasks; kept when [`Self::release`] drops `tasks`.
+    total: usize,
     /// Total running replicas across the bag's tasks.
     pub running_replicas: u32,
     /// When the bag's first replica was dispatched.
@@ -78,6 +80,7 @@ impl BagRt {
             pending_fresh: (0..tasks.len() as u32).map(TaskId).collect(),
             pending_restarts: VecDeque::new(),
             done: 0,
+            total: tasks.len(),
             running_replicas: 0,
             first_dispatch: None,
             completed_at: None,
@@ -90,12 +93,28 @@ impl BagRt {
 
     /// Number of tasks.
     pub fn total_tasks(&self) -> usize {
-        self.tasks.len()
+        self.total
     }
 
     /// True when every task has completed.
     pub fn is_complete(&self) -> bool {
-        self.done == self.tasks.len()
+        self.done == self.total
+    }
+
+    /// Drops a completed bag's per-task storage: its tasks, pending
+    /// queues, replica-count buckets and restart deque. Nothing reads them
+    /// once the last task is done and its siblings are killed; keeping
+    /// them would make every later snapshot of the run copy them. The
+    /// completion scalars (`done`, `first_dispatch`, `completed_at`) stay,
+    /// so [`Self::is_complete`], [`Self::turnaround`], [`Self::waiting`]
+    /// and [`Self::makespan`] still answer.
+    pub(crate) fn release(&mut self) {
+        debug_assert!(self.is_complete() && self.running_replicas == 0);
+        self.tasks = Vec::new();
+        self.pending_restarts = VecDeque::new();
+        self.pending_fresh = VecDeque::new();
+        self.running_by_count = ReplicaCountBuckets::default();
+        self.restart_wait = VecDeque::new();
     }
 
     /// True when the bag has a task waiting to be dispatched.

@@ -17,22 +17,25 @@ echo "==> determinism lint gate: dgsched-analyze"
 # reason; the lint's fixture battery runs inside `cargo test` above.
 cargo run --release -q -p dgsched-analyze -- lint
 
-echo "==> parallel-determinism gate: threads forced to 1, forced to 4, and default"
+echo "==> parallel-determinism gate: threads forced to 1, 2 and 4, and default"
 # The test compares run_matrix JSON across pool widths in-process; running
-# it under three different environment baselines re-proves the equality
-# whatever DGSCHED_THREADS/RAYON_NUM_THREADS resolve to, and fails on any
-# diff.
+# it under several environment baselines re-proves the equality whatever
+# DGSCHED_THREADS/RAYON_NUM_THREADS resolve to, and fails on any diff.
+# Width 2 is the daemon's and the benchmark's width, and the width at
+# which the replication pool's batches are 2 wide.
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test parallel_determinism
+DGSCHED_THREADS=2 cargo test -q -p dgsched-core --test parallel_determinism
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test parallel_determinism
 cargo test -q -p dgsched-core --test parallel_determinism
 
-echo "==> journal gate: kill/resume determinism at widths 1 and 4"
+echo "==> journal gate: kill/resume determinism at widths 1, 2 and 4"
 # The journal contract: a sweep killed at any byte of the journal and
 # resumed must serialise byte-identical ScenarioResult JSON, and a
 # panicking replication is isolated instead of aborting the sweep. The
 # test simulates kills by truncating the journal mid-record and re-proves
 # the equality at explicit pool widths under both environment baselines.
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test journal_resume
+DGSCHED_THREADS=2 cargo test -q -p dgsched-core --test journal_resume
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test journal_resume
 
 echo "==> serve gate: daemon dedupe + kill/resume at widths 1 and 4"
@@ -76,16 +79,19 @@ echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal/orac
 # tests/lockcheck.rs pins run_matrix bytes to the seed value in BOTH
 # feature configurations, and the determinism batteries re-run with the
 # witness live at widths 1 and 4. Both journals take the same record-log
-# lock, so the oracle battery runs under the witness too.
+# lock, so the oracle battery runs under the witness too, and so does the
+# replication pool's contract battery (tests/replication_pool.rs): the
+# pool's own std lock is invisible to the witness, but every lock its
+# jobs and journal hooks take is not.
 cargo test -q -p parking_lot --features lockcheck
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --features lockcheck \
   --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
-  --test oracle_regret
+  --test oracle_regret --test replication_pool
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --features lockcheck \
   --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
-  --test oracle_regret
+  --test oracle_regret --test replication_pool
 
-echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4"
+echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4 (regret also at 2)"
 # The hindsight-oracle contract: trace replay reproduces the live run
 # byte-identically (tests/trace_replay.rs), every search evaluation
 # resumed from a snapshot equals a full replay of the same order
@@ -94,6 +100,7 @@ echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4"
 # byte-identical across pool widths and across resumed restarts
 # (tests/oracle_regret.rs) — holds under both environment baselines.
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
+DGSCHED_THREADS=2 cargo test -q -p dgsched-core --test oracle_regret
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
 
 echo "==> generator gate: sampler calibration + dgsched gen byte-identity at widths 1 and 4"
