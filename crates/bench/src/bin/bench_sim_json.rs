@@ -15,7 +15,7 @@
 //! non-zero if FCFS-Excl drops below a quarter of the policy-median
 //! events/s (the CI guard for the replica-churn scaling cliff). The
 //! `sweep` section times `run_matrix` over an F1a-derived scenario grid
-//! sequentially and on the work-stealing pool, and cross-checks that
+//! sequentially and on the replication pool, and cross-checks that
 //! both runs serialise byte-identically.
 
 use dgsched_core::experiment::{

@@ -26,7 +26,8 @@ use dgsched_core::experiment::{
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::{
-    self_check, validate_scenarios, ServeConfig, Server, SweepRequest, SweepResponse,
+    self_check, validate_oracle, validate_scenarios, ServeConfig, Server, SweepRequest,
+    SweepResponse,
 };
 use dgsched_core::sim::Gantt;
 use dgsched_core::sim::SimConfig;
@@ -43,7 +44,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dgsched demo\n  dgsched run <scenario.json|sweep.json> [--seed N] [--min-reps N] [--max-reps N]\n               [--journal <file.jsonl> [--resume]]\n  dgsched oracle <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n                 [--restarts N] [--iters N] [--oracle-seed N] [--oracle-reps N]\n                 [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.json]\n                [--jsonl trace.jsonl] [--bin trace.dgtr] [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run`, `oracle` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\noracle:\n  runs the sweep, then replays each replication's captured environment\n  and searches for the hindsight-optimal bag schedule; the result JSON\n  gains a 'regret' section ((policy - oracle) / oracle with a CI)\n  --restarts N      independent search restarts per replication (default 8)\n  --iters N         move proposals per restart (default 120)\n  --oracle-seed N   search stream seed (default 0)\n  --oracle-reps N   replications the oracle evaluates (default 3)\n  --journal FILE    append each completed search restart to FILE (fsynced\n                    JSONL); with --resume, journaled restarts are folded\n                    in instead of recomputed, byte-identically\n\nrun:\n  takes one scenario (stdout: its result JSON) or a sweep request, the\n  body of POST /sweep such as experiments/fig1.json (stdout: the exact\n  bytes /sweep answers; stderr: progress and one table of the results);\n  --seed, --min-reps and --max-reps override the file's values\n\njournal:\n  --journal FILE    append each completed replication to FILE (fsynced\n                    JSONL) so a killed run loses at most the replication\n                    in flight; replications are panic-isolated\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit\n\nenvironment:\n  DGSCHED_TRACE=1   attach the metrics registry to `dgsched run` (adds a\n                    'metrics' snapshot of replication 0 to the result JSON)"
+        "usage:\n  dgsched demo\n  dgsched run <scenario.json|sweep.json> [--seed N] [--min-reps N] [--max-reps N]\n               [--journal <file.jsonl> [--resume]]\n  dgsched oracle <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n                 [--restarts N] [--iters N] [--oracle-seed N] [--oracle-reps N]\n                 [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.jsonl]\n                [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run`, `oracle` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\noracle:\n  runs the sweep, then replays each replication's captured environment\n  and searches for the hindsight-optimal bag schedule; the result JSON\n  gains a 'regret' section ((policy - oracle) / oracle with a CI)\n  --restarts N      independent search restarts per replication (default 8)\n  --iters N         move proposals per restart (default 120)\n  --oracle-seed N   search stream seed (default 0)\n  --oracle-reps N   replications the oracle evaluates (default 3)\n  --journal FILE    append each completed search restart to FILE (fsynced\n                    JSONL); with --resume, journaled restarts are folded\n                    in instead of recomputed, byte-identically\n\nrun:\n  takes one scenario (stdout: its result JSON) or a sweep request, the\n  body of POST /sweep such as experiments/fig1.json (stdout: the exact\n  bytes /sweep answers; stderr: progress and one table of the results);\n  --seed, --min-reps and --max-reps override the file's values\n\njournal:\n  --journal FILE    append each completed replication to FILE (fsynced\n                    JSONL) so a killed run loses at most the replication\n                    in flight; replications are panic-isolated\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit\n\nenvironment:\n  DGSCHED_TRACE=1   attach the metrics registry to `dgsched run` (adds a\n                    'metrics' snapshot of replication 0 to the result JSON)"
     );
     exit(2)
 }
@@ -89,6 +90,11 @@ fn parse_u64(args: &mut Args, flag: &str) -> u64 {
     flag_value(args, flag)
         .parse()
         .unwrap_or_else(|_| fail(&format!("{flag} takes a number")))
+}
+
+fn parse_u32(args: &mut Args, flag: &str) -> u32 {
+    let n = parse_u64(args, flag);
+    u32::try_from(n).unwrap_or_else(|_| fail(&format!("{flag} takes a number up to {}", u32::MAX)))
 }
 
 fn read_file(path: &str) -> String {
@@ -272,8 +278,8 @@ fn cmd_oracle(mut args: Args) {
             "--seed" => seed = parse_u64(&mut args, "--seed"),
             "--min-reps" => rule.min_replications = parse_u64(&mut args, "--min-reps"),
             "--max-reps" => rule.max_replications = parse_u64(&mut args, "--max-reps"),
-            "--restarts" => ocfg.restarts = parse_u64(&mut args, "--restarts") as u32,
-            "--iters" => ocfg.iters = parse_u64(&mut args, "--iters") as u32,
+            "--restarts" => ocfg.restarts = parse_u32(&mut args, "--restarts"),
+            "--iters" => ocfg.iters = parse_u32(&mut args, "--iters"),
             "--oracle-seed" => ocfg.seed = parse_u64(&mut args, "--oracle-seed"),
             "--oracle-reps" => ocfg.replications = parse_u64(&mut args, "--oracle-reps"),
             "--journal" => journal = Some(flag_value(&mut args, "--journal")),
@@ -284,8 +290,8 @@ fn cmd_oracle(mut args: Args) {
     if resume && journal.is_none() {
         fail("--resume requires --journal")
     }
-    if ocfg.restarts == 0 {
-        fail("--restarts takes a non-zero count")
+    if let Err(e) = validate_oracle(&ocfg) {
+        die(&e)
     }
     let scenario = load_scenario(&path);
     eprintln!(
@@ -400,8 +406,6 @@ fn cmd_trace(mut args: Args) {
     let mut seed = 2008u64;
     let mut rep = 0u64;
     let mut out: Option<String> = None;
-    let mut jsonl: Option<String> = None;
-    let mut bin: Option<String> = None;
     let mut ring: Option<usize> = None;
     let mut metrics = false;
     let mut gantt = false;
@@ -410,8 +414,6 @@ fn cmd_trace(mut args: Args) {
             "--seed" => seed = parse_u64(&mut args, "--seed"),
             "--rep" => rep = parse_u64(&mut args, "--rep"),
             "--out" => out = Some(flag_value(&mut args, "--out")),
-            "--jsonl" => jsonl = Some(flag_value(&mut args, "--jsonl")),
-            "--bin" => bin = Some(flag_value(&mut args, "--bin")),
             "--ring" => {
                 let n = parse_u64(&mut args, "--ring");
                 if n == 0 {
@@ -449,37 +451,25 @@ fn cmd_trace(mut args: Args) {
     if dropped > 0 {
         eprintln!("ring full: dropped the oldest {dropped} events (window keeps the tail)");
     }
-    let trace = TraceRecorder { events };
-    if let Some(p) = &jsonl {
-        let text = dgsched_obs::write_jsonl(&trace.events, dropped);
-        std::fs::write(p, text).unwrap_or_else(|e| die(&format!("cannot write {p}: {e}")));
-        eprintln!("wrote JSONL trace to {p}");
-    }
-    if let Some(p) = &bin {
-        let bytes = dgsched_obs::encode_binary(&trace.events, dropped);
-        std::fs::write(p, bytes).unwrap_or_else(|e| die(&format!("cannot write {p}: {e}")));
-        eprintln!("wrote binary trace to {p}");
-    }
     if metrics {
         println!(
             "{}",
             serde_json::to_string_pretty(&report).expect("report serialises")
         );
     }
+    // The one trace format: JSONL, whose header carries the drop count,
+    // so a ring's truncated window never reads as a complete run.
+    let jsonl = || dgsched_obs::write_jsonl(&events, dropped);
     match out {
         Some(out) => {
-            let json = serde_json::to_string(&trace).expect("trace serialises");
-            std::fs::write(&out, json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
-            eprintln!("wrote trace to {out}");
+            std::fs::write(&out, jsonl())
+                .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+            eprintln!("wrote JSONL trace to {out}");
         }
-        None if !gantt && !metrics && jsonl.is_none() && bin.is_none() => {
-            println!(
-                "{}",
-                serde_json::to_string(&trace).expect("trace serialises")
-            );
-        }
+        None if !gantt && !metrics => print!("{}", jsonl()),
         None => {}
     }
+    let trace = TraceRecorder { events };
     if gantt {
         print!("{}", Gantt::from_trace(&trace).render(100, 20));
     }

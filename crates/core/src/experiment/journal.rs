@@ -67,7 +67,9 @@
 //! [`Welford`]: dgsched_des::stats::Welford
 
 use super::record_log::{self, invalid, LogLine, RecordLog};
-use super::runner::{run_pool, run_replication_capped, RepSummary, ScenarioResult};
+use super::runner::{
+    run_pool, run_replication_capped, Job, Output, Record, RepSummary, ScenarioResult,
+};
 use super::scenario::Scenario;
 use crate::sim::RunResult;
 use dgsched_des::stats::StoppingRule;
@@ -679,12 +681,9 @@ where
         index,
         stats: Mutex::default(),
     };
-    let results = run_pool(
-        scenarios,
-        base_seed,
-        rule,
-        progress,
-        |i, rep| match replays[i].summaries.get(rep as usize) {
+    let replicate = |job: Job| {
+        let (i, rep) = job.rep();
+        Output::Rep(match replays[i].summaries.get(rep as usize) {
             Some(summary) => {
                 let mut stats = ctx.stats.lock();
                 if (rep as usize) < replays[i].journaled {
@@ -695,15 +694,20 @@ where
                 summary.clone()
             }
             None => run_rep_isolated(&scenarios[i], rep, &ctx, rep_runner),
-        },
-        // Replayed summaries already have a durable record, in this
-        // journal or in the one the index read them from.
-        |i, rep, summary| {
+        })
+    };
+    // Replayed summaries already have a durable record, in this journal
+    // or in the one the index read them from.
+    let record = |record: Record<'_>| {
+        if let Record::Rep(i, rep, summary) = record {
             let replay = &replays[i];
             if rep as usize >= replay.summaries.len() {
                 ctx.append(&scenarios[i].name, replay.key.as_deref(), rep, summary);
             }
-        },
+        }
+    };
+    let (results, _) = run_pool(
+        scenarios, base_seed, rule, None, progress, replicate, record,
     );
     let stats = JournalStats {
         records_written: ctx.log.finish()?,

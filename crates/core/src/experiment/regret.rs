@@ -30,18 +30,29 @@
 //!   large penalty plus distance-to-feasible terms so the search can
 //!   descend through them. A candidate's replay resumes from a snapshot
 //!   of its neighbour's run taken before the two can first differ (see
-//!   [`ResumedReplay`]). Restarts are independent units on the
-//!   work-stealing pool; results fold deterministically, so the oracle is
-//!   byte-identical at any pool width.
+//!   [`ResumedReplay`]). Restarts are independent; results fold
+//!   deterministically, so the oracle is byte-identical at any pool
+//!   width.
 //!
 //! Scenarios sharing `(grid, workload, sim)` share their environment —
 //! the oracle is computed once per environment group and attached to
 //! every policy's [`ScenarioResult`] in the group.
 //!
+//! ## On the replication pool
+//!
+//! A regret sweep is one run of the replication pool (`run_pool`).
+//! Besides the sweep's scenarios, each (environment group, oracle
+//! replication) pair is a pool cell with two steps. The first is the
+//! trace capture. The second is the seven policy replays and every
+//! search restart, all sharing the captured timeline, so the workers
+//! share one pair's search job by job instead of one worker holding a
+//! whole pair. The worker that completes the second step journals the
+//! pair's fresh restarts in restart order, then folds.
+//!
 //! ## Journaled restarts
 //!
-//! [`run_matrix_regret_journaled`] makes each completed search restart
-//! durable the moment it finishes, keyed by `(environment digest,
+//! [`run_matrix_regret_journaled`] makes each search restart durable
+//! before its replication folds, keyed by `(environment digest,
 //! replication, restart)`. The file is a [`RecordLog`], the same log the
 //! replication journal writes. Because a restart is a
 //! pure function of its key and [`fold`] is order-insensitive, a resumed
@@ -49,7 +60,10 @@
 
 use super::journal::{digest128_hex, oracle_fingerprint};
 use super::record_log::{LogLine, RecordLog};
-use super::runner::{replication_inputs, reportable_ci, run_replication_traced, ScenarioResult};
+use super::runner::{
+    replication_inputs, reportable_ci, run_pool, run_replication, run_replication_traced, Job,
+    Output, Record, RepSummary, ScenarioResult,
+};
 use super::scenario::Scenario;
 use crate::policy::{BagSelection, PolicyKind, View};
 use crate::sim::{
@@ -61,7 +75,6 @@ use dgsched_des::time::SimTime;
 use dgsched_grid::Grid;
 use dgsched_oracle::{fold, run_restart, Objective, RestartOutcome, SearchConfig, SplitMix64};
 use dgsched_workload::{BotId, Workload};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -69,6 +82,7 @@ use std::io;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Knobs of the oracle computation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -486,10 +500,8 @@ pub fn check_resumed_search(
         }
     }
 
-    let (_, trace) = run_replication_traced(scenario, base_seed, rep);
-    let (grid, workload, cfg) = replication_inputs(scenario, base_seed, rep);
-    let env = TraceEnv::from_trace(&trace.events, grid.len());
-    let inner = ResumedReplay::new(&grid, &workload, &cfg, &env);
+    let c = Captured::new(scenario, base_seed, rep);
+    let inner = ResumedReplay::new(&c.grid, &c.workload, &c.cfg, &c.env);
     let checked = Checked {
         inner: &inner,
         stats: RefCell::new(ResumeCheck::default()),
@@ -497,7 +509,7 @@ pub fn check_resumed_search(
     };
     let scfg = search_config(ocfg, rep);
     for r in 0..scfg.restarts {
-        run_restart(workload.len(), r, &scfg, &checked);
+        run_restart(c.workload.len(), r, &scfg, &checked);
     }
     match checked.error.into_inner() {
         Some(e) => Err(e),
@@ -505,69 +517,59 @@ pub fn check_resumed_search(
     }
 }
 
-/// Computes the oracle for one replication of a scenario's environment.
-///
-/// Captures the replication's trace (the donor policy is the scenario's
-/// own — the extracted timeline is policy-independent), replays all seven
-/// knowledge-free policies as incumbents, then runs the permutation
-/// search. `journal` — when present — supplies already-journaled restart
-/// outcomes and records fresh ones.
-pub fn oracle_replication(
-    scenario: &Scenario,
-    base_seed: u64,
-    rep: u64,
-    ocfg: &OracleConfig,
-) -> OracleReplication {
-    oracle_replication_inner(scenario, base_seed, rep, ocfg, None)
+/// One replication's captured timeline and the inputs every replay of it
+/// runs on: the donor's trace is captured once (the extracted timeline is
+/// policy-independent), then shared by the seven policy replays and
+/// every search restart.
+pub(crate) struct Captured {
+    grid: Grid,
+    workload: Workload,
+    cfg: SimConfig,
+    env: TraceEnv,
 }
 
-fn oracle_replication_inner(
-    scenario: &Scenario,
-    base_seed: u64,
-    rep: u64,
-    ocfg: &OracleConfig,
-    journal: Option<(&OracleJournal, &str)>,
-) -> OracleReplication {
-    let (_, trace) = run_replication_traced(scenario, base_seed, rep);
-    let (grid, workload, cfg) = replication_inputs(scenario, base_seed, rep);
-    let env = TraceEnv::from_trace(&trace.events, grid.len());
-
-    let policy_turnarounds: Vec<(String, Option<f64>)> = PolicyKind::all_with_baselines()
-        .into_par_iter()
-        .map(|kind| {
-            let r = simulate_replayed(&grid, &workload, kind.create_seeded(cfg.seed), &cfg, &env);
-            let t = if r.saturated || r.completed < r.total {
-                None
-            } else {
-                Some(r.mean_turnaround())
-            };
-            (kind.paper_name().to_string(), t)
-        })
-        .collect();
-
-    let scfg = search_config(ocfg, rep);
-    let objective = ResumedReplay::new(&grid, &workload, &cfg, &env);
-    // Restarts are the resumable unit: replay journaled ones, compute the
-    // rest on the pool, journal fresh outcomes in restart order, fold.
-    let outcomes: Vec<(RestartOutcome, bool)> = (0..scfg.restarts)
-        .into_par_iter()
-        .map(|r| {
-            if let Some((j, env_key)) = journal {
-                if let Some(done) = j.lookup(env_key, rep, r) {
-                    return (done, true);
-                }
-            }
-            (run_restart(workload.len(), r, &scfg, &objective), false)
-        })
-        .collect();
-    if let Some((j, env_key)) = journal {
-        for (outcome, _) in outcomes.iter().filter(|(_, replayed)| !replayed) {
-            let (env, outcome) = (env_key.to_string(), outcome.clone());
-            j.log.append(&OracleLine::Restart { env, rep, outcome });
+impl Captured {
+    /// Captures replication `rep` of `scenario`.
+    fn new(scenario: &Scenario, base_seed: u64, rep: u64) -> Self {
+        let (_, trace) = run_replication_traced(scenario, base_seed, rep);
+        let (grid, workload, cfg) = replication_inputs(scenario, base_seed, rep);
+        let env = TraceEnv::from_trace(&trace.events, grid.len());
+        Captured {
+            grid,
+            workload,
+            cfg,
+            env,
         }
     }
-    let search = fold(outcomes.into_iter().map(|(o, _)| o)).expect("restarts >= 1");
 
+    /// `kind`'s paper name and replayed mean turnaround; `None` when the
+    /// replay saturated or left bags incomplete.
+    fn replay(&self, kind: PolicyKind) -> (String, Option<f64>) {
+        let (grid, workload, cfg) = (&self.grid, &self.workload, &self.cfg);
+        let r = simulate_replayed(grid, workload, kind.create_seeded(cfg.seed), cfg, &self.env);
+        let t = if r.saturated || r.completed < r.total {
+            None
+        } else {
+            Some(r.mean_turnaround())
+        };
+        (kind.paper_name().to_string(), t)
+    }
+
+    /// Restart `r` of the search `scfg`.
+    fn restart(&self, scfg: &SearchConfig, r: u32) -> RestartOutcome {
+        let objective = ResumedReplay::new(&self.grid, &self.workload, &self.cfg, &self.env);
+        run_restart(self.workload.len(), r, scfg, &objective)
+    }
+}
+
+/// Folds replication `rep`'s policy replays and search restarts into the
+/// oracle's view of it.
+fn fold_replication(
+    rep: u64,
+    policy_turnarounds: Vec<(String, Option<f64>)>,
+    outcomes: Vec<RestartOutcome>,
+) -> OracleReplication {
+    let search = fold(outcomes).expect("restarts >= 1");
     let best_policy = policy_turnarounds
         .iter()
         .filter_map(|(name, t)| t.map(|t| (name.as_str(), t)))
@@ -580,7 +582,6 @@ fn oracle_replication_inner(
         Some((name, t)) if !search_feasible || t <= search.cost => (name.to_string(), t),
         _ => ("search".to_string(), search.cost),
     };
-
     OracleReplication {
         rep,
         oracle_turnaround,
@@ -588,6 +589,27 @@ fn oracle_replication_inner(
         search,
         policy_turnarounds,
     }
+}
+
+/// Computes the oracle for one replication of a scenario's environment,
+/// on this thread.
+///
+/// Captures the replication's trace (the donor policy is the scenario's
+/// own — the extracted timeline is policy-independent), replays all seven
+/// knowledge-free policies as incumbents, then runs the permutation
+/// search's restarts in order. A regret sweep runs the same steps as
+/// replication-pool jobs.
+pub fn oracle_replication(
+    scenario: &Scenario,
+    base_seed: u64,
+    rep: u64,
+    ocfg: &OracleConfig,
+) -> OracleReplication {
+    let captured = Captured::new(scenario, base_seed, rep);
+    let scfg = search_config(ocfg, rep);
+    let policies = PolicyKind::all_with_baselines().map(|kind| captured.replay(kind));
+    let outcomes = (0..scfg.restarts).map(|r| captured.restart(&scfg, r));
+    fold_replication(rep, policies.to_vec(), outcomes.collect())
 }
 
 /// Canonical digest of a scenario's environment half: scenarios with
@@ -640,57 +662,113 @@ fn attach_regret(
     });
 }
 
-/// The oracle replications of every environment group, by environment
-/// digest. Scenarios are grouped by digest (BTreeMap: deterministic
-/// iteration) so each timeline is captured and searched exactly once,
-/// then shared by all policies in the group; every (group, replication)
-/// pair is one item of a single parallel map, in group-then-replication
-/// order.
-fn oracle_pass(
-    scenarios: &[Scenario],
+/// The oracle's share of a regret sweep's pool run. Scenarios are grouped
+/// by environment digest (sorted: deterministic order) so each timeline
+/// is captured and searched exactly once, then shared by all policies in
+/// the group. Each (group, replication) pair is one pool cell, in
+/// group-then-replication order; its jobs run here.
+pub(crate) struct OraclePass<'a> {
+    scenarios: &'a [Scenario],
     base_seed: u64,
-    ocfg: &OracleConfig,
-    journal: Option<&OracleJournal>,
-) -> BTreeMap<String, (Vec<usize>, Vec<OracleReplication>)> {
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        groups.entry(env_key(s)).or_default().push(i);
-    }
-    let pairs: Vec<(&str, usize, u64)> = groups
-        .iter()
-        .flat_map(|(key, members)| {
-            (0..ocfg.replications).map(move |rep| (key.as_str(), members[0], rep))
-        })
-        .collect();
-    // The pairs share the pool's width: a pair's own parallel maps (the
-    // policy replays and the search restarts) get what is left over.
-    let inner = (rayon::current_num_threads() / pairs.len().max(1)).max(1);
-    let mut oracle_reps = pairs
-        .into_par_iter()
-        .map(|(key, donor, rep)| {
-            let journal = journal.map(|j| (j, key));
-            rayon::with_num_threads(inner, || {
-                oracle_replication_inner(&scenarios[donor], base_seed, rep, ocfg, journal)
-            })
-        })
-        .collect::<Vec<_>>()
-        .into_iter();
-    groups
-        .into_iter()
-        .map(|(key, members)| {
-            let reps = oracle_reps
-                .by_ref()
-                .take(ocfg.replications as usize)
-                .collect();
-            (key, (members, reps))
-        })
-        .collect()
+    ocfg: &'a OracleConfig,
+    /// Environment digests with their member scenarios, the first of
+    /// which is the group's trace donor.
+    groups: Vec<(String, Vec<usize>)>,
+    journal: Option<&'a OracleJournal>,
 }
 
-/// The sweep and the oracle pass, overlapped: the oracle needs only the
-/// scenarios, not the sweep's results, so its replications fill the pool
-/// while the sweep's last batches drain. At width 1 the sweep runs first
-/// and the oracle after it, in group-then-replication order.
+impl<'a> OraclePass<'a> {
+    pub(crate) fn new(
+        scenarios: &'a [Scenario],
+        base_seed: u64,
+        ocfg: &'a OracleConfig,
+        journal: Option<&'a OracleJournal>,
+    ) -> Self {
+        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (i, s) in scenarios.iter().enumerate() {
+            groups.entry(env_key(s)).or_default().push(i);
+        }
+        OraclePass {
+            scenarios,
+            base_seed,
+            ocfg,
+            groups: groups.into_iter().collect(),
+            journal,
+        }
+    }
+
+    /// Pool cells: one per (environment group, replication).
+    pub(crate) fn pairs(&self) -> usize {
+        self.groups.len() * self.ocfg.replications as usize
+    }
+
+    /// Search restarts per pair.
+    pub(crate) fn restarts(&self) -> u32 {
+        self.ocfg.restarts
+    }
+
+    /// Pair `p`'s environment digest, trace donor and replication.
+    fn pair(&self, p: usize) -> (&str, &Scenario, u64) {
+        let reps = self.ocfg.replications as usize;
+        let (key, members) = &self.groups[p / reps];
+        (key, &self.scenarios[members[0]], (p % reps) as u64)
+    }
+
+    /// Runs one pool job. A sweep replication is a plain one; a
+    /// journaled restart is looked up, not recomputed.
+    pub(crate) fn run(&self, job: Job) -> Output {
+        match job {
+            Job::Rep(i, rep) => {
+                let run = run_replication(&self.scenarios[i], self.base_seed, rep);
+                Output::Rep(RepSummary::of(&run))
+            }
+            Job::Capture(p) => {
+                let (_, donor, rep) = self.pair(p);
+                Output::Capture(Arc::new(Captured::new(donor, self.base_seed, rep)))
+            }
+            Job::Replay(captured, kind) => {
+                let (policy, turnaround) = captured.replay(kind);
+                Output::Replay(policy, turnaround)
+            }
+            Job::Restart(p, captured, r) => {
+                let (key, _, rep) = self.pair(p);
+                let journaled = self.journal.and_then(|j| j.lookup(key, rep, r));
+                let scfg = search_config(self.ocfg, rep);
+                Output::Restart(journaled.unwrap_or_else(|| captured.restart(&scfg, r)))
+            }
+        }
+    }
+
+    /// The pool's `record` hook: appends a restart the journal does not
+    /// hold yet.
+    pub(crate) fn record(&self, record: Record<'_>) {
+        let (Some(j), Record::Restart(p, outcome)) = (self.journal, record) else {
+            return;
+        };
+        let (key, _, rep) = self.pair(p);
+        if !j
+            .records
+            .contains_key(&(key.to_string(), rep, outcome.restart))
+        {
+            let (env, outcome) = (key.to_string(), outcome.clone());
+            j.log.append(&OracleLine::Restart { env, rep, outcome });
+        }
+    }
+
+    /// Folds pair `p`'s completed replays and restarts.
+    pub(crate) fn fold(
+        &self,
+        p: usize,
+        policy_turnarounds: Vec<(String, Option<f64>)>,
+        outcomes: Vec<RestartOutcome>,
+    ) -> OracleReplication {
+        fold_replication(self.pair(p).2, policy_turnarounds, outcomes)
+    }
+}
+
+/// The sweep and the oracle pass on one pool run: the oracle needs only
+/// the scenarios, not the sweep's results, so the two share the workers
+/// job by job.
 fn sweep_with_regret(
     scenarios: &[Scenario],
     base_seed: u64,
@@ -698,14 +776,22 @@ fn sweep_with_regret(
     ocfg: &OracleConfig,
     journal: Option<&OracleJournal>,
 ) -> Vec<ScenarioResult> {
-    let (mut results, groups) = rayon::join(
-        || super::runner::run_matrix(scenarios, base_seed, rule),
-        || oracle_pass(scenarios, base_seed, ocfg, journal),
+    let oracle = OraclePass::new(scenarios, base_seed, ocfg, journal);
+    let (mut results, oracle_reps) = run_pool(
+        scenarios,
+        base_seed,
+        rule,
+        Some(&oracle),
+        &|_, _, _| {},
+        |job| oracle.run(job),
+        |record| oracle.record(record),
     );
-    for (members, oracle_reps) in groups.values() {
+    let reps = ocfg.replications as usize;
+    for (g, (_, members)) in oracle.groups.iter().enumerate() {
+        let group_reps = &oracle_reps[g * reps..(g + 1) * reps];
         for &i in members {
             let policy = results[i].policy.clone();
-            attach_regret(&mut results[i], &policy, oracle_reps, ocfg, rule.level);
+            attach_regret(&mut results[i], &policy, group_reps, ocfg, rule.level);
         }
     }
     results
@@ -772,7 +858,7 @@ impl LogLine for OracleLine {
 
 /// The restart journal of a search in progress: the log, the restarts
 /// it held on open, and how many of them were used.
-struct OracleJournal {
+pub(crate) struct OracleJournal {
     log: RecordLog,
     records: BTreeMap<(String, u64, u32), RestartOutcome>,
     replayed: AtomicU64,

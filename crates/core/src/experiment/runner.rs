@@ -1,25 +1,34 @@
 //! The experiment runner: independent replications, sequential stopping on
-//! the 95 % / 2.5 % rule of §4.3, and the replication pool every sweep
-//! runs on.
+//! the 95 % / 2.5 % rule of §4.3, and the pool every parallel loop runs
+//! on.
 //!
 //! Replication `r` of every scenario draws its grid, workload and failure
 //! traces from seed streams keyed by `(base_seed, r)` only — *not* by
 //! policy — so policies are compared under common random numbers.
 //!
-//! ## One replication pool per sweep
+//! ## One pool per run
 //!
 //! Every sweep — [`run_matrix`], [`run_scenario`], the journaled runners
 //! and the regret runners — runs on one pool of
-//! `rayon::current_num_threads()` workers, spawned once per sweep. Each
-//! scenario follows a fixed *batch plan*: replications `[0, min)`, then
-//! batches of the pool width up to the cap, the next batch opened only
-//! once the last is absorbed without the stopping rule ending the
-//! scenario. The workers pull (scenario, replication) jobs from every
-//! scenario's open batch, lowest scenario first, so no scenario's batch
-//! holds the pool behind a barrier while other scenarios' work waits. The
-//! worker that completes a batch records its summaries (the journal
-//! appends fresh ones, in replication order, durable before use), absorbs
-//! them, and opens the scenario's next batch or finishes it.
+//! `rayon::current_num_threads()` workers, spawned once per run. The
+//! pool's unit of work is a `Job`, one of a closed set: a sweep
+//! replication, an oracle trace capture, a policy replay, or a search
+//! restart. Jobs come from *cells*, each following a fixed plan of steps:
+//!
+//! * a sweep scenario's plan is its batch plan: replications `[0, min)`,
+//!   then batches of the pool width up to the cap, the next batch opened
+//!   only once the last is absorbed without the stopping rule ending the
+//!   scenario;
+//! * an oracle (environment group, replication) pair's plan is its trace
+//!   capture, then its seven policy replays and its search restarts on
+//!   the captured timeline (see the regret module).
+//!
+//! The workers pull jobs from every cell's open step, lowest cell first
+//! (the oracle's pairs, then the scenarios), so no cell's step holds the
+//! pool behind a barrier while other cells' work waits. The worker that
+//! completes a step records its outputs (a journal appends fresh ones, in
+//! replication or restart order, durable before use), folds them, and
+//! opens the cell's next step or finishes it.
 //!
 //! ## Thread-count invariance
 //!
@@ -40,20 +49,23 @@
 //! does) but never on timing: nothing is started speculatively because a
 //! worker is idle. Consequently `run_matrix` produces byte-identical JSON
 //! at any pool width (`tests/parallel_determinism.rs` pins this), and at
-//! width 1 the single worker runs scenarios one after another, in input
-//! order, exactly as a plain loop would.
+//! width 1 the single worker runs cells one after another, in order,
+//! exactly as a plain loop would.
 
+use super::regret::{Captured, OraclePass, OracleReplication};
 use super::scenario::Scenario;
+use crate::policy::PolicyKind;
 use crate::sim::{simulate, RunResult, SimConfig, SimReport};
 use dgsched_des::rng::StreamSeeder;
 use dgsched_des::stats::{ConfidenceInterval, StoppingRule, Welford};
 use dgsched_obs::MetricsSnapshot;
+use dgsched_oracle::RestartOutcome;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Aggregated result of one scenario across replications.
 ///
@@ -379,25 +391,69 @@ fn absorb_batch(
     None
 }
 
-/// One scenario's place in its batch plan.
+/// A pool job: the closed set of work the pool runs.
+#[derive(Clone)]
+pub(crate) enum Job {
+    /// Replication `rep` of sweep scenario `i`.
+    Rep(usize, u64),
+    /// Oracle pair `p`'s trace capture.
+    Capture(usize),
+    /// An oracle pair's replay of one policy on its captured timeline.
+    Replay(Arc<Captured>, PolicyKind),
+    /// Oracle pair `p`'s search restart `r` on its captured timeline.
+    Restart(usize, Arc<Captured>, u32),
+}
+
+impl Job {
+    /// A replication job's scenario and replication.
+    pub(crate) fn rep(&self) -> (usize, u64) {
+        match self {
+            Job::Rep(i, rep) => (*i, *rep),
+            _ => unreachable!("a sweep cell runs only replication jobs"),
+        }
+    }
+}
+
+/// What a [`Job`] yields, variant for variant.
+pub(crate) enum Output {
+    Rep(RepSummary),
+    Capture(Arc<Captured>),
+    /// The policy's paper name and its replayed mean turnaround.
+    Replay(String, Option<f64>),
+    Restart(RestartOutcome),
+}
+
+/// A completed step's output that a journal may need, handed to the
+/// `record` hook in job order before the step is folded.
+pub(crate) enum Record<'r> {
+    /// Replication `rep` of scenario `i`.
+    Rep(usize, u64, &'r RepSummary),
+    /// A search restart of oracle pair `p`.
+    Restart(usize, &'r RestartOutcome),
+}
+
+/// One pool cell: a sweep scenario on its batch plan, or an oracle pair
+/// on its two steps.
 #[derive(Default)]
 struct Cell {
-    /// The batches absorbed so far. Taken out by the worker that absorbs
-    /// the open batch, and put back when it opens the next one.
+    /// The open step's jobs; those from `next` on are not handed out yet.
+    jobs: Vec<Job>,
+    next: usize,
+    /// The open step's outputs by job position, as workers deliver them.
+    outs: Vec<Option<Output>>,
+    /// A sweep cell's absorbed batches. Taken out by the worker that
+    /// completes the open batch, and put back when it opens the next one.
     acc: ScenarioAccum,
-    /// The open batch.
-    batch: Range<u64>,
-    /// The open batch's next replication to hand out.
-    next: u64,
-    /// The open batch's summaries by offset, as workers deliver them.
-    slots: Vec<Option<RepSummary>>,
 }
 
 impl Cell {
-    fn open(&mut self, batch: Range<u64>) {
-        self.next = batch.start;
-        self.slots = batch.clone().map(|_| None).collect();
-        self.batch = batch;
+    fn new(jobs: Vec<Job>, acc: ScenarioAccum) -> Self {
+        Cell {
+            outs: jobs.iter().map(|_| None).collect(),
+            jobs,
+            next: 0,
+            acc,
+        }
     }
 }
 
@@ -406,144 +462,186 @@ impl Cell {
 const POISONED: &str = "the pool lock is never held across a panic";
 
 struct PoolState {
+    /// The oracle pairs' cells, then the sweep scenarios'.
     cells: Vec<Cell>,
-    /// Scenarios whose open batch has replications left to hand out.
-    /// Workers claim from the lowest, so a scenario's next batch goes
-    /// ahead of later scenarios' work and scenarios finish roughly in
-    /// order.
+    /// Cells whose open step has jobs left to hand out. Workers claim
+    /// from the lowest, so a cell's next step goes ahead of later cells'
+    /// work and cells finish roughly in order.
     claimable: BTreeSet<usize>,
-    /// Scenarios not finished yet.
+    /// Cells not finished yet.
     unfinished: usize,
+    results: Vec<Option<ScenarioResult>>,
+    oracle_reps: Vec<Option<OracleReplication>>,
     /// The first panic payload: once set, no worker claims again.
     panic: Option<Box<dyn Any + Send>>,
 }
 
-/// The replication pool behind every sweep: `width` workers, spawned
-/// once, pull (scenario, replication) jobs from every scenario's open
-/// batch. A batch is absorbed by the worker that completes it, so a
-/// scenario waiting on its last replication holds no one else up.
-struct Pool<'a, J, D> {
+/// The pool behind every sweep and every oracle pass: `width` workers,
+/// spawned once, pull jobs from every cell's open step. A step is folded
+/// by the worker that completes it, so a cell waiting on its last job
+/// holds no one else up.
+struct Pool<'a, R, D> {
     scenarios: &'a [Scenario],
     base_seed: u64,
     rule: &'a StoppingRule,
+    oracle: Option<&'a OraclePass<'a>>,
+    /// Oracle pairs, whose cells come first.
+    pairs: usize,
     obs: bool,
     width: u64,
-    summarize: J,
+    run: R,
     record: D,
     sink: ProgressSink<'a>,
     /// A std lock, which the `lockcheck` witness cannot see, so it is
-    /// held only to claim a job, deliver a summary, or open or close a
-    /// batch: never across a replication, a journal append
-    /// (`record`), [`finish`](Self::finish) or a progress callback.
+    /// held only to claim a job, deliver an output, or open or close a
+    /// step: never across a job, a journal append (`record`),
+    /// [`finish`](Self::finish) or a progress callback.
     state: Mutex<PoolState>,
     wake: Condvar,
 }
 
-impl<J, D> Pool<'_, J, D>
+impl<R, D> Pool<'_, R, D>
 where
-    J: Fn(usize, u64) -> RepSummary + Sync,
-    D: Fn(usize, u64, &RepSummary) + Sync,
+    R: Fn(Job) -> Output + Sync,
+    D: Fn(Record<'_>) + Sync,
 {
     fn lock(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().expect(POISONED)
     }
 
-    /// The next job, in scenario-then-replication order; blocks while
-    /// every open batch is handed out but scenarios remain unfinished.
-    /// `None` when the sweep is over or a worker panicked.
-    fn claim(&self) -> Option<(usize, u64)> {
+    /// The next job, lowest cell first, with its cell and position;
+    /// blocks while every open step is handed out but cells remain
+    /// unfinished. `None` when the run is over or a worker panicked.
+    fn claim(&self) -> Option<(usize, usize, Job)> {
         let mut state = self.lock();
         loop {
             if state.panic.is_some() || state.unfinished == 0 {
                 return None;
             }
-            if let Some(&i) = state.claimable.first() {
-                let cell = &mut state.cells[i];
-                let rep = cell.next;
+            if let Some(&c) = state.claimable.first() {
+                let cell = &mut state.cells[c];
+                let slot = cell.next;
                 cell.next += 1;
-                if cell.next == cell.batch.end {
-                    state.claimable.remove(&i);
+                let job = cell.jobs[slot].clone();
+                if cell.next == cell.jobs.len() {
+                    state.claimable.remove(&c);
                 }
-                return Some((i, rep));
+                return Some((c, slot, job));
             }
             state = self.wake.wait(state).expect(POISONED);
         }
     }
 
-    /// Files one summary; when it completes its batch, returns the
-    /// batch's start, its summaries in replication order and the
-    /// scenario's accumulator.
+    /// Files one output; when it completes its step, returns the step's
+    /// jobs, their outputs in job order and the cell's accumulator.
     fn deliver(
         &self,
-        i: usize,
-        rep: u64,
-        summary: RepSummary,
-    ) -> Option<(u64, Vec<RepSummary>, ScenarioAccum)> {
+        c: usize,
+        slot: usize,
+        out: Output,
+    ) -> Option<(Vec<Job>, Vec<Output>, ScenarioAccum)> {
         let mut state = self.lock();
-        let cell = &mut state.cells[i];
-        cell.slots[(rep - cell.batch.start) as usize] = Some(summary);
-        if cell.slots.iter().any(Option::is_none) {
+        let cell = &mut state.cells[c];
+        cell.outs[slot] = Some(out);
+        if cell.outs.iter().any(Option::is_none) {
             return None;
         }
-        let summaries = std::mem::take(&mut cell.slots)
-            .into_iter()
-            .map(|s| s.expect("a complete batch has every summary"))
-            .collect();
-        Some((cell.batch.start, summaries, std::mem::take(&mut cell.acc)))
+        let outs = std::mem::take(&mut cell.outs).into_iter().flatten();
+        let jobs = std::mem::take(&mut cell.jobs);
+        Some((jobs, outs.collect(), std::mem::take(&mut cell.acc)))
     }
 
-    /// Opens scenario `i`'s batch after `next_rep`, or, when the rule
-    /// stopped it or the plan is exhausted, finishes it and returns its
-    /// accumulator and replication count.
-    fn advance(
-        &self,
-        i: usize,
-        acc: ScenarioAccum,
-        stop: Option<u64>,
-        next_rep: u64,
-    ) -> Option<(ScenarioAccum, u64)> {
+    /// Opens cell `c`'s next step.
+    fn open(&self, c: usize, jobs: Vec<Job>, acc: ScenarioAccum) {
+        let cell = Cell::new(jobs, acc);
+        let mut state = self.lock();
+        state.cells[c] = cell;
+        state.claimable.insert(c);
+        self.wake.notify_all();
+    }
+
+    /// Files a finished cell's result and counts the cell finished.
+    fn close(&self, file: impl FnOnce(&mut PoolState)) {
+        let mut state = self.lock();
+        file(&mut state);
+        state.unfinished -= 1;
+        if state.unfinished == 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// One worker: claims jobs until the run is over.
+    fn work(&self) {
+        while let Some((c, slot, job)) = self.claim() {
+            let out = (self.run)(job);
+            let Some((jobs, outs, acc)) = self.deliver(c, slot, out) else {
+                continue;
+            };
+            match c.checked_sub(self.pairs) {
+                Some(i) => self.absorb(c, i, &jobs, outs, acc),
+                None => self.advance_pair(c, outs),
+            }
+        }
+    }
+
+    /// Scenario `i`'s completed batch: its summaries are recorded in
+    /// replication order (the journal makes fresh ones durable before
+    /// they can influence a published number) and absorbed, then the
+    /// scenario's next batch opens or the scenario finishes.
+    fn absorb(&self, c: usize, i: usize, jobs: &[Job], outs: Vec<Output>, mut acc: ScenarioAccum) {
+        let (_, start) = jobs[0].rep();
+        let summaries: Vec<RepSummary> = outs
+            .into_iter()
+            .map(|out| match out {
+                Output::Rep(summary) => summary,
+                _ => unreachable!("a sweep cell runs only replications"),
+            })
+            .collect();
+        for (rep, s) in (start..).zip(&summaries) {
+            (self.record)(Record::Rep(i, rep, s));
+        }
+        let stop = absorb_batch(&mut acc, self.rule, start, &summaries);
+        let next_rep = start + summaries.len() as u64;
         let batch = match stop {
             Some(_) => next_rep..next_rep,
             None => next_batch(self.rule, next_rep, self.width),
         };
-        let mut state = self.lock();
         if batch.is_empty() {
-            state.unfinished -= 1;
-            if state.unfinished == 0 {
-                self.wake.notify_all();
-            }
-            return Some((acc, stop.unwrap_or(next_rep)));
+            let result = self.finish(i, acc, stop.unwrap_or(next_rep));
+            self.close(|state| state.results[i] = Some(result));
+        } else {
+            self.open(c, batch.map(|rep| Job::Rep(i, rep)).collect(), acc);
         }
-        let cell = &mut state.cells[i];
-        cell.acc = acc;
-        cell.open(batch);
-        state.claimable.insert(i);
-        self.wake.notify_all();
-        None
     }
 
-    /// One worker: claims jobs until the sweep is over, and returns the
-    /// scenarios it finished.
-    fn work(&self) -> Vec<(usize, ScenarioResult)> {
-        let mut finished = Vec::new();
-        while let Some((i, rep)) = self.claim() {
-            let summary = (self.summarize)(i, rep);
-            let Some((start, summaries, mut acc)) = self.deliver(i, rep, summary) else {
-                continue;
-            };
-            // Make fresh summaries durable in replication order before
-            // absorbing: by the time a summary can influence a published
-            // number, a durable record of it exists.
-            for (rep, s) in (start..).zip(&summaries) {
-                (self.record)(i, rep, s);
-            }
-            let stop = absorb_batch(&mut acc, self.rule, start, &summaries);
-            let next_rep = start + summaries.len() as u64;
-            if let Some((acc, replications)) = self.advance(i, acc, stop, next_rep) {
-                finished.push((i, self.finish(i, acc, replications)));
+    /// Oracle pair `p`'s completed step. Its capture opens its policy
+    /// replays and search restarts, which share the captured timeline.
+    /// Once those are done, its restarts are recorded in restart order,
+    /// durable before use, and everything folds into the pair's oracle
+    /// replication.
+    fn advance_pair(&self, p: usize, outs: Vec<Output>) {
+        let oracle = self.oracle.expect("oracle cells run with the oracle");
+        let (mut turnarounds, mut outcomes) = (Vec::new(), Vec::new());
+        for out in outs {
+            match out {
+                Output::Capture(captured) => {
+                    let replays = PolicyKind::all_with_baselines()
+                        .map(|kind| Job::Replay(Arc::clone(&captured), kind));
+                    let restarts =
+                        (0..oracle.restarts()).map(|r| Job::Restart(p, Arc::clone(&captured), r));
+                    let jobs = replays.into_iter().chain(restarts).collect();
+                    return self.open(p, jobs, ScenarioAccum::default());
+                }
+                Output::Replay(policy, turnaround) => turnarounds.push((policy, turnaround)),
+                Output::Restart(outcome) => {
+                    (self.record)(Record::Restart(p, &outcome));
+                    outcomes.push(outcome);
+                }
+                Output::Rep(_) => unreachable!("an oracle cell runs no replications"),
             }
         }
-        finished
+        let orep = oracle.fold(p, turnarounds, outcomes);
+        self.close(|state| state.oracle_reps[p] = Some(orep));
     }
 
     /// Packages scenario `i`'s finished sweep and reports it, attaching
@@ -564,100 +662,112 @@ where
 
     /// [`work`](Self::work) with a panic caught and parked for the
     /// caller, waking every waiting worker so the pool drains.
-    fn run_worker(&self) -> Vec<(usize, ScenarioResult)> {
-        match catch_unwind(AssertUnwindSafe(|| self.work())) {
-            Ok(finished) => finished,
-            Err(payload) => {
-                self.lock().panic.get_or_insert(payload);
-                self.wake.notify_all();
-                Vec::new()
-            }
+    fn run_worker(&self) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.work())) {
+            self.lock().panic.get_or_insert(payload);
+            self.wake.notify_all();
         }
     }
 }
 
-/// Runs every scenario's batch plan on one replication pool of
-/// `rayon::current_num_threads()` workers (the caller and `width − 1`
-/// spawned threads) and returns one result per scenario, in input order.
+/// Runs every scenario's batch plan, and every pair of `oracle`, on one
+/// pool of `rayon::current_num_threads()` workers (the caller and
+/// `width − 1` spawned threads). Returns one result per scenario, in
+/// input order, and one oracle replication per pair, in pair order.
 ///
-/// `summarize(i, rep)` yields replication `rep` of scenario `i`, computed
-/// or replayed. `record(i, rep, summary)` is called for every summary of
-/// a completed batch, in replication order, before any of them is
-/// absorbed; it is the journal's hook. Progress is reported as in
+/// `run` computes (or replays) a job. `record` is called for every
+/// output of a completed step that a journal may need, in job order,
+/// before the step is folded: a batch's summaries in replication order,
+/// a pair's restarts in restart order. Progress is reported as in
 /// [`run_matrix_with_progress`]. A panic in any of them stops the pool
 /// and is re-raised on the caller with its payload once every worker has
 /// returned.
-pub(crate) fn run_pool<J, D>(
+///
+/// The oracle's cells come first: a capture gates its pair's seven
+/// replays and every restart, so claiming captures early keeps the tail
+/// of the run short.
+pub(crate) fn run_pool<R, D>(
     scenarios: &[Scenario],
     base_seed: u64,
     rule: &StoppingRule,
+    oracle: Option<&OraclePass<'_>>,
     progress: &(dyn Fn(usize, usize, &str) + Send + Sync),
-    summarize: J,
+    run: R,
     record: D,
-) -> Vec<ScenarioResult>
+) -> (Vec<ScenarioResult>, Vec<OracleReplication>)
 where
-    J: Fn(usize, u64) -> RepSummary + Sync,
-    D: Fn(usize, u64, &RepSummary) + Sync,
+    R: Fn(Job) -> Output + Sync,
+    D: Fn(Record<'_>) + Sync,
 {
     let width = rayon::current_num_threads().max(1);
+    let pairs = oracle.map_or(0, OraclePass::pairs);
     let first = next_batch(rule, 0, width as u64);
-    let cells: Vec<Cell> = scenarios
-        .iter()
-        .map(|_| {
-            let mut cell = Cell::default();
-            cell.open(first.clone());
-            cell
-        })
+    let mut cells: Vec<Cell> = (0..pairs)
+        .map(|p| Cell::new(vec![Job::Capture(p)], ScenarioAccum::default()))
         .collect();
+    if !first.is_empty() {
+        cells.extend((0..scenarios.len()).map(|i| {
+            let jobs = first.clone().map(|rep| Job::Rep(i, rep)).collect();
+            Cell::new(jobs, ScenarioAccum::default())
+        }));
+    }
     let pool = Pool {
         scenarios,
         base_seed,
         rule,
+        oracle,
+        pairs,
         // Read the instrumentation toggle once for the whole sweep: the
         // environment is ambient mutable state, and consulting it per
         // scenario would let a mid-sweep change produce a chimera result
         // (some scenarios instrumented, some not).
         obs: obs_enabled(),
         width: width as u64,
-        summarize,
+        run,
         record,
         sink: ProgressSink::new(scenarios.len(), progress),
         state: Mutex::new(PoolState {
+            claimable: (0..cells.len()).collect(),
+            unfinished: cells.len(),
             cells,
-            claimable: (0..scenarios.len()).collect(),
-            unfinished: scenarios.len(),
+            results: scenarios.iter().map(|_| None).collect(),
+            oracle_reps: (0..pairs).map(|_| None).collect(),
             panic: None,
         }),
         wake: Condvar::new(),
     };
-    let finished = if first.is_empty() {
-        // A rule that asks for no replications: nothing to run.
-        (0..scenarios.len())
-            .map(|i| (i, pool.finish(i, ScenarioAccum::default(), 0)))
-            .collect()
-    } else {
+    if first.is_empty() {
+        // A rule that asks for no replications: the sweep has nothing to
+        // run.
+        for i in 0..scenarios.len() {
+            let result = pool.finish(i, ScenarioAccum::default(), 0);
+            pool.lock().results[i] = Some(result);
+        }
+    }
+    if pool.lock().unfinished > 0 {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (1..width)
                 .map(|_| scope.spawn(|| rayon::with_num_threads(width, || pool.run_worker())))
                 .collect();
-            let mut finished = pool.run_worker();
+            pool.run_worker();
             for worker in workers {
-                finished.extend(worker.join().expect("workers catch their own panics"));
+                worker.join().expect("workers catch their own panics");
             }
-            finished
-        })
-    };
-    if let Some(payload) = pool.state.into_inner().expect(POISONED).panic {
+        });
+    }
+    let state = pool.state.into_inner().expect(POISONED);
+    if let Some(payload) = state.panic {
         resume_unwind(payload);
     }
-    let mut results: Vec<Option<ScenarioResult>> = scenarios.iter().map(|_| None).collect();
-    for (i, result) in finished {
-        results[i] = Some(result);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every scenario finishes once"))
-        .collect()
+    let done = "every cell finishes once";
+    (
+        state.results.into_iter().map(|r| r.expect(done)).collect(),
+        state
+            .oracle_reps
+            .into_iter()
+            .map(|r| r.expect(done))
+            .collect(),
+    )
 }
 
 /// Runs a scenario with the sequential stopping rule, replications in
@@ -732,14 +842,24 @@ pub fn run_matrix_with_progress<F>(
 where
     F: Fn(usize, usize, &str) + Send + Sync,
 {
+    let replicate = |job: Job| {
+        let (i, rep) = job.rep();
+        Output::Rep(RepSummary::of(&run_replication(
+            &scenarios[i],
+            base_seed,
+            rep,
+        )))
+    };
     run_pool(
         scenarios,
         base_seed,
         rule,
+        None,
         &progress,
-        |i, rep| RepSummary::of(&run_replication(&scenarios[i], base_seed, rep)),
-        |_, _, _| {},
+        replicate,
+        |_| {},
     )
+    .0
 }
 
 /// [`run_matrix_with_progress`] without progress reporting.
@@ -755,9 +875,10 @@ pub fn run_matrix(
 mod tests {
     use super::*;
     use crate::experiment::scenario::WorkloadKind;
-    use crate::policy::PolicyKind;
+    use crate::experiment::OracleConfig;
     use parking_lot::Mutex;
     use std::cell::RefCell;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1016,8 +1137,16 @@ mod tests {
         assert_eq!(names, expect, "each scenario reported once");
     }
 
-    #[test]
-    fn a_panicking_replication_reaches_the_caller_and_stops_the_pool() {
+    /// Runs `scenarios` (and `oracle`'s pairs) on the pool at widths 1, 2
+    /// and 4 with the job `fails` picks panicking with `message`, and
+    /// checks that the panic reaches the caller with its payload and that
+    /// no spawned worker outlives the run.
+    fn assert_panic_reaches_the_caller(
+        scenarios: &[Scenario],
+        oracle: Option<&OraclePass<'_>>,
+        fails: impl Fn(&Job) -> bool + Sync,
+        message: &str,
+    ) {
         // Counts down when a spawned worker thread exits.
         struct Exit(Arc<AtomicUsize>);
         impl Drop for Exit {
@@ -1029,13 +1158,9 @@ mod tests {
             static EXIT: RefCell<Option<Exit>> = const { RefCell::new(None) };
         }
         let caller = std::thread::current().id();
-        let scenarios: Vec<Scenario> = [PolicyKind::Rr, PolicyKind::FcfsShare, PolicyKind::Sbf]
-            .map(small_scenario)
-            .to_vec();
         for width in [1usize, 2, 4] {
             let live = Arc::new(AtomicUsize::new(0));
-            // run_matrix's own job, failing at replication 1 of scenario 1.
-            let job = |i: usize, rep: u64| {
+            let job = |job: Job| {
                 if std::thread::current().id() != caller {
                     EXIT.with(|exit| {
                         exit.borrow_mut().get_or_insert_with(|| {
@@ -1044,20 +1169,27 @@ mod tests {
                         });
                     });
                 }
-                if (i, rep) == (1, 1) {
-                    panic!("replication {rep} of scenario {i} failed");
+                if fails(&job) {
+                    panic!("{message}");
                 }
-                RepSummary::of(&run_replication(&scenarios[i], 3, rep))
+                match oracle {
+                    Some(oracle) => oracle.run(job),
+                    None => {
+                        let (i, rep) = job.rep();
+                        Output::Rep(RepSummary::of(&run_replication(&scenarios[i], 3, rep)))
+                    }
+                }
             };
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 rayon::with_num_threads(width, || {
                     run_pool(
-                        &scenarios,
+                        scenarios,
                         3,
                         &quick_rule(),
+                        oracle,
                         &|_, _, _| {},
                         job,
-                        |_, _, _| {},
+                        |_| {},
                     )
                 })
             }));
@@ -1066,12 +1198,132 @@ mod tests {
                 .downcast_ref::<String>()
                 .cloned()
                 .unwrap_or_default();
-            assert_eq!(msg, "replication 1 of scenario 1 failed", "width {width}");
+            assert_eq!(msg, message, "width {width}");
             assert_eq!(
                 live.load(Ordering::SeqCst),
                 0,
-                "a worker thread outlived the sweep at width {width}"
+                "a worker thread outlived the run at width {width}"
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_replication_reaches_the_caller_and_stops_the_pool() {
+        let scenarios: Vec<Scenario> = [PolicyKind::Rr, PolicyKind::FcfsShare, PolicyKind::Sbf]
+            .map(small_scenario)
+            .to_vec();
+        assert_panic_reaches_the_caller(
+            &scenarios,
+            None,
+            |job| matches!(job, Job::Rep(1, 1)),
+            "replication 1 of scenario 1 failed",
+        );
+    }
+
+    #[test]
+    fn a_panicking_oracle_job_reaches_the_caller_and_stops_the_pool() {
+        let scenarios: Vec<Scenario> = [PolicyKind::Rr, PolicyKind::Sbf]
+            .map(small_scenario)
+            .to_vec();
+        let ocfg = OracleConfig {
+            restarts: 3,
+            iters: 4,
+            seed: 1,
+            replications: 2,
+        };
+        let oracle = OraclePass::new(&scenarios, 3, &ocfg, None);
+        assert_panic_reaches_the_caller(
+            &scenarios,
+            Some(&oracle),
+            |job| matches!(job, Job::Replay(_, PolicyKind::LongIdle)),
+            "the LongIdle replay failed",
+        );
+        assert_panic_reaches_the_caller(
+            &scenarios,
+            Some(&oracle),
+            |job| matches!(job, Job::Restart(1, _, 2)),
+            "restart 2 of pair 1 failed",
+        );
+    }
+
+    #[test]
+    fn every_oracle_job_runs_once_at_any_width() {
+        // Two environment groups (two grid classes) of two policies each.
+        let mut scenarios: Vec<Scenario> = [PolicyKind::Rr, PolicyKind::Sbf]
+            .map(small_scenario)
+            .to_vec();
+        for policy in [PolicyKind::Rr, PolicyKind::Sbf] {
+            let mut s = small_scenario(policy);
+            s.name = format!("low {policy}");
+            s.grid.availability = dgsched_grid::Availability::LOW;
+            scenarios.push(s);
+        }
+        let ocfg = OracleConfig {
+            restarts: 3,
+            iters: 4,
+            seed: 1,
+            replications: 2,
+        };
+        let oracle = OraclePass::new(&scenarios, 3, &ocfg, None);
+        assert_eq!(oracle.pairs(), 4);
+        let mut runs = Vec::new();
+        for width in [1usize, 2, 4] {
+            let ran = Mutex::new(BTreeMap::<(char, usize, u32), u32>::new());
+            let job = |job: Job| {
+                let key = match &job {
+                    Job::Rep(i, rep) => ('s', *i, *rep as u32),
+                    Job::Capture(p) => ('c', *p, 0),
+                    Job::Replay(_, kind) => ('p', 0, *kind as u32),
+                    Job::Restart(p, _, r) => ('r', *p, *r),
+                };
+                *ran.lock().entry(key).or_default() += 1;
+                oracle.run(job)
+            };
+            let restarts = Mutex::new(Vec::new());
+            let record = |record: Record<'_>| {
+                if let Record::Restart(p, outcome) = record {
+                    restarts.lock().push((p, outcome.restart));
+                }
+            };
+            let (results, oracle_reps) = rayon::with_num_threads(width, || {
+                run_pool(
+                    &scenarios,
+                    3,
+                    &quick_rule(),
+                    Some(&oracle),
+                    &|_, _, _| {},
+                    job,
+                    record,
+                )
+            });
+            let ran = ran.into_inner();
+            for p in 0..4 {
+                assert_eq!(ran[&('c', p, 0)], 1, "capture of pair {p} at width {width}");
+                for r in 0..3 {
+                    assert_eq!(
+                        ran[&('r', p, r)],
+                        1,
+                        "restart {r} of pair {p} at width {width}"
+                    );
+                }
+            }
+            let replays: u32 = ran.iter().filter(|(k, _)| k.0 == 'p').map(|(_, n)| n).sum();
+            assert_eq!(
+                replays,
+                4 * 7,
+                "one replay per pair and policy at width {width}"
+            );
+            let mut recorded = restarts.into_inner();
+            recorded.sort_unstable();
+            let expect: Vec<(usize, u32)> =
+                (0..4).flat_map(|p| (0..3).map(move |r| (p, r))).collect();
+            assert_eq!(
+                recorded, expect,
+                "each restart recorded once at width {width}"
+            );
+            runs.push(serde_json::to_string(&(results, oracle_reps)).unwrap());
+        }
+        assert_eq!(runs[0], runs[1], "1 vs 2 threads");
+        assert_eq!(runs[0], runs[2], "1 vs 4 threads");
     }
 }

@@ -2,7 +2,7 @@
 //! across tenants instead of first-come-whole-pool.
 //!
 //! Without admission control, the first client to submit a large matrix
-//! owns the work-stealing pool until it drains — every later tenant
+//! owns the replication pool until it drains — every later tenant
 //! queues behind the whole sweep. The admission queue bounds how many
 //! sweeps run concurrently (`slots`, default 1: one sweep at a time gets
 //! the whole pool, the paper-sweep sweet spot) and, when sweeps are

@@ -32,8 +32,8 @@ pub mod single_flight;
 pub use admission::{Admission, Permit};
 pub use cache::{CacheEntry, CacheLookup, ResultCache};
 pub use protocol::{
-    http_request, http_request_streaming, validate_scenarios, HttpResponse, OracleRequest,
-    OracleResponse, StreamEvent, SweepRequest, SweepResponse,
+    http_request, http_request_streaming, validate_oracle, validate_scenarios, HttpResponse,
+    OracleRequest, OracleResponse, StreamEvent, SweepRequest, SweepResponse,
 };
 pub use server::{self_check, ServeConfig, Server, ServerHandle};
 pub use single_flight::{FlightRole, SingleFlight};

@@ -77,6 +77,40 @@ pub fn validate_scenarios(scenarios: &[Scenario]) -> Result<(), String> {
     Ok(())
 }
 
+/// The most search restarts per replication an oracle request may ask for.
+/// Far above any real search (the default is 8): restart outcomes are held
+/// in memory until their replication folds, so this bounds what a request
+/// can make the daemon allocate.
+pub const MAX_ORACLE_RESTARTS: u32 = 4096;
+
+/// The most replications an oracle request may ask the oracle to
+/// evaluate (the default is 3). Each one is a pool cell of every
+/// environment group, allocated before any work starts.
+pub const MAX_ORACLE_REPLICATIONS: u64 = 4096;
+
+/// Validates an oracle request's search knobs before any work starts:
+/// at least one restart, and no more restarts or replications than the
+/// caps above. The daemon and `dgsched oracle` both call it, so they
+/// reject the same knobs with the same message.
+pub fn validate_oracle(ocfg: &OracleConfig) -> Result<(), String> {
+    if ocfg.restarts == 0 {
+        return Err("oracle.restarts must be non-zero".to_string());
+    }
+    if ocfg.restarts > MAX_ORACLE_RESTARTS {
+        return Err(format!(
+            "oracle.restarts must be at most {MAX_ORACLE_RESTARTS} (got {})",
+            ocfg.restarts
+        ));
+    }
+    if ocfg.replications > MAX_ORACLE_REPLICATIONS {
+        return Err(format!(
+            "oracle.replications must be at most {MAX_ORACLE_REPLICATIONS} (got {})",
+            ocfg.replications
+        ));
+    }
+    Ok(())
+}
+
 /// Body of a successful sweep response. Serialised once, cached, and
 /// replayed byte-for-byte on every cache hit — the determinism contract
 /// (same request ⇒ same bytes at any pool width) is what makes cache

@@ -29,9 +29,9 @@
 use super::admission::Admission;
 use super::cache::{CacheEntry, CacheLookup, ResultCache};
 use super::protocol::{
-    header_value, http_request, read_http_request, validate_scenarios, write_http_response,
-    write_http_stream_head, HttpRequest, OracleRequest, OracleResponse, StreamEvent, SweepRequest,
-    SweepResponse,
+    header_value, http_request, read_http_request, validate_oracle, validate_scenarios,
+    write_http_response, write_http_stream_head, HttpRequest, OracleRequest, OracleResponse,
+    StreamEvent, SweepRequest, SweepResponse,
 };
 use super::single_flight::{FlightRole, LeaderToken, SingleFlight};
 use crate::experiment::{
@@ -542,9 +542,9 @@ fn handle_oracle(
         ServeMetrics::bump(&inner.metrics.bad_requests);
         return conn.send_error(400, &msg);
     }
-    if req.oracle.restarts == 0 {
+    if let Err(msg) = validate_oracle(&req.oracle) {
         ServeMetrics::bump(&inner.metrics.bad_requests);
-        return conn.send_error(400, "oracle.restarts must be non-zero");
+        return conn.send_error(400, &msg);
     }
     let canonical =
         match canonical_oracle_bytes(&req.scenarios, req.base_seed, &req.rule, &req.oracle) {

@@ -1,34 +1,23 @@
-//! Trace serialisation: line-delimited JSON and a compact binary format.
+//! Trace serialisation: line-delimited JSON, the one trace format.
 //!
-//! Both formats carry a header with the event count **and the number of
-//! events the tracer dropped** (ring-buffer eviction), so a truncated
-//! trace is always identifiable as such — decoding never silently
-//! pretends a partial trace is complete.
+//! The header carries the event count **and the number of events the
+//! tracer dropped** (ring-buffer eviction), so a truncated trace is
+//! always identifiable as such — decoding never silently pretends a
+//! partial trace is complete.
 //!
-//! ## JSONL
-//!
-//! Line 1 is a header object, every following line is one event:
+//! Line 1 is the header object, every following line is one event:
 //!
 //! ```text
 //! {"format":"dgsched-trace","version":1,"events":3,"dropped":0}
 //! {"kind":"bag_arrival","at":0.0,"bag":0}
 //! ...
 //! ```
-//!
-//! ## Binary
-//!
-//! Little-endian, no padding: magic `DGTR`, `u16` version, `u64` dropped,
-//! `u64` count, then one tag byte plus fixed-width fields per event. The
-//! binary form is ~4× smaller than JSONL and round-trips bit-exactly
-//! (f64 fields are stored as raw bits).
 
 use crate::event::TraceEvent;
 use serde::{Deserialize, Serialize};
 
-/// Current version of both trace formats.
+/// Current version of the trace format.
 pub const TRACE_FORMAT_VERSION: u16 = 1;
-
-const MAGIC: &[u8; 4] = b"DGTR";
 
 /// A decoded trace: the surviving events plus the tracer's drop count.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,14 +49,8 @@ pub enum TraceCodecError {
         /// Events actually decoded.
         found: u64,
     },
-    /// The binary magic bytes are wrong.
-    BadMagic,
     /// The format version is unknown.
     BadVersion(u16),
-    /// An unknown event tag byte.
-    BadTag(u8),
-    /// The byte stream ended mid-event.
-    UnexpectedEnd,
 }
 
 impl std::fmt::Display for TraceCodecError {
@@ -81,10 +64,7 @@ impl std::fmt::Display for TraceCodecError {
                     "trace count mismatch: header says {expected}, found {found}"
                 )
             }
-            TraceCodecError::BadMagic => write!(f, "not a dgsched binary trace (bad magic)"),
             TraceCodecError::BadVersion(v) => write!(f, "unsupported trace format version {v}"),
-            TraceCodecError::BadTag(t) => write!(f, "unknown event tag {t}"),
-            TraceCodecError::UnexpectedEnd => write!(f, "trace ended mid-event"),
         }
     }
 }
@@ -154,232 +134,6 @@ pub fn read_jsonl(text: &str) -> Result<TraceFile, TraceCodecError> {
     })
 }
 
-// Binary event tags. Stable: appending new variants gets a new tag, old
-// tags are never reused.
-const TAG_DISPATCH: u8 = 0;
-const TAG_TASK_COMPLETE: u8 = 1;
-const TAG_REPLICA_KILLED: u8 = 2;
-const TAG_MACHINE_FAIL: u8 = 3;
-const TAG_MACHINE_REPAIR: u8 = 4;
-const TAG_BAG_ARRIVAL: u8 = 5;
-const TAG_BAG_COMPLETE: u8 = 6;
-const TAG_CHECKPOINT_SAVED: u8 = 7;
-const TAG_OUTAGE: u8 = 8;
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Encodes `events` into the compact binary format.
-pub fn encode_binary(events: &[TraceEvent], dropped: u64) -> Vec<u8> {
-    // Header 22 bytes + a generous 34 bytes per event.
-    let mut out = Vec::with_capacity(22 + events.len() * 34);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&dropped.to_le_bytes());
-    out.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for ev in events {
-        match *ev {
-            TraceEvent::Dispatch {
-                at,
-                bag,
-                task,
-                machine,
-                is_replication,
-            } => {
-                out.push(TAG_DISPATCH);
-                put_f64(&mut out, at);
-                put_u32(&mut out, bag);
-                put_u32(&mut out, task);
-                put_u32(&mut out, machine);
-                out.push(u8::from(is_replication));
-            }
-            TraceEvent::TaskComplete {
-                at,
-                bag,
-                task,
-                machine,
-            } => {
-                out.push(TAG_TASK_COMPLETE);
-                put_f64(&mut out, at);
-                put_u32(&mut out, bag);
-                put_u32(&mut out, task);
-                put_u32(&mut out, machine);
-            }
-            TraceEvent::ReplicaKilled {
-                at,
-                bag,
-                task,
-                machine,
-                by_failure,
-            } => {
-                out.push(TAG_REPLICA_KILLED);
-                put_f64(&mut out, at);
-                put_u32(&mut out, bag);
-                put_u32(&mut out, task);
-                put_u32(&mut out, machine);
-                out.push(u8::from(by_failure));
-            }
-            TraceEvent::MachineFail { at, machine } => {
-                out.push(TAG_MACHINE_FAIL);
-                put_f64(&mut out, at);
-                put_u32(&mut out, machine);
-            }
-            TraceEvent::MachineRepair { at, machine } => {
-                out.push(TAG_MACHINE_REPAIR);
-                put_f64(&mut out, at);
-                put_u32(&mut out, machine);
-            }
-            TraceEvent::BagArrival { at, bag } => {
-                out.push(TAG_BAG_ARRIVAL);
-                put_f64(&mut out, at);
-                put_u32(&mut out, bag);
-            }
-            TraceEvent::BagComplete { at, bag } => {
-                out.push(TAG_BAG_COMPLETE);
-                put_f64(&mut out, at);
-                put_u32(&mut out, bag);
-            }
-            TraceEvent::CheckpointSaved {
-                at,
-                bag,
-                task,
-                work,
-            } => {
-                out.push(TAG_CHECKPOINT_SAVED);
-                put_f64(&mut out, at);
-                put_u32(&mut out, bag);
-                put_u32(&mut out, task);
-                put_f64(&mut out, work);
-            }
-            TraceEvent::Outage { at, duration } => {
-                out.push(TAG_OUTAGE);
-                put_f64(&mut out, at);
-                put_f64(&mut out, duration);
-            }
-        }
-    }
-    out
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceCodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(TraceCodecError::UnexpectedEnd)?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, TraceCodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceCodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceCodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, TraceCodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-/// Decodes a binary trace produced by [`encode_binary`].
-pub fn decode_binary(bytes: &[u8]) -> Result<TraceFile, TraceCodecError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    if c.take(4)? != MAGIC {
-        return Err(TraceCodecError::BadMagic);
-    }
-    let version = c.u16()?;
-    if version != TRACE_FORMAT_VERSION {
-        return Err(TraceCodecError::BadVersion(version));
-    }
-    let dropped = c.u64()?;
-    let count = c.u64()?;
-    let mut events = Vec::with_capacity(count.min(1 << 20) as usize);
-    for _ in 0..count {
-        let tag = c.u8()?;
-        let ev = match tag {
-            TAG_DISPATCH => TraceEvent::Dispatch {
-                at: c.f64()?,
-                bag: c.u32()?,
-                task: c.u32()?,
-                machine: c.u32()?,
-                is_replication: c.u8()? != 0,
-            },
-            TAG_TASK_COMPLETE => TraceEvent::TaskComplete {
-                at: c.f64()?,
-                bag: c.u32()?,
-                task: c.u32()?,
-                machine: c.u32()?,
-            },
-            TAG_REPLICA_KILLED => TraceEvent::ReplicaKilled {
-                at: c.f64()?,
-                bag: c.u32()?,
-                task: c.u32()?,
-                machine: c.u32()?,
-                by_failure: c.u8()? != 0,
-            },
-            TAG_MACHINE_FAIL => TraceEvent::MachineFail {
-                at: c.f64()?,
-                machine: c.u32()?,
-            },
-            TAG_MACHINE_REPAIR => TraceEvent::MachineRepair {
-                at: c.f64()?,
-                machine: c.u32()?,
-            },
-            TAG_BAG_ARRIVAL => TraceEvent::BagArrival {
-                at: c.f64()?,
-                bag: c.u32()?,
-            },
-            TAG_BAG_COMPLETE => TraceEvent::BagComplete {
-                at: c.f64()?,
-                bag: c.u32()?,
-            },
-            TAG_CHECKPOINT_SAVED => TraceEvent::CheckpointSaved {
-                at: c.f64()?,
-                bag: c.u32()?,
-                task: c.u32()?,
-                work: c.f64()?,
-            },
-            TAG_OUTAGE => TraceEvent::Outage {
-                at: c.f64()?,
-                duration: c.f64()?,
-            },
-            t => return Err(TraceCodecError::BadTag(t)),
-        };
-        events.push(ev);
-    }
-    if c.pos != bytes.len() {
-        // Trailing garbage means the stream is not what the header claims.
-        return Err(TraceCodecError::CountMismatch {
-            expected: count,
-            found: count + 1,
-        });
-    }
-    Ok(TraceFile { events, dropped })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,37 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trips_bit_exactly() {
-        let events = sample_events();
-        let bytes = encode_binary(&events, 0);
-        let back = decode_binary(&bytes).unwrap();
-        assert_eq!(back.events, events);
-        assert_eq!(back.dropped, 0);
-        assert!(!back.truncated());
-    }
-
-    #[test]
-    fn binary_round_trips_truncation_flag() {
-        let events = sample_events();
-        let bytes = encode_binary(&events, 41);
-        let back = decode_binary(&bytes).unwrap();
-        assert_eq!(back.events, events);
-        assert_eq!(back.dropped, 41);
-        assert!(back.truncated());
-        // The flag lives in the header, not the payload: the same events
-        // with a different drop count encode to different bytes of the
-        // same length.
-        let clean = encode_binary(&events, 0);
-        assert_ne!(bytes, clean);
-        assert_eq!(bytes.len(), clean.len());
-        assert!(!decode_binary(&clean).unwrap().truncated());
-    }
-
-    #[test]
-    fn ring_drop_count_survives_both_codecs() {
+    fn ring_drop_count_survives_jsonl() {
         // A full run pushed through a 4-slot ring: the export must carry
-        // the ring's eviction count, and both decoders must agree the
-        // trace is a truncated window, not a complete run.
+        // the ring's eviction count, and the decoder must read the trace
+        // as a truncated window, not a complete run.
         let events = sample_events();
         let mut ring = crate::ring::TraceRing::new(4);
         for ev in &events {
@@ -486,16 +213,10 @@ mod tests {
         assert_eq!(ring.dropped(), events.len() as u64 - 4);
 
         let text = write_jsonl(&ring.events(), ring.dropped());
-        let from_jsonl = read_jsonl(&text).unwrap();
-        let bytes = encode_binary(&ring.events(), ring.dropped());
-        let from_binary = decode_binary(&bytes).unwrap();
-
-        for decoded in [&from_jsonl, &from_binary] {
-            assert_eq!(decoded.events, events[events.len() - 4..]);
-            assert_eq!(decoded.dropped, ring.dropped());
-            assert!(decoded.truncated());
-        }
-        assert_eq!(from_jsonl, from_binary, "codecs must agree on the window");
+        let decoded = read_jsonl(&text).unwrap();
+        assert_eq!(decoded.events, events[events.len() - 4..]);
+        assert_eq!(decoded.dropped, ring.dropped());
+        assert!(decoded.truncated());
     }
 
     #[test]
@@ -518,40 +239,6 @@ mod tests {
                 expected: 2,
                 found: 1
             })
-        );
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let events = sample_events();
-        let bytes = encode_binary(&events, 0);
-        assert_eq!(decode_binary(b"nope"), Err(TraceCodecError::BadMagic));
-        assert_eq!(
-            decode_binary(&bytes[..bytes.len() - 3]),
-            Err(TraceCodecError::UnexpectedEnd)
-        );
-        let mut bad_tag = bytes.clone();
-        // First event tag sits right after the 22-byte header.
-        bad_tag[22] = 0xEE;
-        assert_eq!(decode_binary(&bad_tag), Err(TraceCodecError::BadTag(0xEE)));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(matches!(
-            decode_binary(&trailing),
-            Err(TraceCodecError::CountMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_is_denser_than_jsonl() {
-        let events = sample_events();
-        let jsonl = write_jsonl(&events, 0);
-        let bin = encode_binary(&events, 0);
-        assert!(
-            bin.len() * 2 < jsonl.len(),
-            "binary {} vs jsonl {}",
-            bin.len(),
-            jsonl.len()
         );
     }
 }

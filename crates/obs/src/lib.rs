@@ -9,9 +9,8 @@
 //! * [`TraceRecorder`] — an unbounded in-order recorder, and
 //!   [`TraceRing`] — a fixed-capacity ring buffer that overwrites its
 //!   oldest events and reports how many were dropped;
-//! * [`write_jsonl`] / [`encode_binary`] (and their readers) — JSONL and
-//!   compact binary codecs for recorded traces, both carrying the drop
-//!   count so truncation is never silent;
+//! * [`write_jsonl`] / [`read_jsonl`] — the JSONL trace codec, whose
+//!   header carries the drop count so truncation is never silent;
 //! * [`MetricsRegistry`] / [`MetricsSnapshot`] — monotonic counters,
 //!   gauges and time-weighted accumulators keyed by static names,
 //!   snapshotted in deterministic (sorted) order;
@@ -31,10 +30,7 @@ mod ring;
 mod span;
 
 pub use event::TraceEvent;
-pub use export::{
-    decode_binary, encode_binary, read_jsonl, write_jsonl, TraceCodecError, TraceFile,
-    TRACE_FORMAT_VERSION,
-};
+pub use export::{read_jsonl, write_jsonl, TraceCodecError, TraceFile, TRACE_FORMAT_VERSION};
 pub use metrics::{
     BagObservation, CounterId, GaugeId, MetricsRegistry, MetricsSnapshot, SeriesId, SeriesSummary,
 };

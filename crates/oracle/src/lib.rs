@@ -16,9 +16,10 @@
 //! * **Seeded restarts.** Each restart is an independent, pure function
 //!   of `(n, restart, config, cost)`: restart 0 descends from the
 //!   identity permutation (the "serve in arrival order" baseline), later
-//!   restarts from seeded shuffles. Restarts run in parallel on the
-//!   work-stealing pool; results are folded in restart order, so the
-//!   winner — and every reported byte — is identical at any pool width.
+//!   restarts from seeded shuffles. A caller may run restarts anywhere
+//!   and in any order (the experiment runner makes each one a job on its
+//!   replication pool); [`fold`] is order-insensitive, so the winner —
+//!   and every reported byte — is the same however they ran.
 //! * **Memo-aware objectives.** Every candidate is a small move away from
 //!   an already-evaluated permutation (the walk's incumbent, or its best
 //!   one after a kick). An [`Objective`] may leave a memo behind each
@@ -35,13 +36,12 @@
 //!
 //! All randomness derives from [`SplitMix64`] streams keyed by
 //! `(seed, restart)`; float comparisons use `total_cmp`; ties between
-//! restarts break toward the lower restart index. Consequently
-//! [`search_permutation`] is bit-reproducible across pool widths, runs
-//! and platforms, and a search resumed from journaled
+//! restarts break toward the lower restart index. Consequently a search
+//! is bit-reproducible across pool widths, runs and platforms, and a
+//! search resumed from journaled
 //! [`RestartOutcome`]s ([`fold`] over any partition of the restart set)
 //! equals the uninterrupted search exactly.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Sebastiano Vigna's SplitMix64: a tiny, fully deterministic generator.
@@ -269,25 +269,18 @@ where
     }
 }
 
-/// Runs the full search: [`SearchConfig::restarts`] independent restarts
-/// on the work-stealing pool, folded into the winner.
-///
-/// Bit-reproducible at any pool width: each restart is a pure function
-/// of `(n, restart, cfg, objective)` and the parallel map collects in
-/// restart order before the order-insensitive [`fold`].
+/// Runs the full search on this thread: [`SearchConfig::restarts`]
+/// independent restarts in restart order, folded into the winner.
 ///
 /// # Panics
 /// Panics when `cfg.restarts` is 0 (an empty search has no winner).
-pub fn search_permutation<O>(n: usize, cfg: &SearchConfig, objective: O) -> RestartOutcome
-where
-    O: Objective + Sync,
-{
+pub fn search_permutation<O: Objective>(
+    n: usize,
+    cfg: &SearchConfig,
+    objective: O,
+) -> RestartOutcome {
     assert!(cfg.restarts >= 1, "a search needs at least one restart");
-    let outcomes: Vec<RestartOutcome> = (0..cfg.restarts)
-        .into_par_iter()
-        .map(|r| run_restart(n, r, cfg, &objective))
-        .collect();
-    fold(outcomes).expect("restarts >= 1")
+    fold((0..cfg.restarts).map(|r| run_restart(n, r, cfg, &objective))).expect("restarts >= 1")
 }
 
 #[cfg(test)]
@@ -335,22 +328,6 @@ mod tests {
         assert_eq!(out.evaluations, 1);
         let shuffled = run_restart(6, 1, &cfg, &reversal_cost);
         assert_ne!(shuffled.perm, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn byte_identical_across_pool_widths() {
-        let cfg = SearchConfig {
-            restarts: 6,
-            iters: 500,
-            seed: 2008,
-            stall_kick: 16,
-        };
-        let w1 = rayon::with_num_threads(1, || search_permutation(9, &cfg, reversal_cost));
-        let w4 = rayon::with_num_threads(4, || search_permutation(9, &cfg, reversal_cost));
-        assert_eq!(
-            serde_json::to_string(&w1).unwrap(),
-            serde_json::to_string(&w4).unwrap()
-        );
     }
 
     #[test]

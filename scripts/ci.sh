@@ -66,14 +66,15 @@ done
 cmp "$exp_out/e9.w1.json" "$exp_out/e9.w4.json"
 rm -rf "$exp_out"
 
-echo "==> codec gate: vendored serde/serde_json unit tests"
+echo "==> codec gate: vendored serde/serde_json/rayon unit tests"
 # vendor/ is not a workspace member, so `cargo test` above never runs the
-# vendored codec's own tests: string decoding, the nesting cap that keeps
-# a hostile request from overflowing a daemon thread's stack, and errors.
-cargo test -q -p serde_json -p serde
+# vendored crates' own tests: string decoding, the nesting cap that keeps
+# a hostile request from overflowing a daemon thread's stack, errors, and
+# the pool-width override's nesting and restore.
+cargo test -q -p serde_json -p serde -p rayon
 
 echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal/oracle batteries"
-# The witness must (a) catch the reconstructed PR-5 hold-and-wait cycle
+# The witness must (a) catch a reconstructed hold-and-wait cycle
 # deterministically (parking_lot unit tests + tests/lockcheck.rs), and
 # (b) stay result-passive: the golden-fingerprint test inside
 # tests/lockcheck.rs pins run_matrix bytes to the seed value in BOTH
@@ -91,7 +92,7 @@ DGSCHED_THREADS=4 cargo test -q -p dgsched-core --features lockcheck \
   --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
   --test oracle_regret --test replication_pool
 
-echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4 (regret also at 2)"
+echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4 (regret, resume and CLI also at 2)"
 # The hindsight-oracle contract: trace replay reproduces the live run
 # byte-identically (tests/trace_replay.rs), every search evaluation
 # resumed from a snapshot equals a full replay of the same order
@@ -99,9 +100,22 @@ echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4 (regr
 # observed policy per cell, regret ≥ 0 across the full matrix, search
 # byte-identical across pool widths and across resumed restarts
 # (tests/oracle_regret.rs) — holds under both environment baselines.
+# The oracle's captures, replays and restarts are replication-pool jobs,
+# so a journaled `dgsched oracle` must then print the same bytes at
+# widths 1, 2 and 4.
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
-DGSCHED_THREADS=2 cargo test -q -p dgsched-core --test oracle_regret
+DGSCHED_THREADS=2 cargo test -q -p dgsched-core --test oracle_resume --test oracle_regret
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
+oracle_out="$(mktemp -d)"
+target/release/dgsched gen -n 12 -o "$oracle_out/s.json" 2> /dev/null
+for width in 1 2 4; do
+  DGSCHED_THREADS=$width target/release/dgsched oracle "$oracle_out/s.json" \
+    --min-reps 2 --max-reps 2 --restarts 2 --iters 8 --oracle-reps 2 \
+    --journal "$oracle_out/j.w$width.jsonl" > "$oracle_out/o.w$width.json" 2> /dev/null
+done
+cmp "$oracle_out/o.w1.json" "$oracle_out/o.w2.json"
+cmp "$oracle_out/o.w1.json" "$oracle_out/o.w4.json"
+rm -rf "$oracle_out"
 
 echo "==> generator gate: sampler calibration + dgsched gen byte-identity at widths 1 and 4"
 # The trace-realistic workload contract: the Pareto/Zipf/lognormal/MMPP

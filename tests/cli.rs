@@ -93,7 +93,7 @@ fn trace_emits_parseable_trace_and_gantt() {
     let demo = Command::new(bin()).arg("demo").output().expect("demo");
     let scenario = tmp("trace-scenario.json");
     std::fs::write(&scenario, &demo.stdout).expect("write scenario");
-    let trace_path = tmp("trace.json");
+    let trace_path = tmp("trace.jsonl");
     let out = Command::new(bin())
         .args([
             "trace",
@@ -111,12 +111,64 @@ fn trace_emits_parseable_trace_and_gantt() {
     );
     let gantt = String::from_utf8_lossy(&out.stdout);
     assert!(gantt.contains("machines"), "gantt header missing: {gantt}");
-    let trace: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
-    let events = trace["events"].as_array().expect("events array");
-    assert!(events.len() > 100, "trace too small: {}", events.len());
-    assert!(events.iter().any(|e| e["kind"] == "dispatch"));
-    assert!(events.iter().any(|e| e["kind"] == "bag_complete"));
+    let text = std::fs::read_to_string(&trace_path).unwrap();
+    let trace = dgsched_obs::read_jsonl(&text).expect("the trace file is JSONL");
+    assert!(!trace.truncated());
+    let kinds: Vec<serde_json::Value> = text
+        .lines()
+        .skip(1)
+        .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap()["kind"].clone())
+        .collect();
+    assert!(kinds.len() > 100, "trace too small: {}", kinds.len());
+    assert!(kinds.iter().any(|k| k == "dispatch"));
+    assert!(kinds.iter().any(|k| k == "bag_complete"));
+    // With neither --gantt nor --metrics, stdout is the same trace.
+    let out = Command::new(bin())
+        .args(["trace", scenario.to_str().unwrap()])
+        .output()
+        .expect("trace");
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), text);
+}
+
+/// A ring-truncated trace says so in its file: the header counts the
+/// window's events and the dropped ones, so the file never reads as a
+/// complete run.
+#[test]
+fn ring_trace_file_reports_its_drop_count() {
+    let demo = Command::new(bin()).arg("demo").output().expect("demo");
+    let scenario = tmp("ring-scenario.json");
+    std::fs::write(&scenario, &demo.stdout).expect("write scenario");
+    let trace_path = tmp("ring-trace.jsonl");
+    let out = Command::new(bin())
+        .args(["trace", scenario.to_str().unwrap(), "--ring", "50"])
+        .args(["--out", trace_path.to_str().unwrap()])
+        .output()
+        .expect("trace");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace_path).unwrap();
+    let header: serde_json::Value =
+        serde_json::from_str(text.lines().next().expect("a header line")).unwrap();
+    assert_eq!(header["events"], 50);
+    assert!(
+        header["dropped"].as_u64().expect("a drop count") > 0,
+        "{header:?}"
+    );
+    let trace = dgsched_obs::read_jsonl(&text).expect("the trace file is JSONL");
+    assert_eq!(trace.events.len(), 50);
+    assert!(trace.truncated());
+    // The removed formats are usage errors now.
+    for flag in ["--jsonl", "--bin"] {
+        let out = Command::new(bin())
+            .args(["trace", scenario.to_str().unwrap(), flag, "x"])
+            .output()
+            .expect("trace");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+    }
 }
 
 #[test]

@@ -162,19 +162,4 @@ mod witness {
             }
         });
     }
-
-    /// The real pool under the witness: a nested parallel sweep shape
-    /// (the exact workload that deadlocked in PR 5) completes cleanly.
-    #[test]
-    fn real_pool_parallel_map_runs_clean_under_witness() {
-        let out: Vec<u64> = rayon::with_num_threads(4, || {
-            use rayon::prelude::*;
-            (0..64u64)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|x| x * 2)
-                .collect()
-        });
-        assert_eq!(out, (0..64).map(|x| x * 2).collect::<Vec<_>>());
-    }
 }

@@ -3,8 +3,9 @@
 //! registry — must not perturb a single scheduling decision. For every
 //! policy on every grid class, the instrumented run's `RunResult` must be
 //! byte-identical to the plain (NullObserver) run, the ring's surviving
-//! window must be exactly the recorder's tail, and both trace codecs must
-//! round-trip the real event stream losslessly with truncation reported.
+//! window must be exactly the recorder's tail, and the JSONL trace codec
+//! must round-trip the real event stream losslessly with truncation
+//! reported.
 
 use dgsched_core::experiment::{run_scenario, Scenario, WorkloadKind};
 use dgsched_core::policy::PolicyKind;
@@ -15,7 +16,7 @@ use dgsched_core::sim::{
 use dgsched_des::stats::StoppingRule;
 use dgsched_des::time::SimTime;
 use dgsched_grid::{Availability, CheckpointConfig, Grid, GridConfig, Heterogeneity};
-use dgsched_obs::{decode_binary, encode_binary, read_jsonl, write_jsonl};
+use dgsched_obs::{read_jsonl, write_jsonl};
 use dgsched_workload::{
     BagOfTasks, BotId, BotType, Intensity, TaskId, TaskSpec, Workload, WorkloadSpec,
 };
@@ -118,11 +119,10 @@ fn tracers_never_perturb_the_run() {
     }
 }
 
-/// Both trace codecs round-trip a *real* simulation trace — not a
-/// hand-built sample — and a truncated ring export says so in both
-/// formats.
+/// The JSONL trace codec round-trips a *real* simulation trace — not a
+/// hand-built sample — and a truncated ring export says so.
 #[test]
-fn real_trace_round_trips_in_both_formats() {
+fn real_trace_round_trips_through_jsonl() {
     let cfg = SimConfig::with_seed(2008);
     let g = grid(Heterogeneity::HET, Availability::LOW);
     let wl = workload();
@@ -142,13 +142,8 @@ fn real_trace_round_trips_in_both_formats() {
     assert_eq!(from_jsonl.events, rec.events);
     assert!(!from_jsonl.truncated());
 
-    let bin = encode_binary(&rec.events, 0);
-    let from_bin = decode_binary(&bin).expect("binary decodes");
-    assert_eq!(from_bin.events, rec.events);
-    assert!(!from_bin.truncated());
-
     // Same run through a too-small ring: the export must carry the drop
-    // count in both formats — truncation is reported, never silent.
+    // count — truncation is reported, never silent.
     let mut ring = TraceRing::new(128);
     let (_, _) = simulate_instrumented(
         &g,
@@ -159,12 +154,9 @@ fn real_trace_round_trips_in_both_formats() {
     );
     assert!(ring.truncated());
     let t_jsonl = read_jsonl(&write_jsonl(&ring.events(), ring.dropped())).unwrap();
-    let t_bin = decode_binary(&encode_binary(&ring.events(), ring.dropped())).unwrap();
     assert_eq!(t_jsonl.dropped, ring.dropped());
-    assert_eq!(t_bin.dropped, ring.dropped());
-    assert!(t_jsonl.truncated() && t_bin.truncated());
+    assert!(t_jsonl.truncated());
     assert_eq!(t_jsonl.events, ring.events());
-    assert_eq!(t_bin.events, ring.events());
 }
 
 /// `run_scenario` output is byte-for-byte invariant when instrumentation

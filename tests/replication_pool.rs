@@ -7,13 +7,18 @@
 //!   workers interleave scenarios.
 //! * Each scenario's journal records appear in replication order.
 //! * With `DGSCHED_TRACE=1` every measured result carries its metrics.
+//! * The oracle's jobs run on the same pool: every (environment,
+//!   replication, restart) is journaled exactly once, each pair's
+//!   restarts in restart order, and a resumed search computes only the
+//!   restarts its journal is missing.
 //!
 //! `scripts/ci.sh` runs this file at pool widths 1, 2 and 4 and under the
 //! `lockcheck` witness; the tests below also pin widths explicitly.
 
 use dgsched_core::experiment::{
-    run_matrix, run_matrix_journaled, run_matrix_journaled_with, run_replication, RepGuard,
-    Scenario, ScenarioResult, WorkloadKind,
+    run_matrix, run_matrix_journaled, run_matrix_journaled_with, run_matrix_regret,
+    run_matrix_regret_journaled, run_replication, OracleConfig, RepGuard, Scenario, ScenarioResult,
+    WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::SimConfig;
@@ -212,4 +217,117 @@ fn trace_toggle_attaches_metrics_at_every_width() {
             serde_json::to_string(&runs[0]).unwrap()
         );
     }
+}
+
+fn oracle_config() -> OracleConfig {
+    OracleConfig {
+        restarts: 3,
+        iters: 6,
+        seed: 9,
+        replications: 2,
+    }
+}
+
+/// Two environment groups: the matrix's four measured scenarios share
+/// one platform, and one more scenario runs on a low-availability one.
+fn oracle_matrix() -> Vec<Scenario> {
+    let mut scenarios = matrix();
+    scenarios.remove(1);
+    let mut low = scenario("pool-low-rr", PolicyKind::Rr, 20_000.0);
+    low.grid.availability = Availability::LOW;
+    scenarios.push(low);
+    scenarios
+}
+
+/// The journal's restart records as `(env, rep, restart)`, in file order.
+fn restart_records(path: &PathBuf) -> Vec<(String, u64, u64)> {
+    let journal = std::fs::read_to_string(path).unwrap();
+    journal
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let record: serde_json::Value = serde_json::from_str(line).unwrap();
+            (
+                record["env"].as_str().unwrap().to_string(),
+                record["rep"].as_u64().unwrap(),
+                record["outcome"]["restart"].as_u64().unwrap(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn oracle_restarts_are_journaled_once_each_in_restart_order() {
+    let scenarios = oracle_matrix();
+    let (rule, ocfg) = (rule(), oracle_config());
+    let reference = run_matrix_regret(&scenarios, 42, &rule, &ocfg);
+    let pairs = 2 * ocfg.replications;
+    for width in [1usize, 2, 4] {
+        let path = tmp(&format!("oracle-w{width}"));
+        let (results, stats) = rayon::with_num_threads(width, || {
+            run_matrix_regret_journaled(&scenarios, 42, &rule, &ocfg, &path, false)
+        })
+        .unwrap();
+        let records = restart_records(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(bare(&results), bare(&reference), "width {width}");
+        assert_eq!(stats.restarts_written, pairs * u64::from(ocfg.restarts));
+        let mut once = records.clone();
+        once.sort();
+        once.dedup();
+        assert_eq!(
+            once.len(),
+            records.len(),
+            "a restart journaled twice at width {width}"
+        );
+        assert_eq!(records.len() as u64, stats.restarts_written);
+        let mut per_pair: BTreeMap<(String, u64), Vec<u64>> = BTreeMap::new();
+        for (env, rep, restart) in records {
+            per_pair.entry((env, rep)).or_default().push(restart);
+        }
+        assert_eq!(per_pair.len() as u64, pairs);
+        for (pair, restarts) in &per_pair {
+            let in_order: Vec<u64> = (0..u64::from(ocfg.restarts)).collect();
+            assert_eq!(restarts, &in_order, "{pair:?} at width {width}");
+        }
+    }
+}
+
+#[test]
+fn resumed_oracle_computes_only_the_missing_restarts() {
+    let scenarios = oracle_matrix();
+    let (rule, ocfg) = (rule(), oracle_config());
+    let reference = run_matrix_regret(&scenarios, 42, &rule, &ocfg);
+    let path = tmp("oracle-resume");
+    let total = rayon::with_num_threads(4, || {
+        run_matrix_regret_journaled(&scenarios, 42, &rule, &ocfg, &path, false)
+    })
+    .unwrap()
+    .1
+    .restarts_written;
+    // Keep the header and every other restart record.
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let kept: Vec<&str> = journal
+        .lines()
+        .enumerate()
+        .filter(|(i, _)| i % 2 == 0)
+        .map(|(_, line)| line)
+        .collect();
+    std::fs::write(&path, kept.join("\n") + "\n").unwrap();
+    let kept = restart_records(&path);
+    let (results, stats) = rayon::with_num_threads(2, || {
+        run_matrix_regret_journaled(&scenarios, 42, &rule, &ocfg, &path, true)
+    })
+    .unwrap();
+    let after = restart_records(&path);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(bare(&results), bare(&reference));
+    assert_eq!(stats.restarts_replayed, kept.len() as u64);
+    assert_eq!(stats.restarts_written, total - kept.len() as u64);
+    // The fresh records are exactly the missing restarts.
+    let mut fresh = after[kept.len()..].to_vec();
+    fresh.extend(kept);
+    fresh.sort();
+    fresh.dedup();
+    assert_eq!(fresh.len() as u64, total, "every restart journaled once");
 }

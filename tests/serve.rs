@@ -20,10 +20,12 @@
 //! All three must hold at pool width 1 and width 4 — the determinism
 //! contract says width never changes bytes.
 
-use dgsched_core::experiment::{run_matrix, Scenario, WorkloadKind};
+use dgsched_core::experiment::{run_matrix, OracleConfig, Scenario, WorkloadKind};
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::protocol::header_value;
-use dgsched_core::serve::{http_request, http_request_streaming, SweepRequest, SweepResponse};
+use dgsched_core::serve::{
+    http_request, http_request_streaming, OracleRequest, SweepRequest, SweepResponse,
+};
 use dgsched_core::sim::SimConfig;
 use dgsched_des::stats::StoppingRule;
 use dgsched_grid::{Availability, GridConfig, Heterogeneity};
@@ -461,4 +463,79 @@ fn serve_rejects_unknown_flags() {
         .expect("run");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+/// Oracle knobs past their caps are refused before any work starts, by
+/// the daemon (400) and by `dgsched oracle` (exit 1) with the same
+/// message: a trillion replications would otherwise be allocated as
+/// pool cells up front, and an allocation failure aborts the daemon.
+#[test]
+fn oversized_oracle_knobs_are_rejected_before_any_work() {
+    let dir = tmp_dir("oracle-caps");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = small_scenario("caps", PolicyKind::Rr);
+    let scenario_path = dir.join("scenario.json");
+    std::fs::write(&scenario_path, serde_json::to_vec(&scenario).unwrap()).unwrap();
+    let daemon = Daemon::start(&dir.join("cache"), "1");
+    let knobs = |replications, restarts| OracleConfig {
+        replications,
+        restarts,
+        ..OracleConfig::default()
+    };
+    let cases = [
+        (
+            knobs(1_000_000_000_000, 8),
+            ["--oracle-reps", "1000000000000"],
+            "oracle.replications must be at most 4096 (got 1000000000000)",
+        ),
+        (
+            knobs(3, 4_000_000_000),
+            ["--restarts", "4000000000"],
+            "oracle.restarts must be at most 4096 (got 4000000000)",
+        ),
+        (
+            knobs(3, 0),
+            ["--restarts", "0"],
+            "oracle.restarts must be non-zero",
+        ),
+    ];
+    for (i, (oracle, flags, message)) in cases.into_iter().enumerate() {
+        let request = OracleRequest {
+            scenarios: vec![scenario.clone()],
+            base_seed: 2008,
+            rule: StoppingRule::default(),
+            oracle,
+            tenant: None,
+        };
+        let body = serde_json::to_vec(&request).unwrap();
+        let resp = http_request(&daemon.addr, "POST", "/oracle", &[], &body).expect("POST");
+        let text = String::from_utf8_lossy(&resp.body);
+        assert_eq!(resp.status, 400, "{text}");
+        assert!(text.contains(message), "{text}");
+        assert_eq!(daemon.counter("serve_bad_requests"), i as u64 + 1);
+
+        let out = Command::new(bin())
+            .arg("oracle")
+            .arg(&scenario_path)
+            .args(flags)
+            .output()
+            .expect("run dgsched oracle");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert_eq!(stderr.trim_end(), format!("dgsched: {message}"));
+    }
+    assert_eq!(daemon.counter("serve_sweeps_executed"), 0);
+    let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET /healthz");
+    assert_eq!(health.status, 200);
+    // A count past u32 is a usage error, not a silently truncated one.
+    let out = Command::new(bin())
+        .arg("oracle")
+        .arg(&scenario_path)
+        .args(["--restarts", "4294967297"])
+        .output()
+        .expect("run dgsched oracle");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--restarts takes a number up to"));
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
 }
