@@ -43,8 +43,8 @@ pub const PATH_ALLOW: &[(&str, &str, &str)] = &[
     (
         "wall-clock",
         "crates/bench/",
-        "the bench harness measures wall time by design; BENCH_sim.json is not a \
-         simulation result",
+        "the criterion benches and the benchmark package measure wall time by \
+         design; their timings are never simulation results",
     ),
 ];
 
@@ -150,14 +150,14 @@ mod tests {
 
     #[test]
     fn path_allowlist_swallows_bench_wall_clock() {
-        let path = PathBuf::from("crates/bench/src/bin/bench_sim_json.rs");
+        let path = PathBuf::from("crates/bench/benches/queues.rs");
         let out = lint_source(&path, "fn f() { let t = Instant::now(); }\n");
         assert!(out.findings.is_empty());
     }
 
     #[test]
     fn path_allowlist_is_rule_specific() {
-        let path = PathBuf::from("crates/bench/src/bin/bench_sim_json.rs");
+        let path = PathBuf::from("crates/bench/benches/queues.rs");
         let out = lint_source(&path, "fn f() { let m = HashMap::new(); }\n");
         assert_eq!(out.findings.len(), 1, "only wall-clock is allowlisted");
     }

@@ -672,9 +672,6 @@ fn cmd_gen(mut args: Args) {
         intensity,
         count,
     };
-    if let Err(e) = spec.validate() {
-        fail(&e)
-    }
     let heterogeneity = if het {
         Heterogeneity::HET
     } else {
@@ -704,8 +701,8 @@ fn cmd_gen(mut args: Args) {
             ..SimConfig::default()
         },
     };
-    // Validated above at the spec level; the scenario wrapper re-checks
-    // grid and sim knobs so -o never writes a file `run` would reject.
+    // The scenario check covers the spec, the grid and the sim knobs, so
+    // -o never writes a file `run` would reject.
     if let Err(e) = scenario.validate() {
         fail(&e)
     }

@@ -41,26 +41,14 @@ impl WorkloadKind {
     }
 
     /// Checks granularity/size parameters for NaN/∞/non-positive values
-    /// that would hang the fill construction or poison every statistic.
+    /// that would hang the fill construction or poison every statistic,
+    /// and the bag count and task volume that generation would allocate.
     pub fn validate(&self) -> Result<(), String> {
         match self {
-            WorkloadKind::Single(s) => s.bot_type.validate(),
-            WorkloadKind::Mixed(m) => {
-                for (i, c) in m.components.iter().enumerate() {
-                    c.bot_type
-                        .validate()
-                        .map_err(|e| format!("mix component {i}: {e}"))?;
-                    if !(c.weight.is_finite() && c.weight > 0.0) {
-                        return Err(format!(
-                            "mix component {i}: weight must be finite and > 0, got {}",
-                            c.weight
-                        ));
-                    }
-                }
-                Ok(())
-            }
+            WorkloadKind::Single(s) => s.validate(),
+            WorkloadKind::Mixed(m) => m.validate(),
             WorkloadKind::Bursty { spec, cv } => {
-                spec.bot_type.validate()?;
+                spec.validate()?;
                 if !(cv.is_finite() && *cv >= 1.0) {
                     return Err(format!("bursty cv must be finite and >= 1, got {cv}"));
                 }
@@ -216,6 +204,29 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("cv"));
         s.grid.total_power = f64::INFINITY;
         assert!(s.validate().unwrap_err().contains("total_power"));
+    }
+
+    #[test]
+    fn every_workload_kind_rejects_empty_and_oversized_workloads() {
+        // Each used to validate, then panic in generation (no bags) or
+        // abort the process allocating 1e17 task slots up front.
+        let bot = r#"{"granularity":1,"app_size":SIZE,"jitter":0.5}"#;
+        for template in [
+            r#"{"kind":"single","bot_type":BOT,"intensity":"low","count":N}"#,
+            r#"{"kind":"mixed","components":[{"bot_type":BOT,"weight":1}],"intensity":"low","count":N}"#,
+            r#"{"kind":"bursty","spec":{"bot_type":BOT,"intensity":"low","count":N},"cv":2}"#,
+            r#"{"kind":"realistic","granularity":1,"size":{"kind":"fixed","app_size":SIZE},"task_jitter":{"kind":"uniform","half_width":0.5},"arrivals":{"kind":"poisson"},"intensity":"low","count":N}"#,
+        ] {
+            let kind = |count: &str, size: &str| {
+                let json = template.replace("BOT", bot).replace("SIZE", size);
+                serde_json::from_str::<WorkloadKind>(&json.replace('N', count)).unwrap()
+            };
+            assert!(kind("2", "1e3").validate().is_ok(), "{template}");
+            let err = kind("0", "1e3").validate().unwrap_err();
+            assert_eq!(err, "count must be at least 1", "{template}");
+            let err = kind("1", "1e17").validate().unwrap_err();
+            assert!(err.contains("1e17 tasks"), "{err}");
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod experiment;
 pub mod policy;
 pub mod serve;

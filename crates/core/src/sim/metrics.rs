@@ -27,10 +27,11 @@ pub struct BagMetrics {
     pub makespan: f64,
     /// Total work of the bag (reference-seconds).
     pub work: f64,
-    /// Turnaround divided by the bag's ideal makespan on the empty grid
-    /// (work-conservation and critical-path bounds; see
-    /// `dgsched_core::analysis::makespan_lower_bound`). ≥ 1 by
-    /// construction; large values mean the bag was starved.
+    /// Turnaround divided by the bag's ideal makespan on the empty grid:
+    /// the larger of the work-conservation bound (work ÷ the summed power
+    /// of the bag's |tasks| fastest machines) and the critical-path bound
+    /// (largest task ÷ the fastest machine's power). ≥ 1 by construction;
+    /// large values mean the bag was starved.
     pub slowdown: f64,
 }
 

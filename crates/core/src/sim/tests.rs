@@ -12,18 +12,22 @@ use dgsched_workload::{
 };
 use rand::SeedableRng;
 
-/// A small reliable grid: 4 machines of power 10, no failures, no
-/// checkpointing. Deterministic task times make outcomes easy to reason
-/// about by hand.
-fn tiny_grid() -> dgsched_grid::Grid {
+/// A reliable grid of `n` machines of equal `power`: no failures, no
+/// checkpointing.
+fn reliable_grid(n: usize, power: f64) -> dgsched_grid::Grid {
     let cfg = GridConfig {
-        total_power: 40.0,
-        heterogeneity: Heterogeneity::Homogeneous { power: 10.0 },
+        total_power: n as f64 * power,
+        heterogeneity: Heterogeneity::Homogeneous { power },
         availability: Availability::Always,
         checkpoint: CheckpointConfig::disabled(),
         outages: None,
     };
     cfg.build(&mut rand::rngs::StdRng::seed_from_u64(0))
+}
+
+/// 4 reliable machines of power 10: task times easy to reason about.
+fn tiny_grid() -> dgsched_grid::Grid {
+    reliable_grid(4, 10.0)
 }
 
 /// Builds a workload by hand: `bags[i] = (arrival, task_works)`.
@@ -302,6 +306,21 @@ fn saturation_is_detected() {
 }
 
 #[test]
+fn overloaded_system_saturates() {
+    // 30 bags of 4 000 work every 50 s on 40 work/s: ρ = 80/40 = 2.
+    let bags: Vec<(f64, &[f64])> = (0..30)
+        .map(|i| (i as f64 * 50.0, &[1_000.0; 4][..]))
+        .collect();
+    let w = manual_workload(&bags);
+    let cfg = SimConfig {
+        horizon: Some(2_000.0),
+        ..SimConfig::with_seed(1)
+    };
+    let r = simulate(&tiny_grid(), &w, PolicyKind::Rr, &cfg);
+    assert!(r.saturated, "ρ = 2 must saturate within the horizon");
+}
+
+#[test]
 fn warmup_bags_excluded_from_metrics() {
     let grid = tiny_grid();
     let w = manual_workload(&[(0.0, &[100.0]), (50.0, &[100.0]), (90.0, &[100.0])]);
@@ -462,17 +481,30 @@ fn dynamic_replication_switches_threshold() {
 
 #[test]
 fn slowdown_is_at_least_one_and_exact_for_solo_bag() {
+    // A solo bag on an idle reliable grid finishes in exactly its ideal
+    // makespan, 100 s in every case below, so its slowdown is exactly 1.
+    let cases: [(usize, &[f64]); 4] = [
+        (4, &[1000.0]),           // critical path 1000/10
+        (4, &[100.0; 40]),        // work 4000/40 beats the path 100/10
+        (4, &[1000.0, 10.0]),     // path 1000/10 beats the work 1010/20
+        (100, &[1000.0, 1000.0]), // 2 tasks use 2 machines: 2000/20
+    ];
+    for (machines, works) in cases {
+        let grid = reliable_grid(machines, 10.0);
+        let w = manual_workload(&[(0.0, works)]);
+        for policy in PolicyKind::all() {
+            let r = simulate(&grid, &w, policy, &SimConfig::with_seed(1));
+            assert!(
+                (r.bags[0].slowdown - 1.0).abs() < 1e-9,
+                "{policy} on {machines} machines, {} tasks: slowdown {}",
+                works.len(),
+                r.bags[0].slowdown
+            );
+            assert_eq!(r.bags[0].work, works.iter().sum::<f64>());
+        }
+    }
+
     let grid = tiny_grid(); // 4 × power 10
-                            // One bag, one 1000-work task on the idle grid: ideal = 1000/10 = 100,
-                            // actual = 100 ⇒ slowdown exactly 1.
-    let w = manual_workload(&[(0.0, &[1000.0])]);
-    let r = simulate(&grid, &w, PolicyKind::FcfsShare, &SimConfig::with_seed(1));
-    assert!(
-        (r.bags[0].slowdown - 1.0).abs() < 1e-9,
-        "slowdown {}",
-        r.bags[0].slowdown
-    );
-    assert_eq!(r.bags[0].work, 1000.0);
 
     // Queued bags have slowdown > 1.
     let w = manual_workload(&[
@@ -495,6 +527,30 @@ fn slowdown_is_at_least_one_and_exact_for_solo_bag() {
         second.slowdown
     );
     assert!(r.max_slowdown() >= r.mean_slowdown());
+}
+
+#[test]
+fn simulated_makespan_respects_bound() {
+    // No policy, replicas included, beats the bag's ideal makespan
+    // (turnaround ÷ slowdown): work conservation and the critical path.
+    let grid = reliable_grid(8, 10.0);
+    for seed in 0..5u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let works: Vec<f64> = (0..12)
+            .map(|_| rand::Rng::gen_range(&mut rng, 100.0..5000.0))
+            .collect();
+        let w = manual_workload(&[(0.0, &works)]);
+        for policy in PolicyKind::all() {
+            let r = simulate(&grid, &w, policy, &SimConfig::with_seed(seed));
+            let b = &r.bags[0];
+            let bound = b.turnaround / b.slowdown;
+            assert!(
+                b.makespan >= bound - 1e-9,
+                "{policy} beat the bound: {} < {bound} (seed {seed})",
+                b.makespan
+            );
+        }
+    }
 }
 
 #[test]

@@ -30,6 +30,11 @@ impl GridConfig {
     /// The paper's total computing power.
     pub const PAPER_TOTAL_POWER: f64 = 1000.0;
 
+    /// The most machines (`total_power` ÷ mean machine power) a grid may
+    /// ask for: a hundred times the largest fleet benchmarked, 10 000. The
+    /// builder allocates up front, and a failed allocation aborts.
+    pub const MAX_MACHINES: usize = 1_000_000;
+
     /// One of the six platforms of §4.1 by name, e.g. `Hom`+`HighAvail`.
     pub fn paper(heterogeneity: Heterogeneity, availability: Availability) -> Self {
         GridConfig {
@@ -89,6 +94,14 @@ impl GridConfig {
                     ));
                 }
             }
+        }
+        let machines = self.total_power / self.heterogeneity.mean_power();
+        if !(machines.is_finite() && machines <= Self::MAX_MACHINES as f64) {
+            return Err(format!(
+                "grid expects {machines:e} machines (total_power over the mean machine \
+                 power), more than the {} allowed",
+                Self::MAX_MACHINES
+            ));
         }
         if let Some(o) = &self.outages {
             o.validate()?;
@@ -274,6 +287,18 @@ mod tests {
         // is for — serde itself happily accepts any representable number.
         cfg.heterogeneity = Heterogeneity::HET;
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_oversized_fleets() {
+        let mut cfg = GridConfig::paper(Heterogeneity::HOM, Availability::HIGH);
+        cfg.total_power = 10.0 * GridConfig::MAX_MACHINES as f64;
+        assert!(cfg.validate().is_ok());
+        // The expected count divides by the preset's mean power.
+        cfg.heterogeneity = Heterogeneity::UniformRange { lo: 1.0, hi: 3.0 };
+        assert!(cfg.validate().unwrap_err().contains("5e6 machines"));
+        cfg.total_power = 1e20;
+        assert!(cfg.validate().unwrap_err().contains("5e19 machines"));
     }
 
     #[test]

@@ -11,6 +11,27 @@ use dgsched_grid::config::GridConfig;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// The most tasks (bags × expected tasks per bag) one workload may ask
+/// for: ten times the paper-scale figures' 750 000. Generation allocates
+/// task lists up front, and a failed allocation aborts the process.
+pub const MAX_EXPECTED_TASKS: usize = 10_000_000;
+
+/// Checks a workload's bag count (at least one) and its expected task
+/// total, `count × tasks_per_bag`, against [`MAX_EXPECTED_TASKS`].
+pub(crate) fn validate_volume(count: usize, tasks_per_bag: f64) -> Result<(), String> {
+    if count == 0 {
+        return Err("count must be at least 1".into());
+    }
+    let total = count as f64 * tasks_per_bag;
+    if !(total.is_finite() && total <= MAX_EXPECTED_TASKS as f64) {
+        return Err(format!(
+            "workload expects {total:e} tasks ({count} bags × {tasks_per_bag:e}), \
+             more than the {MAX_EXPECTED_TASKS} allowed"
+        ));
+    }
+    Ok(())
+}
+
 /// Declarative workload description: one BoT type at one intensity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
@@ -23,6 +44,13 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
+    /// Checks the BoT type, the bag count and the expected task total
+    /// ([`MAX_EXPECTED_TASKS`]) of a spec read from JSON.
+    pub fn validate(&self) -> Result<(), String> {
+        self.bot_type.validate()?;
+        validate_volume(self.count, self.bot_type.expected_tasks())
+    }
+
     /// Generates the workload for a given grid (the grid determines the
     /// effective power and hence λ) with the paper's Poisson arrivals.
     pub fn generate<R: Rng + ?Sized>(&self, grid: &GridConfig, rng: &mut R) -> Workload {
@@ -37,7 +65,7 @@ impl WorkloadSpec {
         grid: &GridConfig,
         rng: &mut R,
     ) -> Workload {
-        assert!(self.count > 0, "workload must contain at least one bag");
+        self.validate().expect("invalid workload spec");
         let lambda = lambda_for(self.intensity, self.bot_type.app_size, grid);
         let _ = PoissonArrivals::new(lambda); // validates λ > 0 uniformly
         let arrivals = model.arrival_times(lambda, self.count, rng);
@@ -130,10 +158,7 @@ impl RealisticSpec {
         self.arrivals
             .validate()
             .map_err(|e| format!("arrivals: {e}"))?;
-        if self.count == 0 {
-            return Err("count must be at least 1".into());
-        }
-        Ok(())
+        validate_volume(self.count, self.size.mean() / self.granularity)
     }
 
     /// The arrival rate λ = U / D(mean size) this spec induces on `grid`.
@@ -204,6 +229,18 @@ mod tests {
             assert!(bag.total_work() >= spec.bot_type.app_size);
             assert!(bag.total_work() < spec.bot_type.app_size + 2.0 * 25_000.0);
         }
+    }
+
+    #[test]
+    fn workload_spec_validation_caps_the_expected_task_total() {
+        let mut spec = WorkloadSpec {
+            bot_type: BotType::paper(1_000.0),
+            intensity: Intensity::Low,
+            count: 4_000, // 4 000 × 2 500 = MAX_EXPECTED_TASKS exactly
+        };
+        assert!(spec.validate().is_ok());
+        spec.count += 1;
+        assert!(spec.validate().unwrap_err().contains("1.00025e7 tasks"));
     }
 
     #[test]

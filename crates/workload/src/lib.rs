@@ -54,7 +54,7 @@ pub use arrival::{
 pub use bot::{BagOfTasks, BotId};
 pub use bot_type::{fill_tasks, BotType, PAPER_APP_SIZE, PAPER_GRANULARITIES};
 pub use dist::{SizeModel, TaskJitter};
-pub use generator::{RealisticSpec, WorkloadSpec};
+pub use generator::{RealisticSpec, WorkloadSpec, MAX_EXPECTED_TASKS};
 pub use import::{export_tasks, import_bags, import_tasks, ImportError};
 pub use mix::{MixComponent, MixSpec};
 pub use summary::WorkloadSummary;

@@ -10,6 +10,7 @@
 use crate::arrival::{bag_demand, ArrivalModel, Intensity};
 use crate::bot::{BagOfTasks, BotId};
 use crate::bot_type::BotType;
+use crate::generator::validate_volume;
 use crate::workload::Workload;
 use dgsched_des::time::SimTime;
 use dgsched_grid::config::GridConfig;
@@ -50,6 +51,28 @@ impl MixSpec {
             intensity,
             count,
         }
+    }
+
+    /// Checks that there is a component, that each has a valid BoT type
+    /// and a finite positive weight, and the volume at the largest
+    /// component's tasks per bag ([`crate::MAX_EXPECTED_TASKS`]).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.components.is_empty() {
+            return Err("mixture needs at least one component".into());
+        }
+        for (i, c) in self.components.iter().enumerate() {
+            c.bot_type
+                .validate()
+                .map_err(|e| format!("mix component {i}: {e}"))?;
+            if !(c.weight.is_finite() && c.weight > 0.0) {
+                return Err(format!(
+                    "mix component {i}: weight must be finite and > 0, got {}",
+                    c.weight
+                ));
+            }
+        }
+        let per_bag = self.components.iter().map(|c| c.bot_type.expected_tasks());
+        validate_volume(self.count, per_bag.fold(0.0, f64::max))
     }
 
     /// Mixture-average application size (expected work per arriving bag).
@@ -93,15 +116,7 @@ impl MixSpec {
         grid: &GridConfig,
         rng: &mut R,
     ) -> Workload {
-        assert!(
-            !self.components.is_empty(),
-            "mixture needs at least one component"
-        );
-        assert!(
-            self.components.iter().all(|c| c.weight > 0.0),
-            "mixture weights must be positive"
-        );
-        assert!(self.count > 0, "workload must contain at least one bag");
+        self.validate().expect("invalid mixture");
         let demand = bag_demand(self.mean_app_size(), grid);
         let lambda = self.intensity.utilization() / demand;
         let arrivals = model.arrival_times(lambda, self.count, rng);
@@ -196,6 +211,18 @@ mod tests {
             count: 1,
         };
         assert!((spec.mean_app_size() - 250.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn validation_rejects_empty_and_oversized_mixtures() {
+        // The largest component's 2 500 tasks per bag set the total.
+        let mut spec = MixSpec::paper_uniform(Intensity::Low, 4_000);
+        assert!(spec.validate().is_ok());
+        spec.count += 1;
+        assert!(spec.validate().unwrap_err().contains("1.00025e7 tasks"));
+        spec.components.clear();
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err, "mixture needs at least one component");
     }
 
     #[test]

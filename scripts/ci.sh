@@ -137,28 +137,6 @@ cargo test -q -p dgsched-obs
 cargo test -q -p dgsched-obs --features timing
 cargo test -q -p dgsched-core --features timing --test observer_passivity
 
-echo "==> tracing/journal-overhead smoke: bench_sim_json"
-# Writes plain / metrics / metrics+ring wall-clock and journal-off vs
-# journal-on sweep wall-clock into BENCH_sim.json, asserting instrumented
-# runs and journaled sweeps produce byte-identical result JSON.
-cargo run --release -q -p dgsched-bench --bin bench_sim_json -- --out /tmp/BENCH_sim.ci.json
-python3 - <<'EOF'
-import json
-doc = json.load(open("/tmp/BENCH_sim.ci.json"))
-o = doc["overhead"]
-assert o["identical_result"], "instrumented runs diverged from plain"
-print(f"tracer overhead ratio: {o['overhead_ratio']:.3f} (events={o['events']})")
-j = doc["journal"]
-assert j["identical_result"], "journaled sweep diverged from plain"
-print(f"journal overhead ratio: {j['overhead_ratio']:.3f} "
-      f"(records={j['records']}, resume {j['resume_s']:.2f}s)")
-orc = doc["oracle"]
-assert orc["identical_result"], "oracle search diverged across pool widths"
-for run in orc["runs"]:
-    print(f"oracle search @ {run['threads']} threads: "
-          f"{run['restarts_per_s']:.1f} restarts/s")
-EOF
-
 echo "==> benchmark gate: the benchmark package's unit tests and --check"
 # crates/bench/benchmark is a package of its own, so `cargo test` above
 # never builds it. Its unit tests pin its statistics, verdicts and metric
@@ -167,14 +145,9 @@ echo "==> benchmark gate: the benchmark package's unit tests and --check"
 # gate the benchmark checks fails here instead of in a later comparison.
 cargo test -q --offline --manifest-path crates/bench/benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path crates/bench/benchmark/Cargo.toml -- --check
-
-if [ "${DGSCHED_BENCH_SMOKE:-0}" = "1" ]; then
-  echo "==> huge-tier scaling smoke: bench_sim_json --smoke"
-  # Opt-in (slow): re-runs the 10k-machine tier only and fails when
-  # FCFS-Excl's events/s falls below a quarter of the other policies'
-  # median — the canary for the replica-churn scaling cliff.
-  cargo run --release -q -p dgsched-bench --bin bench_sim_json -- --smoke
-fi
+# The benchmark builds without --locked, so a workspace dependency change
+# can silently rewrite its tracked Cargo.lock: fail on any unstaged drift.
+git diff --exit-code -- crates/bench/benchmark BENCHMARK.json
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # --all-targets lints tests, examples and criterion benches too; nothing

@@ -29,7 +29,7 @@ use dgsched_core::serve::{
 use dgsched_core::sim::SimConfig;
 use dgsched_des::stats::StoppingRule;
 use dgsched_grid::{Availability, GridConfig, Heterogeneity};
-use dgsched_workload::{BotType, Intensity, WorkloadSpec};
+use dgsched_workload::{BotType, Intensity, MixSpec, WorkloadSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -465,6 +465,29 @@ fn serve_rejects_unknown_flags() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 }
 
+/// Posts `body` to `route` and runs `cli`: the daemon answers 400 with an
+/// error containing `message`, and the command exits 1 printing the same
+/// error after `dgsched: ` and `prefix`.
+fn assert_refused_alike(
+    daemon: &Daemon,
+    route: &str,
+    body: &[u8],
+    mut cli: Command,
+    prefix: &str,
+    message: &str,
+) {
+    let resp = http_request(&daemon.addr, "POST", route, &[], body).expect("POST");
+    let text = String::from_utf8_lossy(&resp.body);
+    assert_eq!(resp.status, 400, "{text}");
+    let error: serde_json::Value = serde_json::from_slice(&resp.body).expect("error JSON");
+    let error = error["error"].as_str().expect("error string");
+    assert!(error.contains(message), "{error}");
+    let out = cli.output().expect("run dgsched");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.trim_end(), format!("dgsched: {prefix}{error}"));
+}
+
 /// Oracle knobs past their caps are refused before any work starts, by
 /// the daemon (400) and by `dgsched oracle` (exit 1) with the same
 /// message: a trillion replications would otherwise be allocated as
@@ -508,21 +531,10 @@ fn oversized_oracle_knobs_are_rejected_before_any_work() {
             tenant: None,
         };
         let body = serde_json::to_vec(&request).unwrap();
-        let resp = http_request(&daemon.addr, "POST", "/oracle", &[], &body).expect("POST");
-        let text = String::from_utf8_lossy(&resp.body);
-        assert_eq!(resp.status, 400, "{text}");
-        assert!(text.contains(message), "{text}");
+        let mut cli = Command::new(bin());
+        cli.arg("oracle").arg(&scenario_path).args(flags);
+        assert_refused_alike(&daemon, "/oracle", &body, cli, "", message);
         assert_eq!(daemon.counter("serve_bad_requests"), i as u64 + 1);
-
-        let out = Command::new(bin())
-            .arg("oracle")
-            .arg(&scenario_path)
-            .args(flags)
-            .output()
-            .expect("run dgsched oracle");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{stderr}");
-        assert_eq!(stderr.trim_end(), format!("dgsched: {message}"));
     }
     assert_eq!(daemon.counter("serve_sweeps_executed"), 0);
     let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET /healthz");
@@ -536,6 +548,50 @@ fn oversized_oracle_knobs_are_rejected_before_any_work() {
         .expect("run dgsched oracle");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--restarts takes a number up to"));
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Workloads and grids that generation cannot build are refused before
+/// any work starts, by the daemon (400) and `dgsched run` (exit 1) alike.
+/// Each used to pass validation, then abort the process on a failed
+/// allocation (6e14 tasks, 1e19 machines) or panic (no bags).
+#[test]
+fn unbuildable_workloads_are_rejected_before_any_work() {
+    let dir = tmp_dir("volume-caps");
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = Daemon::start(&dir.join("cache"), "1");
+    let [mut huge_bag, mut no_bags, mut huge_grid] =
+        [(); 3].map(|_| small_scenario("caps", PolicyKind::Rr));
+    if let WorkloadKind::Single(spec) = &mut huge_bag.workload {
+        spec.bot_type.app_size = 1e17; // 1e14 tasks per bag
+    }
+    no_bags.workload = WorkloadKind::Mixed(MixSpec::paper_uniform(Intensity::Low, 0));
+    huge_grid.grid.total_power = 1e20;
+    let cases = [
+        (huge_bag, "workload expects 6e14 tasks"),
+        (no_bags, "count must be at least 1"),
+        (huge_grid, "grid expects 1e19 machines"),
+    ];
+    for (i, (scenario, message)) in cases.into_iter().enumerate() {
+        let request = SweepRequest {
+            scenarios: vec![scenario],
+            base_seed: 2008,
+            rule: StoppingRule::default(),
+            tenant: None,
+        };
+        let body = serde_json::to_vec(&request).unwrap();
+        let path = dir.join(format!("request{i}.json"));
+        std::fs::write(&path, &body).unwrap();
+        let mut cli = Command::new(bin());
+        cli.arg("run").arg(&path);
+        let prefix = "invalid sweep request: ";
+        assert_refused_alike(&daemon, "/sweep", &body, cli, prefix, message);
+        assert_eq!(daemon.counter("serve_bad_requests"), i as u64 + 1);
+    }
+    assert_eq!(daemon.counter("serve_sweeps_executed"), 0);
+    let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET /healthz");
+    assert_eq!(health.status, 200);
     daemon.kill();
     std::fs::remove_dir_all(&dir).ok();
 }
