@@ -4,7 +4,7 @@
 //! dgsched demo                          # print a sample scenario JSON
 //! dgsched run scenario.json             # run it (replications + CI) and report
 //! dgsched run experiments/fig1.json     # run a sweep request, as POST /sweep would
-//! dgsched oracle scenario.json          # run it, then report hindsight regret
+//! dgsched run experiments/e12-regret.json  # run an oracle request, as POST /oracle would
 //! dgsched serve --addr 127.0.0.1:7700   # sweep service with a result cache
 //! dgsched gen --size pareto:alpha=1.5,min=8e5 --arrivals mmpp:ratio=9,frac=0.1,len=25 \
 //!             -o scenario.json          # trace-realistic scenario (heavy tails)
@@ -14,20 +14,21 @@
 //!
 //! Scenario files are the serde form of [`dgsched_core::experiment::Scenario`];
 //! `run` also takes a sweep request, the serde form of
-//! [`dgsched_core::serve::SweepRequest`] (the files under `experiments/`).
+//! [`dgsched_core::serve::SweepRequest`], or an oracle request, the serde
+//! form of [`dgsched_core::serve::OracleRequest`] (the files under
+//! `experiments/`).
 //!
 //! Exit codes: `0` success, `1` runtime failure (bad file, failed sweep,
 //! bind error), `2` usage error (unknown flag, missing value).
 
 use dgsched_core::experiment::{
-    pivot_table, run_matrix_journaled_with_progress, run_matrix_regret,
-    run_matrix_regret_journaled, run_matrix_with_progress, run_replication_instrumented,
-    sweep_fingerprint, OracleConfig, RepGuard, Scenario, ScenarioResult, WorkloadKind,
+    oracle_fingerprint, pivot_table, run_replication_instrumented, run_sweep, sweep_fingerprint,
+    OracleConfig, Scenario, ScenarioResult, SweepOptions, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::{
-    self_check, validate_oracle, validate_scenarios, ServeConfig, Server, SweepRequest,
-    SweepResponse,
+    self_check, validate_oracle, validate_scenarios, OracleRequest, ServeConfig, Server,
+    SweepRequest, SweepResponse,
 };
 use dgsched_core::sim::Gantt;
 use dgsched_core::sim::SimConfig;
@@ -44,7 +45,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dgsched demo\n  dgsched run <scenario.json|sweep.json> [--seed N] [--min-reps N] [--max-reps N]\n               [--journal <file.jsonl> [--resume]]\n  dgsched oracle <scenario.json> [--seed N] [--min-reps N] [--max-reps N]\n                 [--restarts N] [--iters N] [--oracle-seed N] [--oracle-reps N]\n                 [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.jsonl]\n                [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run`, `oracle` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\noracle:\n  runs the sweep, then replays each replication's captured environment\n  and searches for the hindsight-optimal bag schedule; the result JSON\n  gains a 'regret' section ((policy - oracle) / oracle with a CI)\n  --restarts N      independent search restarts per replication (default 8)\n  --iters N         move proposals per restart (default 120)\n  --oracle-seed N   search stream seed (default 0)\n  --oracle-reps N   replications the oracle evaluates (default 3)\n  --journal FILE    append each completed search restart to FILE (fsynced\n                    JSONL); with --resume, journaled restarts are folded\n                    in instead of recomputed, byte-identically\n\nrun:\n  takes one scenario (stdout: its result JSON) or a sweep request, the\n  body of POST /sweep such as experiments/fig1.json (stdout: the exact\n  bytes /sweep answers; stderr: progress and one table of the results);\n  --seed, --min-reps and --max-reps override the file's values\n\njournal:\n  --journal FILE    append each completed replication to FILE (fsynced\n                    JSONL) so a killed run loses at most the replication\n                    in flight; replications are panic-isolated\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit\n\nenvironment:\n  DGSCHED_TRACE=1   attach the metrics registry to `dgsched run` (adds a\n                    'metrics' snapshot of replication 0 to the result JSON)"
+        "usage:\n  dgsched demo\n  dgsched run <scenario.json|sweep.json|oracle.json> [--seed N] [--min-reps N]\n               [--max-reps N] [--journal <file.jsonl> [--resume]]\n  dgsched serve [--addr HOST:PORT] [--cache-dir DIR] [--slots N]\n                [--threads N] [--check]\n  dgsched trace <scenario.json> [--seed N] [--rep N] [--out trace.jsonl]\n                [--ring N] [--metrics] [--gantt]\n  dgsched gen [-g N] [-u low|medium|high] [-n bags] [--size SPEC] [--jitter SPEC]\n              [--arrivals SPEC] [--policy NAME] [--het] [--avail high|med|low]\n              [--warmup N] [--name NAME] [-o scenario.json]\n              [--workload w.json] [--seed N]\n  dgsched summarize <workload.json>\n\ngen:\n  emits a trace-realistic scenario JSON (stdout or -o) that `dgsched\n  run` and the serve daemon accept unmodified; the workload is\n  regenerated per replication from the embedded spec, so the file is\n  pure configuration and byte-identical for a fixed flag set\n  --size SPEC       per-bag application size distribution:\n                    fixed[:app_size=X] (default, X=2.5e6)\n                    pareto:alpha=A,min=M[,cap=C]   (heavy tail, A > 1)\n                    zipf:exponent=E,ranks=K,base=B (discrete ladder)\n  --jitter SPEC     per-task work around the granularity:\n                    uniform[:half_width=H] (default, H=0.5)\n                    lognormal:sigma=S      (mean-preserving, S in (0,4])\n  --arrivals SPEC   submission stream shape (mean rate is always U/D):\n                    poisson (default)\n                    hyperexp:cv=C            (bursty renewal, C >= 1)\n                    diurnal:period=P,amplitude=A  (day/night cycle)\n                    mmpp:ratio=R,frac=F,len=L     (2-state bursts)\n  --policy NAME     bag-selection policy (default long-idle)\n  --het             heterogeneous platform (default homogeneous)\n  --avail LEVEL     availability class high|med|low (default high)\n  --workload FILE   also materialise one sampled workload with --seed N\n                    (default 1) and save it as a workload JSON\n\nrun:\n  takes one scenario (stdout: its result JSON) or a sweep request, the\n  body of POST /sweep such as experiments/fig1.json (stdout: the exact\n  bytes /sweep answers; stderr: progress and one table of the results);\n  a body with an 'oracle' key is an oracle request, the body of POST\n  /oracle such as experiments/e12-regret.json: the sweep plus each\n  policy's hindsight regret ((policy - oracle) / oracle with a CI);\n  --seed, --min-reps and --max-reps override the file's values\n\njournal:\n  --journal FILE    append each completed replication (and oracle search\n                    restart) to FILE (fsynced JSONL) so a killed run loses\n                    at most the work in flight\n  --resume          replay the journal's intact records instead of\n                    recomputing them; the final JSON is byte-identical to\n                    an uninterrupted run\n\nserve:\n  --addr HOST:PORT  listen address (default 127.0.0.1:7700; port 0 binds\n                    an ephemeral port, reported on stdout)\n  --cache-dir DIR   state directory for the result cache and journals\n                    (default: per-instance temp dir); results are keyed\n                    by sweep fingerprint and cache hits are byte-identical\n  --slots N         concurrent sweep slots, fair-shared across tenants\n                    round-robin (default 1)\n  --threads N       pool width for each sweep (default: DGSCHED_THREADS /\n                    RAYON_NUM_THREADS / all cores)\n  --check           self-test: bind, round-trip a demo sweep twice, verify\n                    the second is a byte-identical cache hit, then send it\n                    plus one scenario and verify the journaled\n                    replications are reused, exit"
     );
     exit(2)
 }
@@ -92,11 +93,6 @@ fn parse_u64(args: &mut Args, flag: &str) -> u64 {
         .unwrap_or_else(|_| fail(&format!("{flag} takes a number")))
 }
 
-fn parse_u32(args: &mut Args, flag: &str) -> u32 {
-    let n = parse_u64(args, flag);
-    u32::try_from(n).unwrap_or_else(|_| fail(&format!("{flag} takes a number up to {}", u32::MAX)))
-}
-
 fn read_file(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
 }
@@ -114,32 +110,44 @@ fn load_scenario(path: &str) -> Scenario {
     parse_scenario(&read_file(path))
 }
 
-/// Loads what `dgsched run` accepts: one scenario, or a sweep request
-/// (the body of `POST /sweep`, told apart by its `scenarios` key). A
-/// scenario comes back as a one-scenario request with the defaults, and
-/// `true` marks it as one.
-fn load_run_file(path: &str) -> (SweepRequest, bool) {
+/// Loads what `dgsched run` accepts: one scenario, a sweep request (the
+/// body of `POST /sweep`, told apart by its `scenarios` key) or an oracle
+/// request (the body of `POST /oracle`, which has an `oracle` key too),
+/// split into its sweep and its search knobs. A scenario comes back as a
+/// one-scenario request with the defaults, and `true` marks it as one.
+fn load_run_file(path: &str) -> (SweepRequest, Option<OracleConfig>, bool) {
     let data = read_file(path);
     let value = serde_json::from_str::<serde_json::Value>(&data).ok();
     let fields = value
         .as_ref()
         .and_then(|v| v.as_object())
         .unwrap_or_default();
-    if !fields.iter().any(|(key, _)| key == "scenarios") {
+    let has = |key: &str| fields.iter().any(|(k, _)| k == key);
+    if !has("scenarios") {
         let request = SweepRequest {
             scenarios: vec![parse_scenario(&data)],
             base_seed: 2008,
             rule: StoppingRule::default(),
             tenant: None,
         };
-        return (request, true);
+        return (request, None, true);
     }
-    let request: SweepRequest =
-        serde_json::from_str(&data).unwrap_or_else(|e| die(&format!("invalid sweep request: {e}")));
-    if let Err(e) = validate_scenarios(&request.scenarios) {
-        die(&format!("invalid sweep request: {e}"))
+    let kind = if has("oracle") { "oracle" } else { "sweep" };
+    let invalid = |e: &dyn std::fmt::Display| -> ! { die(&format!("invalid {kind} request: {e}")) };
+    let (request, ocfg) = if has("oracle") {
+        let request: OracleRequest = serde_json::from_str(&data).unwrap_or_else(|e| invalid(&e));
+        let (request, ocfg) = request.into_parts();
+        (request, Some(ocfg))
+    } else {
+        let request = serde_json::from_str(&data).unwrap_or_else(|e| invalid(&e));
+        (request, None)
+    };
+    let valid = validate_scenarios(&request.scenarios)
+        .and_then(|()| ocfg.as_ref().map_or(Ok(()), validate_oracle));
+    if let Err(e) = valid {
+        invalid(&e)
     }
-    (request, false)
+    (request, ocfg, false)
 }
 
 fn cmd_run(mut args: Args) {
@@ -162,7 +170,7 @@ fn cmd_run(mut args: Args) {
     if resume && journal.is_none() {
         fail("--resume requires --journal")
     }
-    let (mut req, single) = load_run_file(&path);
+    let (mut req, ocfg, single) = load_run_file(&path);
     req.base_seed = seed.unwrap_or(req.base_seed);
     let rule = &mut req.rule;
     rule.min_replications = min_reps.unwrap_or(rule.min_replications);
@@ -178,43 +186,36 @@ fn cmd_run(mut args: Args) {
             eprintln!("[{done}/{total}] {name}");
         }
     };
-    let results = match &journal {
-        Some(jpath) => {
-            let outcome = run_matrix_journaled_with_progress(
-                scenarios,
-                seed,
-                rule,
-                Path::new(jpath),
-                resume,
-                RepGuard::default(),
-                progress,
-            )
-            .unwrap_or_else(|e| die(&format!("journal {jpath}: {e}")));
-            let stats = outcome.stats;
-            eprintln!(
-                "journal {jpath}: {} written, {} replayed{}{}{}",
-                stats.records_written,
-                stats.records_replayed,
-                if stats.resumes > 0 { " (resumed)" } else { "" },
-                if stats.torn_tails > 0 {
-                    ", torn tail truncated"
-                } else {
-                    ""
-                },
-                if stats.replication_panics > 0 {
-                    ", replication panics isolated"
-                } else {
-                    ""
-                },
-            );
-            outcome.results
-        }
-        None => run_matrix_with_progress(scenarios, seed, rule, progress),
+    let opts = SweepOptions {
+        journal: journal.as_deref().map(Path::new),
+        resume,
+        oracle: ocfg.as_ref(),
+        ..SweepOptions::default()
     };
+    let jpath = journal.as_deref().unwrap_or_default();
+    let outcome = run_sweep(scenarios, seed, rule, opts, progress)
+        .unwrap_or_else(|e| die(&format!("journal {jpath}: {e}")));
+    let stats = outcome.stats;
+    if journal.is_some() {
+        let (written, replayed) = (stats.restarts_written, stats.restarts_replayed);
+        let restarts = format!("; {written} restarts written, {replayed} replayed");
+        let notes = [
+            (ocfg.is_some(), restarts.as_str()),
+            (stats.resumes > 0, " (resumed)"),
+            (stats.torn_tails > 0, ", torn tail truncated"),
+            (
+                stats.replication_panics > 0,
+                ", replication panics isolated",
+            ),
+        ];
+        let notes: String = notes.iter().filter(|n| n.0).map(|n| n.1).collect();
+        let (written, replayed) = (stats.records_written, stats.records_replayed);
+        eprintln!("journal {jpath}: {written} written, {replayed} replayed{notes}");
+    }
     if single {
-        report_scenario(&results[0]);
+        report_scenario(&outcome.results[0]);
     } else {
-        report_sweep(&req, results);
+        report_sweep(&req, ocfg.as_ref(), outcome.results);
     }
 }
 
@@ -244,13 +245,18 @@ fn report_scenario(result: &ScenarioResult) {
     }
 }
 
-/// A sweep's result: on stdout the exact bytes `POST /sweep` answers for
-/// the same request, on stderr the results pivoted into one table.
-fn report_sweep(req: &SweepRequest, results: Vec<ScenarioResult>) {
+/// A sweep's result: on stdout the exact bytes `POST /sweep` (or, with
+/// `ocfg`, `POST /oracle`) answers for the same request, on stderr the
+/// results pivoted into one table.
+fn report_sweep(req: &SweepRequest, ocfg: Option<&OracleConfig>, results: Vec<ScenarioResult>) {
     // `run` clamps no events, so this is the key a daemon without a
     // clamp caches the request under.
-    let fingerprint = sweep_fingerprint(&req.scenarios, req.base_seed, &req.rule)
-        .unwrap_or_else(|e| die(&format!("cannot fingerprint the sweep: {e}")));
+    let (scenarios, seed, rule) = (&req.scenarios, req.base_seed, &req.rule);
+    let fingerprint = match ocfg {
+        Some(ocfg) => oracle_fingerprint(scenarios, seed, rule, ocfg),
+        None => sweep_fingerprint(scenarios, seed, rule),
+    }
+    .unwrap_or_else(|e| die(&format!("cannot fingerprint the sweep: {e}")));
     let table = pivot_table(&results);
     let response = SweepResponse {
         fingerprint,
@@ -262,89 +268,6 @@ fn report_sweep(req: &SweepRequest, results: Vec<ScenarioResult>) {
         die(&format!("cannot write the result: {e}"))
     }
     eprint!("\n{}", table.to_markdown());
-}
-
-fn cmd_oracle(mut args: Args) {
-    let path = args
-        .next()
-        .unwrap_or_else(|| fail("oracle needs a scenario file"));
-    let mut seed = 2008u64;
-    let mut rule = StoppingRule::default();
-    let mut ocfg = OracleConfig::default();
-    let mut journal: Option<String> = None;
-    let mut resume = false;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--seed" => seed = parse_u64(&mut args, "--seed"),
-            "--min-reps" => rule.min_replications = parse_u64(&mut args, "--min-reps"),
-            "--max-reps" => rule.max_replications = parse_u64(&mut args, "--max-reps"),
-            "--restarts" => ocfg.restarts = parse_u32(&mut args, "--restarts"),
-            "--iters" => ocfg.iters = parse_u32(&mut args, "--iters"),
-            "--oracle-seed" => ocfg.seed = parse_u64(&mut args, "--oracle-seed"),
-            "--oracle-reps" => ocfg.replications = parse_u64(&mut args, "--oracle-reps"),
-            "--journal" => journal = Some(flag_value(&mut args, "--journal")),
-            "--resume" => resume = true,
-            _ => fail(&format!("unknown flag {flag:?} for 'oracle'")),
-        }
-    }
-    if resume && journal.is_none() {
-        fail("--resume requires --journal")
-    }
-    if let Err(e) = validate_oracle(&ocfg) {
-        die(&e)
-    }
-    let scenario = load_scenario(&path);
-    eprintln!(
-        "oracle for '{}' (seed {seed}, {} restarts x {} iters x {} replications)...",
-        scenario.name, ocfg.restarts, ocfg.iters, ocfg.replications
-    );
-    let scenarios = std::slice::from_ref(&scenario);
-    let results = match &journal {
-        Some(jpath) => {
-            let (results, stats) = run_matrix_regret_journaled(
-                scenarios,
-                seed,
-                &rule,
-                &ocfg,
-                Path::new(jpath),
-                resume,
-            )
-            .unwrap_or_else(|e| die(&format!("oracle journal {jpath}: {e}")));
-            eprintln!(
-                "oracle journal {jpath}: {} restarts written, {} replayed{}{}",
-                stats.restarts_written,
-                stats.restarts_replayed,
-                if stats.resumes > 0 { " (resumed)" } else { "" },
-                if stats.torn_tails > 0 {
-                    ", torn tail truncated"
-                } else {
-                    ""
-                },
-            );
-            results
-        }
-        None => run_matrix_regret(scenarios, seed, &rule, &ocfg),
-    };
-    let result = &results[0];
-    println!(
-        "{}",
-        serde_json::to_string_pretty(result).expect("result serialises")
-    );
-    match &result.regret {
-        Some(reg) => eprintln!(
-            "oracle turnaround {:.0} s ± {:.0}; regret {:.1}% ± {:.1} ({} of {} replications measured)",
-            reg.oracle_turnaround.mean,
-            reg.oracle_turnaround.half_width,
-            100.0 * reg.regret.mean,
-            100.0 * reg.regret.half_width,
-            reg.measured_replications,
-            reg.replications,
-        ),
-        None => eprintln!(
-            "note: scenario saturated ({} of {} replications) — no regret to report",
-            result.saturated_replications, result.replications
-        ),
-    }
 }
 
 fn cmd_serve(mut args: Args) {
@@ -755,7 +678,6 @@ fn main() {
             );
         }
         Some("run") => cmd_run(args),
-        Some("oracle") => cmd_oracle(args),
         Some("serve") => cmd_serve(args),
         Some("trace") => cmd_trace(args),
         Some("gen") => cmd_gen(args),

@@ -1,19 +1,31 @@
 //! Crash-safe replication journal: resumable sweeps over an append-only
-//! JSONL store.
+//! JSONL store, and the one sweep core every runner goes through.
 //!
 //! A long matrix sweep is hours of compute whose only durable artifact,
 //! until now, was the final JSON — a crash at replication 4 999 of 5 000
 //! lost everything. The journal makes each completed replication durable
 //! the moment it finishes:
 //!
-//! * line 1 is a **header** that fingerprints the sweep — a 128-bit
-//!   digest of the canonical JSON of `(scenarios, base_seed, rule)` plus
-//!   the code and journal-schema versions — so a journal can never be
-//!   replayed against a different experiment;
+//! * line 1 is a **header** that fingerprints the run — a 128-bit
+//!   digest of the canonical JSON of `(scenarios, base_seed, rule)` (plus
+//!   the oracle's knobs in an oracle run) and the code and journal-schema
+//!   versions — so a journal can never be replayed against a different
+//!   experiment;
 //! * every following line is one completed [`RepSummary`]
 //!   (`{"kind":"rep","scenario":…,"rep":…,"key":…,"summary":…}`),
 //!   appended and `fsync`ed before the result can influence anything
-//!   downstream. `key` is the replication key (see [`RepIndex`]).
+//!   downstream. `key` is the replication key (see [`RepIndex`]);
+//! * an oracle run also journals each completed search restart
+//!   (`{"kind":"restart","env":…,"rep":…,"outcome":…}`), keyed by
+//!   environment digest, oracle replication and restart.
+//!
+//! ## One core
+//!
+//! [`run_sweep`] is the sweep core: [`run_matrix`](super::run_matrix),
+//! [`run_matrix_regret`](super::run_matrix_regret), the journaled runners,
+//! `dgsched run` and the serve daemon all run through it, with or without
+//! a journal, an index, a guard and the oracle. Every replication runs
+//! inside the same isolation wrapper, journaled or not.
 //!
 //! ## Resume = replay through the same fold
 //!
@@ -30,11 +42,13 @@
 //! (`crates/des/src/stats/welford.rs`), the final matrix JSON is
 //! **byte-identical** whether the sweep ran straight through or was
 //! killed and resumed any number of times, at any pool width
-//! (`tests/journal_resume.rs` pins this).
+//! (`tests/journal_resume.rs` pins this). Journaled restarts are folded
+//! in instead of recomputed; a restart is a pure function of its key, so
+//! a resumed oracle run is byte-identical too.
 //!
 //! ## Failure state machine
 //!
-//! Each journaled replication moves through:
+//! Each replication moves through:
 //!
 //! ```text
 //! run ──ok──────────────────────────▶ clean / saturated summary ─▶ journal
@@ -56,27 +70,30 @@
 //! ## Reuse across sweeps
 //!
 //! Replication `r` of a scenario is a function of `(scenario, base_seed,
-//! r)` and the event clamp alone, never of the stopping rule or of the
-//! other scenarios in the sweep. A [`RepIndex`] maps each replication key
-//! (that triple minus `r`) to the journaled replications of every sweep
-//! it has seen, so a sweep that overlaps an earlier one takes the longer
-//! of its own journal prefix and the index's as its replay prefix and
-//! computes only the rest. The serve daemon keeps one index per cache
-//! directory; `dgsched run --journal` uses none.
+//! r)` and the event clamp alone, never of the stopping rule, of the
+//! other scenarios in the sweep or of the oracle. A [`RepIndex`] maps each
+//! replication key (that triple minus `r`) to the journaled replications
+//! of every sweep it has seen, oracle runs included, so a sweep that
+//! overlaps an earlier one takes the longer of its own journal prefix and
+//! the index's as its replay prefix and computes only the rest. The serve
+//! daemon keeps one index per cache directory; `dgsched run --journal`
+//! uses none.
 //!
 //! [`Welford`]: dgsched_des::stats::Welford
 
-use super::record_log::{self, invalid, LogLine, RecordLog};
+use super::record_log::{self, invalid, RecordLog};
+use super::regret::{OracleConfig, OraclePass};
 use super::runner::{
     run_pool, run_replication_capped, Job, Output, Record, RepSummary, ScenarioResult,
 };
 use super::scenario::Scenario;
 use crate::sim::RunResult;
 use dgsched_des::stats::StoppingRule;
+use dgsched_oracle::RestartOutcome;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Read};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
@@ -84,9 +101,9 @@ use std::time::Instant;
 /// Journal schema version; folded into the fingerprint, so a journal
 /// written by an incompatible schema refuses to resume. v2 widened the
 /// fingerprint from 64 to 128 bits (see [`sweep_fingerprint`]).
-const JOURNAL_VERSION: u32 = 2;
+pub(super) const JOURNAL_VERSION: u32 = 2;
 
-/// Per-replication resource guard for journaled sweeps.
+/// Per-replication resource guard.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RepGuard {
     /// Clamp on the per-replication event budget (never raises the
@@ -120,11 +137,17 @@ pub struct JournalStats {
     pub replication_panics: u64,
     /// Panicked replications that were retried.
     pub replication_retries: u64,
+    /// Oracle search restart records appended (and fsynced) this run.
+    pub restarts_written: u64,
+    /// Oracle search restarts served from the journal instead of
+    /// recomputed.
+    pub restarts_replayed: u64,
 }
 
-/// Result of a journaled sweep: the scenario results (identical to what
-/// [`run_matrix`](super::run_matrix) would produce) plus journal
-/// accounting.
+/// Result of a sweep: the scenario results (identical to what
+/// [`run_matrix`](super::run_matrix) or
+/// [`run_matrix_regret`](super::run_matrix_regret) would produce) plus
+/// journal accounting.
 #[derive(Debug, Clone)]
 pub struct JournalOutcome {
     /// One result per scenario, in input order.
@@ -149,6 +172,14 @@ pub(super) enum JournalLine {
     },
     /// One completed replication.
     Rep(RepLine),
+    /// One completed search restart of an oracle run: restart
+    /// `outcome.restart` of oracle replication `rep` on the environment
+    /// with digest `env`.
+    Restart {
+        env: String,
+        rep: u64,
+        outcome: RestartOutcome,
+    },
 }
 
 /// The record of one completed replication.
@@ -164,16 +195,16 @@ pub(super) struct RepLine {
     summary: RepSummary,
 }
 
-impl LogLine for JournalLine {
-    const VERSION: u32 = JOURNAL_VERSION;
-    fn header(&self) -> Option<(u32, &str)> {
+impl JournalLine {
+    /// `(version, fingerprint)` when this line is the header.
+    pub(super) fn header(&self) -> Option<(u32, &str)> {
         match self {
             JournalLine::Header {
                 version,
                 fingerprint,
                 ..
             } => Some((*version, fingerprint)),
-            JournalLine::Rep(_) => None,
+            _ => None,
         }
     }
 }
@@ -285,8 +316,8 @@ pub fn canonical_oracle_bytes(
 
 /// 128-bit hex fingerprint of an oracle computation, tagged distinctly
 /// from sweep fingerprints so the two key spaces can never collide in a
-/// shared cache. Keys the serve daemon's `/oracle` cache and the restart
-/// journal's resume check.
+/// shared cache. Keys the serve daemon's `/oracle` cache and an oracle
+/// run's journal header.
 pub fn oracle_fingerprint(
     scenarios: &[Scenario],
     base_seed: u64,
@@ -309,9 +340,10 @@ fn rep_key(scenario: &Scenario, base_seed: u64, max_events: Option<u64>) -> io::
     Ok(fingerprint_canonical(KeySpace::Rep, &bytes))
 }
 
-/// In-memory index of journaled replications, by replication key (see
-/// [`rep_key`]) and then replication index, gathered from any number of
-/// journals. It feeds [`run_matrix_journaled_indexed`]: a sweep whose
+/// In-memory index of journaled replications, by replication key (the
+/// fingerprint of a scenario, base seed and event clamp) and then
+/// replication index, gathered from any number of journals. It feeds
+/// [`run_sweep`] through [`SweepOptions::index`]: a sweep whose
 /// scenario was journaled by an earlier sweep replays those replications
 /// instead of recomputing them. Memory grows with the number of
 /// replications indexed.
@@ -321,21 +353,13 @@ pub struct RepIndex {
 }
 
 impl RepIndex {
-    /// Indexes every keyed replication record of the sweep journal at
-    /// `path`. A file that is not a sweep journal of this schema, or is
+    /// Indexes every keyed replication record of the journal at `path`,
+    /// a sweep's or an oracle run's. A file that is not a journal of this
+    /// schema (a restart journal an older build wrote, say), or is
     /// damaged anywhere but its final line, is an error and indexes
-    /// nothing. A file whose first line is not a sweep-journal header (an
-    /// oracle restart journal, say) is refused before the rest is read.
+    /// nothing.
     pub fn load_journal(&self, path: &Path) -> io::Result<()> {
-        let mut reader = io::BufReader::new(std::fs::File::open(path)?);
-        let mut data = Vec::new();
-        reader.read_until(b'\n', &mut data)?;
-        let header = serde_json::from_slice::<JournalLine>(&data).ok();
-        if header.as_ref().and_then(LogLine::header).map(|(v, _)| v) != Some(JOURNAL_VERSION) {
-            return Err(invalid("not a sweep journal of this schema".to_string()));
-        }
-        reader.read_to_end(&mut data)?;
-        let (lines, _) = record_log::parse(&data, None)?;
+        let (lines, _) = record_log::parse(&std::fs::read(path)?, None)?;
         let mut reps = self.reps.lock();
         for line in lines {
             if let JournalLine::Rep(r) = line {
@@ -375,33 +399,12 @@ impl RepIndex {
     }
 }
 
-/// Per-sweep context shared by every scenario of a journaled matrix:
-/// the configuration, the journal, the index fresh records join, and the
-/// counts the parallel workers bump.
-struct SweepCtx<'a> {
+/// Per-sweep context the isolation wrapper reads: the configuration,
+/// and the counts the parallel workers bump.
+struct SweepCtx {
     base_seed: u64,
     guard: RepGuard,
-    log: RecordLog,
-    index: Option<&'a RepIndex>,
     stats: Mutex<JournalStats>,
-}
-
-impl SweepCtx<'_> {
-    /// Appends one replication record and, once it is durable, indexes
-    /// it.
-    fn append(&self, scenario: &str, key: Option<&str>, rep: u64, summary: &RepSummary) {
-        let line = JournalLine::Rep(RepLine {
-            scenario: scenario.to_string(),
-            rep,
-            key: key.map(str::to_string),
-            summary: summary.clone(),
-        });
-        if self.log.append(&line) {
-            if let (Some(index), Some(key)) = (self.index, key) {
-                index.insert(key, rep, summary);
-            }
-        }
-    }
 }
 
 /// The replications `0, 1, …` of `reps` up to the first gap. Only a
@@ -437,12 +440,12 @@ where
     let mut retried = false;
     loop {
         // dgsched-analyze: allow(wall-clock) -- RepGuard's wall-clock limit is an explicit safety valve; a tripped limit serializes as `saturated`, the same value the event budget produces deterministically
-        let start = Instant::now();
+        let start = ctx.guard.wall_limit_s.map(|limit| (limit, Instant::now()));
         match catch_unwind(AssertUnwindSafe(|| {
             RepSummary::of(&rep_runner(scenario, ctx.base_seed, rep))
         })) {
             Ok(summary) => {
-                if let Some(limit) = ctx.guard.wall_limit_s {
+                if let Some((limit, start)) = start {
                     if start.elapsed().as_secs_f64() > limit {
                         return RepSummary {
                             saturated: true,
@@ -477,6 +480,65 @@ struct Replay {
     journaled: usize,
 }
 
+/// What a sweep runs with besides its scenarios, seed and rule. The
+/// default is a plain [`run_matrix`](super::run_matrix): no journal, no
+/// index, no guard, no oracle.
+#[derive(Clone, Copy, Default)]
+pub struct SweepOptions<'a> {
+    /// Journal file: every fresh replication, and every fresh search
+    /// restart of an oracle run, is appended and fsynced before it is
+    /// used. Scenario names must then be unique (the journal keys records
+    /// by name).
+    pub journal: Option<&'a Path>,
+    /// Resume the journal instead of overwriting it, as
+    /// [`run_matrix_journaled`] does.
+    pub resume: bool,
+    /// Per-replication resource guard.
+    pub guard: RepGuard,
+    /// Replication index: each scenario replays the index's prefix where
+    /// it is longer than the journal's, and fresh replications join the
+    /// index once durable. Replications taken from it are counted in
+    /// [`JournalStats::records_reused`] and not copied into this journal:
+    /// the journal they came from stays where the index read it. Under a
+    /// [`RepGuard::wall_limit_s`] the index is bypassed, because a
+    /// wall-clock saturation cannot be reproduced.
+    pub index: Option<&'a RepIndex>,
+    /// Score every non-saturated result against the hindsight oracle, as
+    /// [`run_matrix_regret`](super::run_matrix_regret) does. The journal
+    /// header then carries the [`oracle_fingerprint`].
+    pub oracle: Option<&'a OracleConfig>,
+}
+
+/// Runs a sweep with `opts`, reporting scenario completions through
+/// `progress` (called with `(done, total, name)`, `done` strictly
+/// increasing, reporting never blocking the sweep — the contract of
+/// [`run_matrix_with_progress`](super::run_matrix_with_progress)).
+///
+/// Whatever the options, the results are byte-identical to a
+/// straight-through [`run_matrix`](super::run_matrix) (or
+/// [`run_matrix_regret`](super::run_matrix_regret) under the oracle) of
+/// the same sweep; only I/O errors of the journal fail it.
+pub fn run_sweep<F>(
+    scenarios: &[Scenario],
+    base_seed: u64,
+    rule: &StoppingRule,
+    opts: SweepOptions<'_>,
+    progress: F,
+) -> io::Result<JournalOutcome>
+where
+    F: Fn(usize, usize, &str) + Send + Sync,
+{
+    let max_events = opts.guard.max_events;
+    run_core(
+        scenarios,
+        base_seed,
+        rule,
+        opts,
+        &move |s: &Scenario, seed: u64, rep: u64| run_replication_capped(s, seed, rep, max_events),
+        &progress,
+    )
+}
+
 /// [`run_matrix`](super::run_matrix) with a crash-safe journal at `path`.
 ///
 /// With `resume = false` any existing journal at `path` is overwritten.
@@ -494,87 +556,13 @@ pub fn run_matrix_journaled(
     resume: bool,
     guard: RepGuard,
 ) -> io::Result<JournalOutcome> {
-    run_matrix_journaled_with_progress(
-        scenarios,
-        base_seed,
-        rule,
-        path,
+    let opts = SweepOptions {
+        journal: Some(path),
         resume,
         guard,
-        |_, _, _| {},
-    )
-}
-
-/// [`run_matrix_journaled`] reporting scenario completions through
-/// `progress`, with the contract of
-/// [`run_matrix_with_progress`](super::run_matrix_with_progress).
-pub fn run_matrix_journaled_with_progress<F>(
-    scenarios: &[Scenario],
-    base_seed: u64,
-    rule: &StoppingRule,
-    path: &Path,
-    resume: bool,
-    guard: RepGuard,
-    progress: F,
-) -> io::Result<JournalOutcome>
-where
-    F: Fn(usize, usize, &str) + Send + Sync,
-{
-    run_matrix_journaled_core(
-        scenarios,
-        base_seed,
-        rule,
-        path,
-        resume,
-        guard,
-        None,
-        &move |s: &Scenario, seed: u64, rep: u64| {
-            run_replication_capped(s, seed, rep, guard.max_events)
-        },
-        &progress,
-    )
-}
-
-/// [`run_matrix_journaled`] as the sweep service runs it: resumes any
-/// journal at `path`, replays each scenario from `index` where the index
-/// holds a longer prefix than the journal, adds every fresh replication
-/// to `index` once it is durable, and reports scenario completions
-/// through `progress` (called with `(done, total, name)`, `done` strictly
-/// increasing, reporting never blocking the sweep — the same contract as
-/// [`run_matrix_with_progress`](super::run_matrix_with_progress)).
-///
-/// Replications taken from the index are counted in
-/// [`JournalStats::records_reused`] and are not copied into this journal:
-/// the journal they came from stays where the index read it, so a
-/// resume after a crash finds them there again. Under a
-/// [`RepGuard::wall_limit_s`] the index is bypassed, because a
-/// wall-clock saturation cannot be reproduced. The results are
-/// byte-identical to [`run_matrix`](super::run_matrix).
-pub fn run_matrix_journaled_indexed<F>(
-    scenarios: &[Scenario],
-    base_seed: u64,
-    rule: &StoppingRule,
-    path: &Path,
-    guard: RepGuard,
-    index: &RepIndex,
-    progress: F,
-) -> io::Result<JournalOutcome>
-where
-    F: Fn(usize, usize, &str) + Send + Sync,
-{
-    run_matrix_journaled_core(
-        scenarios,
-        base_seed,
-        rule,
-        path,
-        true,
-        guard,
-        Some(index),
-        &move |s: &Scenario, seed: u64, rep: u64| {
-            run_replication_capped(s, seed, rep, guard.max_events)
-        },
-        &progress,
-    )
+        ..SweepOptions::default()
+    };
+    run_sweep(scenarios, base_seed, rule, opts, |_, _, _| {})
 }
 
 /// [`run_matrix_journaled`] with the replication runner injected — the
@@ -592,67 +580,84 @@ pub fn run_matrix_journaled_with<R>(
 where
     R: Fn(&Scenario, u64, u64) -> RunResult + Sync,
 {
-    run_matrix_journaled_core(
-        scenarios,
-        base_seed,
-        rule,
-        path,
+    let opts = SweepOptions {
+        journal: Some(path),
         resume,
         guard,
-        None,
-        &rep_runner,
-        &|_, _, _| {},
-    )
+        ..SweepOptions::default()
+    };
+    run_core(scenarios, base_seed, rule, opts, &rep_runner, &|_, _, _| {})
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_matrix_journaled_core<R>(
+/// Restart records read back: `(environment digest, oracle replication,
+/// outcome)`.
+pub(super) type Restarts = Vec<(String, u64, RestartOutcome)>;
+
+/// The sweep core behind every runner: the scenarios' batch plans, and
+/// the oracle's pairs under `opts.oracle`, on one replication pool.
+fn run_core<R>(
     scenarios: &[Scenario],
     base_seed: u64,
     rule: &StoppingRule,
-    path: &Path,
-    resume: bool,
-    guard: RepGuard,
-    index: Option<&RepIndex>,
+    opts: SweepOptions<'_>,
     rep_runner: &R,
     progress: &(dyn Fn(usize, usize, &str) + Send + Sync),
 ) -> io::Result<JournalOutcome>
 where
     R: Fn(&Scenario, u64, u64) -> RunResult + Sync,
 {
-    let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
-    names.sort_unstable();
-    if names.windows(2).any(|w| w[0] == w[1]) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "scenario names must be unique: the journal keys records by name",
-        ));
-    }
-    let header = JournalLine::Header {
-        version: JOURNAL_VERSION,
-        fingerprint: sweep_fingerprint(scenarios, base_seed, rule)?,
-        code_version: env!("CARGO_PKG_VERSION").to_string(),
-        base_seed,
-        scenarios: scenarios.len() as u64,
-        rule: *rule,
-    };
-    let (log, records) = RecordLog::open(path, &header, resume)?;
+    let SweepOptions {
+        journal,
+        resume,
+        guard,
+        index,
+        oracle,
+    } = opts;
+    let mut log = None;
     let mut journaled: BTreeMap<String, BTreeMap<u64, RepSummary>> = BTreeMap::new();
-    for line in records {
-        if let JournalLine::Rep(r) = line {
-            journaled
-                .entry(r.scenario)
-                .or_default()
-                .insert(r.rep, r.summary);
+    let mut restarts: Restarts = Vec::new();
+    if let Some(path) = journal {
+        let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+        names.sort_unstable();
+        if names.windows(2).any(|w| w[0] == w[1]) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "scenario names must be unique: the journal keys records by name",
+            ));
         }
+        let header = JournalLine::Header {
+            version: JOURNAL_VERSION,
+            fingerprint: match oracle {
+                Some(ocfg) => oracle_fingerprint(scenarios, base_seed, rule, ocfg)?,
+                None => sweep_fingerprint(scenarios, base_seed, rule)?,
+            },
+            code_version: env!("CARGO_PKG_VERSION").to_string(),
+            base_seed,
+            scenarios: scenarios.len() as u64,
+            rule: *rule,
+        };
+        let (opened, records) = RecordLog::open(path, &header, resume)?;
+        for line in records {
+            match line {
+                JournalLine::Rep(r) => {
+                    let reps = journaled.entry(r.scenario).or_default();
+                    reps.insert(r.rep, r.summary);
+                }
+                JournalLine::Restart { env, rep, outcome } => restarts.push((env, rep, outcome)),
+                JournalLine::Header { .. } => {}
+            }
+        }
+        log = Some(opened);
     }
+    // Keys exist only for a journal or an index to hold. A wall-clock
+    // saturation is not a function of the key: such records carry no
+    // key, so no index ever serves them.
+    let keyed = (log.is_some() || index.is_some()) && guard.wall_limit_s.is_none();
     let mut replays = Vec::with_capacity(scenarios.len());
     for scenario in scenarios {
-        // A wall-clock saturation is not a function of the key: such
-        // records carry no key, so no index ever serves them.
-        let key = match guard.wall_limit_s {
-            Some(_) => None,
-            None => Some(rep_key(scenario, base_seed, guard.max_events)?),
+        let key = match keyed {
+            true => Some(rep_key(scenario, base_seed, guard.max_events)?),
+            false => None,
         };
         let own = journaled
             .remove(&scenario.name)
@@ -674,15 +679,17 @@ where
             journaled,
         });
     }
+    let oracle = oracle.map(|ocfg| OraclePass::new(scenarios, base_seed, ocfg, restarts));
     let ctx = SweepCtx {
         base_seed,
         guard,
-        log,
-        index,
         stats: Mutex::default(),
     };
     let replicate = |job: Job| {
-        let (i, rep) = job.rep();
+        let Job::Rep(i, rep) = job else {
+            let oracle = oracle.as_ref().expect("oracle jobs run with the oracle");
+            return oracle.run(job);
+        };
         Output::Rep(match replays[i].summaries.get(rep as usize) {
             Some(summary) => {
                 let mut stats = ctx.stats.lock();
@@ -696,25 +703,51 @@ where
             None => run_rep_isolated(&scenarios[i], rep, &ctx, rep_runner),
         })
     };
-    // Replayed summaries already have a durable record, in this journal
-    // or in the one the index read them from.
+    // Fresh records are appended, and fresh replications indexed once
+    // durable. Replayed summaries and restarts already have a durable
+    // record, in this journal or in the one the index read them from.
     let record = |record: Record<'_>| {
-        if let Record::Rep(i, rep, summary) = record {
-            let replay = &replays[i];
-            if rep as usize >= replay.summaries.len() {
-                ctx.append(&scenarios[i].name, replay.key.as_deref(), rep, summary);
+        let Some(log) = &log else { return };
+        match record {
+            Record::Rep(i, rep, summary) if rep as usize >= replays[i].summaries.len() => {
+                let key = replays[i].key.as_deref();
+                let line = JournalLine::Rep(RepLine {
+                    scenario: scenarios[i].name.clone(),
+                    rep,
+                    key: key.map(str::to_string),
+                    summary: summary.clone(),
+                });
+                if let (true, Some(index), Some(key)) = (log.append(&line), index, key) {
+                    index.insert(key, rep, summary);
+                }
+            }
+            Record::Rep(..) => {}
+            Record::Restart(p, outcome) => {
+                let fresh = oracle.as_ref().and_then(|o| o.fresh(p, outcome));
+                if fresh.is_some_and(|line| log.append(&line)) {
+                    ctx.stats.lock().restarts_written += 1;
+                }
             }
         }
     };
-    let (results, _) = run_pool(
-        scenarios, base_seed, rule, None, progress, replicate, record,
+    let (mut results, oracle_reps) = run_pool(
+        scenarios,
+        rule,
+        oracle.as_ref(),
+        progress,
+        replicate,
+        record,
     );
-    let stats = JournalStats {
-        records_written: ctx.log.finish()?,
-        resumes: ctx.log.resumes,
-        torn_tails: ctx.log.torn_tails,
-        ..ctx.stats.into_inner()
-    };
+    let mut stats = ctx.stats.into_inner();
+    if let Some(oracle) = &oracle {
+        oracle.attach(&mut results, &oracle_reps, rule.level);
+        stats.restarts_replayed = oracle.replayed();
+    }
+    if let Some(log) = &log {
+        stats.records_written = log.finish()? - stats.restarts_written;
+        stats.resumes = log.resumes;
+        stats.torn_tails = log.torn_tails;
+    }
     Ok(JournalOutcome { results, stats })
 }
 
@@ -820,8 +853,9 @@ mod tests {
         serde_json::to_string(results).unwrap()
     }
 
-    /// Runs an index-fed sweep into a fresh journal, checks it against
-    /// `run_matrix` byte for byte, and returns its journal stats.
+    /// Runs an index-fed sweep into a fresh journal, as the daemon does,
+    /// checks it against `run_matrix` byte for byte, and returns its
+    /// journal stats.
     fn indexed(
         name: &str,
         scenarios: &[Scenario],
@@ -832,9 +866,14 @@ mod tests {
     ) -> JournalStats {
         let path = tmp(name);
         std::fs::remove_file(&path).ok();
-        let out =
-            run_matrix_journaled_indexed(scenarios, seed, rule, &path, guard, index, |_, _, _| {})
-                .unwrap();
+        let opts = SweepOptions {
+            journal: Some(&path),
+            resume: true,
+            guard,
+            index: Some(index),
+            oracle: None,
+        };
+        let out = run_sweep(scenarios, seed, rule, opts, |_, _, _| {}).unwrap();
         std::fs::remove_file(&path).ok();
         // The guards these tests use never trip: results stay plain.
         assert_eq!(json(&out.results), json(&run_matrix(scenarios, seed, rule)));

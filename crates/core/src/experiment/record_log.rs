@@ -1,6 +1,7 @@
-//! The crash-safe record log behind both journals: the replication
-//! journal ([`journal`](super::journal)) and the oracle restart journal
-//! ([`regret`](super::regret)).
+//! The crash-safe record log behind the journal
+//! ([`journal`](super::journal)): one schema for sweeps and oracle runs
+//! alike, whose records are completed replications and, in an oracle
+//! run, completed search restarts.
 //!
 //! A log is an append-only JSONL file. Line 1 is a **header** carrying
 //! the log's schema version and the fingerprint of the computation it
@@ -13,31 +14,19 @@
 //! edited or corrupted, and resuming from it would silently skew results,
 //! so it is an error. A torn header leaves nothing to resume, and the log
 //! starts afresh.
-//!
-//! The journals differ only in their line types ([`LogLine`]) and in how
-//! they fold the records read back.
 
+use super::journal::{JournalLine, JOURNAL_VERSION};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
-
-/// The line type of one kind of log: a serde enum with one header
-/// variant and record variants.
-pub(crate) trait LogLine: Serialize + Deserialize {
-    /// Schema version the header must carry.
-    const VERSION: u32;
-    /// `(version, fingerprint)` when this line is the header.
-    fn header(&self) -> Option<(u32, &str)>;
-}
 
 pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// One line's bytes, newline included.
-fn encode<L: LogLine>(line: &L) -> io::Result<Vec<u8>> {
+fn encode(line: &JournalLine) -> io::Result<Vec<u8>> {
     let mut bytes = serde_json::to_vec(line)
         .map_err(|e| invalid(format!("log line does not serialise: {e}")))?;
     bytes.push(b'\n');
@@ -48,10 +37,10 @@ fn encode<L: LogLine>(line: &L) -> io::Result<Vec<u8>> {
 /// fingerprint against `fingerprint` (any fingerprint when `None`), then
 /// returns the record lines and the length of the intact prefix. Anything
 /// past that length is a torn tail.
-pub(crate) fn parse<L: LogLine>(
+pub(crate) fn parse(
     data: &[u8],
     fingerprint: Option<&str>,
-) -> io::Result<(Vec<L>, usize)> {
+) -> io::Result<(Vec<JournalLine>, usize)> {
     let mut records = Vec::new();
     let mut valid_len = 0;
     while let Some(nl) = data[valid_len..].iter().position(|&b| b == b'\n') {
@@ -59,16 +48,15 @@ pub(crate) fn parse<L: LogLine>(
         let first = valid_len == 0;
         let parsed = std::str::from_utf8(&data[valid_len..line_end - 1])
             .ok()
-            .and_then(|text| serde_json::from_str::<L>(text).ok());
+            .and_then(|text| serde_json::from_str::<JournalLine>(text).ok());
         match parsed {
             Some(line) if first && line.header().is_some() => {
                 let (version, fp) = line.header().expect("checked by the guard");
-                if version != L::VERSION || fingerprint.is_some_and(|f| f != fp) {
+                if version != JOURNAL_VERSION || fingerprint.is_some_and(|f| f != fp) {
                     let this = fingerprint.unwrap_or("any");
                     return Err(invalid(format!(
                         "log belongs to a different run (fingerprint {fp}, schema v{version}; \
-                         this run is {this}, schema v{}): refusing to resume",
-                        L::VERSION
+                         this run is {this}, schema v{JOURNAL_VERSION}): refusing to resume"
                     )));
                 }
             }
@@ -125,11 +113,11 @@ impl RecordLog {
     /// damaged log is an error. Otherwise (no resume, no file, or nothing
     /// intact, as when the header itself is torn) the file is rewritten
     /// from scratch with `header` as its first line.
-    pub(crate) fn open<L: LogLine>(
+    pub(crate) fn open(
         path: &Path,
-        header: &L,
+        header: &JournalLine,
         resume: bool,
-    ) -> io::Result<(Self, Vec<L>)> {
+    ) -> io::Result<(Self, Vec<JournalLine>)> {
         let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
         let dir = dir.unwrap_or(Path::new("."));
         std::fs::create_dir_all(dir)?;
@@ -168,7 +156,7 @@ impl RecordLog {
 
     /// Appends `line` and makes it durable. True once the record is on
     /// disk; false when this append or an earlier one failed.
-    pub(crate) fn append<L: LogLine>(&self, line: &L) -> bool {
+    pub(crate) fn append(&self, line: &JournalLine) -> bool {
         let bytes = encode(line);
         let mut w = self.writer.lock();
         if w.error.is_some() {
@@ -198,13 +186,10 @@ impl RecordLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::journal::JournalLine;
-    use crate::experiment::regret::{OracleConfig, OracleLine};
     use crate::experiment::scenario::fixed_rule;
-    use crate::experiment::{run_matrix_journaled, run_matrix_regret_journaled};
-    use crate::experiment::{RepGuard, Scenario};
+    use crate::experiment::{run_matrix_journaled, run_sweep, SweepOptions};
+    use crate::experiment::{OracleConfig, RepGuard, Scenario};
     use crate::policy::PolicyKind;
-    use std::fmt::Debug;
     use std::iter::once;
     use std::path::PathBuf;
 
@@ -213,12 +198,12 @@ mod tests {
         std::env::temp_dir().join(name)
     }
 
-    fn bytes<'a, L: LogLine + 'a>(lines: impl IntoIterator<Item = &'a L>) -> Vec<u8> {
+    fn bytes<'a>(lines: impl IntoIterator<Item = &'a JournalLine>) -> Vec<u8> {
         lines.into_iter().flat_map(|l| encode(l).unwrap()).collect()
     }
 
-    /// The record-log battery, run on a journal file of each kind with a
-    /// header and at least three records:
+    /// The record-log battery, run on a journal file with a header and at
+    /// least three records:
     ///
     /// 1. its lines decode and re-encode to the same bytes;
     /// 2. the log cut at every byte offset, as a kill mid-append can
@@ -228,12 +213,12 @@ mod tests {
     /// 3. a foreign fingerprint or schema version, and damage before the
     ///    final line, are errors that leave the file as it is;
     /// 4. a failed append is sticky and returned by `finish`.
-    fn battery<L: LogLine + Debug>(name: &str, full: &[u8]) {
+    fn battery(name: &str, full: &[u8]) {
         let path = tmp(name);
         let header_end = full.iter().position(|&b| b == b'\n').unwrap();
         let first = std::str::from_utf8(&full[..header_end]).unwrap();
-        let ours: L = serde_json::from_str(first).unwrap();
-        let (records, _) = parse::<L>(full, None).unwrap();
+        let ours: JournalLine = serde_json::from_str(first).unwrap();
+        let (records, _) = parse(full, None).unwrap();
         assert!(records.len() >= 3, "{name}: {} records", records.len());
         assert_eq!(bytes(once(&ours).chain(&records)), full);
 
@@ -261,9 +246,10 @@ mod tests {
 
         let (_, fingerprint) = ours.header().unwrap();
         let version = |v: u32| format!("\"version\":{v}");
-        let foreign: L = serde_json::from_str(&first.replace(fingerprint, "beef")).unwrap();
-        let newer = first.replace(&version(L::VERSION), &version(L::VERSION + 1));
-        let newer: L = serde_json::from_str(&newer).unwrap();
+        let foreign: JournalLine =
+            serde_json::from_str(&first.replace(fingerprint, "beef")).unwrap();
+        let newer = first.replace(&version(JOURNAL_VERSION), &version(JOURNAL_VERSION + 1));
+        let newer: JournalLine = serde_json::from_str(&newer).unwrap();
         let [r0, r1, r2] = [&records[0], &records[1], &records[2]];
         let garbled = [
             bytes([&ours, r0]),
@@ -287,8 +273,8 @@ mod tests {
             assert_eq!(std::fs::read(&path).unwrap(), data, "{error}: file touched");
         }
         // Read without a fingerprint, only the schema version counts.
-        assert!(parse::<L>(&bytes([&foreign, r0]), None).is_ok());
-        assert!(parse::<L>(&bytes([&newer, r0]), None).is_err());
+        assert!(parse(&bytes([&foreign, r0]), None).is_ok());
+        assert!(parse(&bytes([&newer, r0]), None).is_err());
 
         let (log, _) = RecordLog::open(&path, &ours, false).unwrap();
         assert!(log.append(r0));
@@ -301,22 +287,19 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A sweep journal of two scenarios, two replications each. The serve
-    /// cache keeps both journals under one file suffix, so neither kind
-    /// may read the other as its own.
+    /// A sweep journal of two scenarios, two replications each.
     #[test]
     fn sweep_journal_passes_the_record_log_battery() {
         let scenarios =
             [PolicyKind::Rr, PolicyKind::Sbf].map(|p| Scenario::small(&p.to_string(), p));
         let (path, rule) = (tmp("sweep-source"), fixed_rule(2));
         run_matrix_journaled(&scenarios, 11, &rule, &path, false, RepGuard::default()).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        battery::<JournalLine>("sweep", &full);
-        assert!(parse::<OracleLine>(&full, None).is_err());
+        battery("sweep", &std::fs::read(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
-    /// An oracle journal of two replications, two restarts each.
+    /// An oracle run's journal: two replications and two oracle
+    /// replications of two restarts each, in one schema.
     #[test]
     fn oracle_journal_passes_the_record_log_battery() {
         let scenarios = [Scenario::small("a", PolicyKind::Rr)];
@@ -327,10 +310,20 @@ mod tests {
             replications: 2,
         };
         let path = tmp("oracle-source");
-        run_matrix_regret_journaled(&scenarios, 11, &fixed_rule(2), &ocfg, &path, false).unwrap();
+        let opts = SweepOptions {
+            journal: Some(&path),
+            oracle: Some(&ocfg),
+            ..SweepOptions::default()
+        };
+        run_sweep(&scenarios, 11, &fixed_rule(2), opts, |_, _, _| {}).unwrap();
         let full = std::fs::read(&path).unwrap();
-        battery::<OracleLine>("oracle", &full);
-        assert!(parse::<JournalLine>(&full, None).is_err());
+        let (records, _) = parse(&full, None).unwrap();
+        let restarts = records
+            .iter()
+            .filter(|r| matches!(r, JournalLine::Restart { .. }))
+            .count();
+        assert_eq!((records.len(), restarts), (6, 4));
+        battery("oracle", &full);
         std::fs::remove_file(&path).ok();
     }
 }

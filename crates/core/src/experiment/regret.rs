@@ -40,29 +40,28 @@
 //!
 //! ## On the replication pool
 //!
-//! A regret sweep is one run of the replication pool (`run_pool`).
-//! Besides the sweep's scenarios, each (environment group, oracle
-//! replication) pair is a pool cell with two steps. The first is the
-//! trace capture. The second is the seven policy replays and every
-//! search restart, all sharing the captured timeline, so the workers
-//! share one pair's search job by job instead of one worker holding a
-//! whole pair. The worker that completes the second step journals the
-//! pair's fresh restarts in restart order, then folds.
+//! A regret sweep is one run of the sweep core
+//! ([`run_sweep`](super::run_sweep) with an oracle): its scenarios'
+//! replications run, journal and resume exactly as a plain sweep's do.
+//! Besides them, each (environment group, oracle replication) pair is a
+//! pool cell with two steps. The first is the trace capture. The second
+//! is the seven policy replays and every search restart, all sharing the
+//! captured timeline, so the workers share one pair's search job by job
+//! instead of one worker holding a whole pair. The worker that completes
+//! the second step journals the pair's fresh restarts in restart order,
+//! then folds.
 //!
 //! ## Journaled restarts
 //!
-//! [`run_matrix_regret_journaled`] makes each search restart durable
-//! before its replication folds, keyed by `(environment digest,
-//! replication, restart)`. The file is a [`RecordLog`], the same log the
-//! replication journal writes. Because a restart is a
+//! A journaled oracle run makes each search restart durable before its
+//! replication folds, as a `restart` record of the sweep journal keyed by
+//! `(environment digest, replication, restart)`. Because a restart is a
 //! pure function of its key and [`fold`] is order-insensitive, a resumed
 //! search is byte-identical to an uninterrupted one.
 
-use super::journal::{digest128_hex, oracle_fingerprint};
-use super::record_log::{LogLine, RecordLog};
+use super::journal::{digest128_hex, run_sweep, JournalLine, Restarts, SweepOptions};
 use super::runner::{
-    replication_inputs, reportable_ci, run_pool, run_replication, run_replication_traced, Job,
-    Output, Record, RepSummary, ScenarioResult,
+    replication_inputs, reportable_ci, run_replication_traced, Job, Output, ScenarioResult,
 };
 use super::scenario::Scenario;
 use crate::policy::{BagSelection, PolicyKind, View};
@@ -78,8 +77,6 @@ use dgsched_workload::{BotId, Workload};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -674,26 +671,42 @@ pub(crate) struct OraclePass<'a> {
     /// Environment digests with their member scenarios, the first of
     /// which is the group's trace donor.
     groups: Vec<(String, Vec<usize>)>,
-    journal: Option<&'a OracleJournal>,
+    /// Restarts a resumed journal holds, by pair and restart.
+    journaled: BTreeMap<(usize, u32), RestartOutcome>,
+    /// How many of them were used.
+    replayed: AtomicU64,
 }
 
 impl<'a> OraclePass<'a> {
+    /// The pass over `scenarios`, folding in the journaled `restarts`
+    /// that belong to one of its pairs instead of recomputing them.
     pub(crate) fn new(
         scenarios: &'a [Scenario],
         base_seed: u64,
         ocfg: &'a OracleConfig,
-        journal: Option<&'a OracleJournal>,
+        restarts: Restarts,
     ) -> Self {
         let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, s) in scenarios.iter().enumerate() {
             groups.entry(env_key(s)).or_default().push(i);
         }
+        let groups: Vec<(String, Vec<usize>)> = groups.into_iter().collect();
+        let journaled = restarts
+            .into_iter()
+            .filter(|(_, rep, _)| *rep < ocfg.replications)
+            .filter_map(|(env, rep, outcome)| {
+                let g = groups.iter().position(|(key, _)| *key == env)?;
+                let p = g * ocfg.replications as usize + rep as usize;
+                Some(((p, outcome.restart), outcome))
+            })
+            .collect();
         OraclePass {
             scenarios,
             base_seed,
             ocfg,
-            groups: groups.into_iter().collect(),
-            journal,
+            groups,
+            journaled,
+            replayed: AtomicU64::new(0),
         }
     }
 
@@ -714,14 +727,10 @@ impl<'a> OraclePass<'a> {
         (key, &self.scenarios[members[0]], (p % reps) as u64)
     }
 
-    /// Runs one pool job. A sweep replication is a plain one; a
-    /// journaled restart is looked up, not recomputed.
+    /// Runs one oracle job. A journaled restart is looked up, not
+    /// recomputed.
     pub(crate) fn run(&self, job: Job) -> Output {
         match job {
-            Job::Rep(i, rep) => {
-                let run = run_replication(&self.scenarios[i], self.base_seed, rep);
-                Output::Rep(RepSummary::of(&run))
-            }
             Job::Capture(p) => {
                 let (_, donor, rep) = self.pair(p);
                 Output::Capture(Arc::new(Captured::new(donor, self.base_seed, rep)))
@@ -730,29 +739,34 @@ impl<'a> OraclePass<'a> {
                 let (policy, turnaround) = captured.replay(kind);
                 Output::Replay(policy, turnaround)
             }
-            Job::Restart(p, captured, r) => {
-                let (key, _, rep) = self.pair(p);
-                let journaled = self.journal.and_then(|j| j.lookup(key, rep, r));
-                let scfg = search_config(self.ocfg, rep);
-                Output::Restart(journaled.unwrap_or_else(|| captured.restart(&scfg, r)))
-            }
+            Job::Restart(p, captured, r) => Output::Restart(match self.journaled.get(&(p, r)) {
+                Some(outcome) => {
+                    self.replayed.fetch_add(1, Ordering::Relaxed);
+                    outcome.clone()
+                }
+                None => captured.restart(&search_config(self.ocfg, self.pair(p).2), r),
+            }),
+            Job::Rep(..) => unreachable!("the sweep core runs the replications"),
         }
     }
 
-    /// The pool's `record` hook: appends a restart the journal does not
-    /// hold yet.
-    pub(crate) fn record(&self, record: Record<'_>) {
-        let (Some(j), Record::Restart(p, outcome)) = (self.journal, record) else {
-            return;
-        };
-        let (key, _, rep) = self.pair(p);
-        if !j
-            .records
-            .contains_key(&(key.to_string(), rep, outcome.restart))
-        {
-            let (env, outcome) = (key.to_string(), outcome.clone());
-            j.log.append(&OracleLine::Restart { env, rep, outcome });
+    /// The journal record of pair `p`'s restart `outcome`, unless the
+    /// journal holds it already.
+    pub(crate) fn fresh(&self, p: usize, outcome: &RestartOutcome) -> Option<JournalLine> {
+        if self.journaled.contains_key(&(p, outcome.restart)) {
+            return None;
         }
+        let (env, _, rep) = self.pair(p);
+        Some(JournalLine::Restart {
+            env: env.to_string(),
+            rep,
+            outcome: outcome.clone(),
+        })
+    }
+
+    /// Journaled restarts folded in instead of recomputed.
+    pub(crate) fn replayed(&self) -> u64 {
+        self.replayed.load(Ordering::Relaxed)
     }
 
     /// Folds pair `p`'s completed replays and restarts.
@@ -764,157 +778,44 @@ impl<'a> OraclePass<'a> {
     ) -> OracleReplication {
         fold_replication(self.pair(p).2, policy_turnarounds, outcomes)
     }
-}
 
-/// The sweep and the oracle pass on one pool run: the oracle needs only
-/// the scenarios, not the sweep's results, so the two share the workers
-/// job by job.
-fn sweep_with_regret(
-    scenarios: &[Scenario],
-    base_seed: u64,
-    rule: &StoppingRule,
-    ocfg: &OracleConfig,
-    journal: Option<&OracleJournal>,
-) -> Vec<ScenarioResult> {
-    let oracle = OraclePass::new(scenarios, base_seed, ocfg, journal);
-    let (mut results, oracle_reps) = run_pool(
-        scenarios,
-        base_seed,
-        rule,
-        Some(&oracle),
-        &|_, _, _| {},
-        |job| oracle.run(job),
-        |record| oracle.record(record),
-    );
-    let reps = ocfg.replications as usize;
-    for (g, (_, members)) in oracle.groups.iter().enumerate() {
-        let group_reps = &oracle_reps[g * reps..(g + 1) * reps];
-        for &i in members {
-            let policy = results[i].policy.clone();
-            attach_regret(&mut results[i], &policy, group_reps, ocfg, rule.level);
+    /// Attaches each group's oracle replications, in pair order, to the
+    /// results of its member scenarios.
+    pub(crate) fn attach(
+        &self,
+        results: &mut [ScenarioResult],
+        oracle_reps: &[OracleReplication],
+        level: f64,
+    ) {
+        let reps = self.ocfg.replications as usize;
+        for (g, (_, members)) in self.groups.iter().enumerate() {
+            let group_reps = &oracle_reps[g * reps..(g + 1) * reps];
+            for &i in members {
+                let policy = results[i].policy.clone();
+                attach_regret(&mut results[i], &policy, group_reps, self.ocfg, level);
+            }
         }
     }
-    results
 }
 
 /// [`run_matrix`](super::run_matrix) plus a [`RegretSection`] on every
 /// non-saturated result. The base sweep is untouched — turnaround,
 /// waiting, makespan and the stopping index are byte-identical to a plain
-/// `run_matrix` of the same scenarios.
+/// `run_matrix` of the same scenarios. [`run_sweep`] with
+/// [`SweepOptions::oracle`] set is the same run, journaled or indexed.
 pub fn run_matrix_regret(
     scenarios: &[Scenario],
     base_seed: u64,
     rule: &StoppingRule,
     ocfg: &OracleConfig,
 ) -> Vec<ScenarioResult> {
-    sweep_with_regret(scenarios, base_seed, rule, ocfg, None)
-}
-
-/// What the oracle journal did during one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OracleJournalStats {
-    /// Restart records appended (and fsynced) this run.
-    pub restarts_written: u64,
-    /// Restarts served from the journal instead of recomputed.
-    pub restarts_replayed: u64,
-    /// 1 when an existing journal was resumed, else 0.
-    pub resumes: u64,
-    /// Torn tail records truncated away on open.
-    pub torn_tails: u64,
-}
-
-/// Oracle journal schema version, checked against the header on resume.
-const ORACLE_JOURNAL_VERSION: u32 = 1;
-
-/// One line of the oracle restart journal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub(super) enum OracleLine {
-    Header {
-        version: u32,
-        fingerprint: String,
-        code_version: String,
-    },
-    Restart {
-        env: String,
-        rep: u64,
-        outcome: RestartOutcome,
-    },
-}
-
-impl LogLine for OracleLine {
-    const VERSION: u32 = ORACLE_JOURNAL_VERSION;
-    fn header(&self) -> Option<(u32, &str)> {
-        match self {
-            OracleLine::Header {
-                version,
-                fingerprint,
-                ..
-            } => Some((*version, fingerprint)),
-            OracleLine::Restart { .. } => None,
-        }
-    }
-}
-
-/// The restart journal of a search in progress: the log, the restarts
-/// it held on open, and how many of them were used.
-pub(crate) struct OracleJournal {
-    log: RecordLog,
-    records: BTreeMap<(String, u64, u32), RestartOutcome>,
-    replayed: AtomicU64,
-}
-
-impl OracleJournal {
-    /// The journaled outcome of a restart, counted as replayed.
-    fn lookup(&self, env: &str, rep: u64, restart: u32) -> Option<RestartOutcome> {
-        let done = self.records.get(&(env.to_string(), rep, restart)).cloned();
-        if done.is_some() {
-            self.replayed.fetch_add(1, Ordering::Relaxed);
-        }
-        done
-    }
-}
-
-/// [`run_matrix_regret`] with a crash-safe restart journal at `path`.
-///
-/// Every completed search restart is durable before it can influence a
-/// published number; on `resume = true` journaled restarts are folded in
-/// instead of recomputed (fingerprint mismatch is an error). Results are
-/// byte-identical to the unjournaled run.
-pub fn run_matrix_regret_journaled(
-    scenarios: &[Scenario],
-    base_seed: u64,
-    rule: &StoppingRule,
-    ocfg: &OracleConfig,
-    path: &Path,
-    resume: bool,
-) -> io::Result<(Vec<ScenarioResult>, OracleJournalStats)> {
-    let header = OracleLine::Header {
-        version: ORACLE_JOURNAL_VERSION,
-        fingerprint: oracle_fingerprint(scenarios, base_seed, rule, ocfg)?,
-        code_version: env!("CARGO_PKG_VERSION").to_string(),
+    let opts = SweepOptions {
+        oracle: Some(ocfg),
+        ..SweepOptions::default()
     };
-    let (log, lines) = RecordLog::open(path, &header, resume)?;
-    let mut records = BTreeMap::new();
-    for line in lines {
-        if let OracleLine::Restart { env, rep, outcome } = line {
-            records.insert((env, rep, outcome.restart), outcome);
-        }
-    }
-    let replayed = AtomicU64::new(0);
-    let journal = OracleJournal {
-        log,
-        records,
-        replayed,
-    };
-    let results = sweep_with_regret(scenarios, base_seed, rule, ocfg, Some(&journal));
-    let stats = OracleJournalStats {
-        restarts_written: journal.log.finish()?,
-        restarts_replayed: journal.replayed.into_inner(),
-        resumes: journal.log.resumes,
-        torn_tails: journal.log.torn_tails,
-    };
-    Ok((results, stats))
+    run_sweep(scenarios, base_seed, rule, opts, |_, _, _| {})
+        .expect("a sweep without a journal or an index does no I/O")
+        .results
 }
 
 #[cfg(test)]
@@ -1051,32 +952,42 @@ mod tests {
         let dir = std::env::temp_dir().join("dgsched-oracle-journal-unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("resume-{}.jsonl", std::process::id()));
+        let run = |seed: u64, resume: bool| {
+            let opts = SweepOptions {
+                journal: Some(&path),
+                resume,
+                oracle: Some(&ocfg),
+                ..SweepOptions::default()
+            };
+            run_sweep(&scenarios, seed, &rule, opts, |_, _, _| {})
+        };
 
-        let (first, stats1) =
-            run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, false).unwrap();
+        let first = run(2008, false).unwrap();
+        let stats1 = first.stats;
         assert_eq!(stats1.restarts_written, 2 * 2, "restarts × replications");
+        assert_eq!(stats1.records_written, 2, "the sweep half is journaled");
         assert_eq!(stats1.resumes, 0);
 
-        let (second, stats2) =
-            run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, true).unwrap();
+        let second = run(2008, true).unwrap();
+        let stats2 = second.stats;
         assert_eq!(stats2.resumes, 1);
-        assert_eq!(stats2.restarts_written, 0, "everything replayed");
-        assert_eq!(stats2.restarts_replayed, 4);
+        assert_eq!(stats2.records_written + stats2.restarts_written, 0);
+        assert_eq!((stats2.records_replayed, stats2.restarts_replayed), (2, 4));
+        let json = |r: &[ScenarioResult]| serde_json::to_string(r).unwrap();
         assert_eq!(
-            serde_json::to_string(&first).unwrap(),
-            serde_json::to_string(&second).unwrap(),
+            json(&first.results),
+            json(&second.results),
             "resumed search must be byte-identical"
         );
 
         let plain = run_matrix_regret(&scenarios, 2008, &rule, &ocfg);
         assert_eq!(
-            serde_json::to_string(&first).unwrap(),
-            serde_json::to_string(&plain).unwrap(),
+            json(&first.results),
+            json(&plain),
             "journaling must not perturb results"
         );
 
-        let wrong_seed =
-            run_matrix_regret_journaled(&scenarios, 2009, &rule, &ocfg, &path, true).unwrap_err();
+        let wrong_seed = run(2009, true).unwrap_err();
         assert!(wrong_seed.to_string().contains("fingerprint"));
         std::fs::remove_file(&path).ok();
     }

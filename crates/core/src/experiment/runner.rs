@@ -9,7 +9,8 @@
 //! ## One pool per run
 //!
 //! Every sweep — [`run_matrix`], [`run_scenario`], the journaled runners
-//! and the regret runners — runs on one pool of
+//! and the regret runners, all through the sweep core
+//! ([`run_sweep`](super::run_sweep)) — runs on one pool of
 //! `rayon::current_num_threads()` workers, spawned once per run. The
 //! pool's unit of work is a `Job`, one of a closed set: a sweep
 //! replication, an oracle trace capture, a policy replay, or a search
@@ -52,13 +53,13 @@
 //! width 1 the single worker runs cells one after another, in order,
 //! exactly as a plain loop would.
 
+use super::journal::{run_sweep, SweepOptions};
 use super::regret::{Captured, OraclePass, OracleReplication};
 use super::scenario::Scenario;
 use crate::policy::PolicyKind;
 use crate::sim::{simulate, RunResult, SimConfig, SimReport};
 use dgsched_des::rng::StreamSeeder;
 use dgsched_des::stats::{ConfidenceInterval, StoppingRule, Welford};
-use dgsched_obs::MetricsSnapshot;
 use dgsched_oracle::RestartOutcome;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -101,14 +102,8 @@ pub struct ScenarioResult {
     /// Per-replication turnaround means (for post-hoc analysis); empty
     /// when `saturated`.
     pub replication_means: Vec<f64>,
-    /// Named-metric snapshot of replication 0, present only when
-    /// instrumentation was requested (the `DGSCHED_TRACE` environment
-    /// toggle). `None` serialises to nothing, keeping uninstrumented
-    /// output byte-identical.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub metrics: Option<MetricsSnapshot>,
-    /// Replications that *failed* (panicked twice in the journaled
-    /// runner's isolation wrapper). Failure marks the scenario
+    /// Replications that *failed* (panicked twice in the sweep's
+    /// isolation wrapper). Failure marks the scenario
     /// [`saturated`](Self::saturated) — the statistics are equally
     /// unusable — and this count says why. Zero serialises to nothing,
     /// keeping healthy output byte-identical to pre-journal runs.
@@ -127,15 +122,6 @@ pub struct ScenarioResult {
 
 fn u64_is_zero(n: &u64) -> bool {
     *n == 0
-}
-
-/// True when the `DGSCHED_TRACE` environment toggle requests instrumented
-/// runs (set to anything except `0`, `false` or the empty string).
-pub fn obs_enabled() -> bool {
-    match std::env::var("DGSCHED_TRACE") {
-        Ok(v) => !matches!(v.as_str(), "" | "0" | "false"),
-        Err(_) => false,
-    }
 }
 
 /// Runs one replication of a scenario.
@@ -243,9 +229,8 @@ pub(crate) fn reportable_ci(w: &Welford, level: f64) -> ConfidenceInterval {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct RepSummary {
     pub(crate) saturated: bool,
-    /// `Some(reason)` when the replication panicked past its retry in the
-    /// journaled runner; the plain runner never sets it. Absent from the
-    /// wire format when `None`.
+    /// `Some(reason)` when the replication panicked past its retry.
+    /// Absent from the wire format when `None`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub(crate) failed: Option<String>,
     pub(crate) turnaround: Welford,
@@ -347,7 +332,6 @@ impl ScenarioAccum {
             saturated_replications: self.saturated_reps,
             saturated,
             replication_means: self.means,
-            metrics: None,
             failed_replications: self.failed_reps,
             failure_reasons: self.failure_reasons,
             regret: None,
@@ -402,16 +386,6 @@ pub(crate) enum Job {
     Replay(Arc<Captured>, PolicyKind),
     /// Oracle pair `p`'s search restart `r` on its captured timeline.
     Restart(usize, Arc<Captured>, u32),
-}
-
-impl Job {
-    /// A replication job's scenario and replication.
-    pub(crate) fn rep(&self) -> (usize, u64) {
-        match self {
-            Job::Rep(i, rep) => (*i, *rep),
-            _ => unreachable!("a sweep cell runs only replication jobs"),
-        }
-    }
 }
 
 /// What a [`Job`] yields, variant for variant.
@@ -482,12 +456,10 @@ struct PoolState {
 /// holds no one else up.
 struct Pool<'a, R, D> {
     scenarios: &'a [Scenario],
-    base_seed: u64,
     rule: &'a StoppingRule,
     oracle: Option<&'a OraclePass<'a>>,
     /// Oracle pairs, whose cells come first.
     pairs: usize,
-    obs: bool,
     width: u64,
     run: R,
     record: D,
@@ -589,7 +561,9 @@ where
     /// they can influence a published number) and absorbed, then the
     /// scenario's next batch opens or the scenario finishes.
     fn absorb(&self, c: usize, i: usize, jobs: &[Job], outs: Vec<Output>, mut acc: ScenarioAccum) {
-        let (_, start) = jobs[0].rep();
+        let Job::Rep(_, start) = jobs[0] else {
+            unreachable!("a sweep cell runs only replications")
+        };
         let summaries: Vec<RepSummary> = outs
             .into_iter()
             .map(|out| match out {
@@ -644,18 +618,10 @@ where
         self.close(|state| state.oracle_reps[p] = Some(orep));
     }
 
-    /// Packages scenario `i`'s finished sweep and reports it, attaching
-    /// the instrumented replay of replication 0 when observation was
-    /// requested. The replay uses the same seeds as the measured run, so
-    /// the snapshot is pure addition, never a perturbation.
+    /// Packages scenario `i`'s finished sweep and reports it.
     fn finish(&self, i: usize, acc: ScenarioAccum, replications: u64) -> ScenarioResult {
         let scenario = &self.scenarios[i];
-        let mut result = acc.into_result(scenario, self.rule, replications);
-        if self.obs && !result.saturated {
-            let mut null = crate::sim::NullObserver;
-            let (_, report) = run_replication_instrumented(scenario, self.base_seed, 0, &mut null);
-            result.metrics = Some(report.metrics);
-        }
+        let result = acc.into_result(scenario, self.rule, replications);
         self.sink.complete(&scenario.name);
         result
     }
@@ -688,7 +654,6 @@ where
 /// of the run short.
 pub(crate) fn run_pool<R, D>(
     scenarios: &[Scenario],
-    base_seed: u64,
     rule: &StoppingRule,
     oracle: Option<&OraclePass<'_>>,
     progress: &(dyn Fn(usize, usize, &str) + Send + Sync),
@@ -713,15 +678,9 @@ where
     }
     let pool = Pool {
         scenarios,
-        base_seed,
         rule,
         oracle,
         pairs,
-        // Read the instrumentation toggle once for the whole sweep: the
-        // environment is ambient mutable state, and consulting it per
-        // scenario would let a mid-sweep change produce a chimera result
-        // (some scenarios instrumented, some not).
-        obs: obs_enabled(),
         width: width as u64,
         run,
         record,
@@ -832,7 +791,10 @@ impl<'a> ProgressSink<'a> {
 ///
 /// `done` is strictly increasing across calls and `name` is the
 /// scenario completed by the `done`-th finish. Reporting never blocks
-/// the sweep (see [`ProgressSink`]).
+/// the sweep: a worker that finishes while another is inside the
+/// callback hands its completion over instead of waiting. A replication
+/// that panics is retried once, then recorded as failed (see
+/// [`run_sweep`](super::run_sweep)).
 pub fn run_matrix_with_progress<F>(
     scenarios: &[Scenario],
     base_seed: u64,
@@ -842,24 +804,10 @@ pub fn run_matrix_with_progress<F>(
 where
     F: Fn(usize, usize, &str) + Send + Sync,
 {
-    let replicate = |job: Job| {
-        let (i, rep) = job.rep();
-        Output::Rep(RepSummary::of(&run_replication(
-            &scenarios[i],
-            base_seed,
-            rep,
-        )))
-    };
-    run_pool(
-        scenarios,
-        base_seed,
-        rule,
-        None,
-        &progress,
-        replicate,
-        |_| {},
-    )
-    .0
+    let opts = SweepOptions::default();
+    run_sweep(scenarios, base_seed, rule, opts, progress)
+        .expect("a sweep without a journal or an index does no I/O")
+        .results
 }
 
 /// [`run_matrix_with_progress`] without progress reporting.
@@ -1137,6 +1085,17 @@ mod tests {
         assert_eq!(names, expect, "each scenario reported once");
     }
 
+    /// Runs one pool job at base seed 3: a replication of `scenarios`, or
+    /// one of `oracle`'s jobs.
+    fn run_job(scenarios: &[Scenario], oracle: Option<&OraclePass<'_>>, job: Job) -> Output {
+        match job {
+            Job::Rep(i, rep) => {
+                Output::Rep(RepSummary::of(&run_replication(&scenarios[i], 3, rep)))
+            }
+            job => oracle.expect("oracle jobs run with the oracle").run(job),
+        }
+    }
+
     /// Runs `scenarios` (and `oracle`'s pairs) on the pool at widths 1, 2
     /// and 4 with the job `fails` picks panicking with `message`, and
     /// checks that the panic reaches the caller with its payload and that
@@ -1172,25 +1131,11 @@ mod tests {
                 if fails(&job) {
                     panic!("{message}");
                 }
-                match oracle {
-                    Some(oracle) => oracle.run(job),
-                    None => {
-                        let (i, rep) = job.rep();
-                        Output::Rep(RepSummary::of(&run_replication(&scenarios[i], 3, rep)))
-                    }
-                }
+                run_job(scenarios, oracle, job)
             };
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 rayon::with_num_threads(width, || {
-                    run_pool(
-                        scenarios,
-                        3,
-                        &quick_rule(),
-                        oracle,
-                        &|_, _, _| {},
-                        job,
-                        |_| {},
-                    )
+                    run_pool(scenarios, &quick_rule(), oracle, &|_, _, _| {}, job, |_| {})
                 })
             }));
             let payload = caught.expect_err("the panic reaches the caller");
@@ -1231,7 +1176,7 @@ mod tests {
             seed: 1,
             replications: 2,
         };
-        let oracle = OraclePass::new(&scenarios, 3, &ocfg, None);
+        let oracle = OraclePass::new(&scenarios, 3, &ocfg, Vec::new());
         assert_panic_reaches_the_caller(
             &scenarios,
             Some(&oracle),
@@ -1264,7 +1209,7 @@ mod tests {
             seed: 1,
             replications: 2,
         };
-        let oracle = OraclePass::new(&scenarios, 3, &ocfg, None);
+        let oracle = OraclePass::new(&scenarios, 3, &ocfg, Vec::new());
         assert_eq!(oracle.pairs(), 4);
         let mut runs = Vec::new();
         for width in [1usize, 2, 4] {
@@ -1277,7 +1222,7 @@ mod tests {
                     Job::Restart(p, _, r) => ('r', *p, *r),
                 };
                 *ran.lock().entry(key).or_default() += 1;
-                oracle.run(job)
+                run_job(&scenarios, Some(&oracle), job)
             };
             let restarts = Mutex::new(Vec::new());
             let record = |record: Record<'_>| {
@@ -1288,7 +1233,6 @@ mod tests {
             let (results, oracle_reps) = rayon::with_num_threads(width, || {
                 run_pool(
                     &scenarios,
-                    3,
                     &quick_rule(),
                     Some(&oracle),
                     &|_, _, _| {},

@@ -61,13 +61,21 @@ impl Table {
 }
 
 /// Formats a scenario cell the way the figures encode it: mean turnaround
-/// (seconds) with its CI half-width, or `SATURATED` for bars beyond the
-/// frame.
+/// (seconds) with its CI half-width, then the hindsight regret (percent,
+/// with its half-width) when the sweep ran with the oracle; or
+/// `SATURATED` for bars beyond the frame.
 pub fn format_cell(r: &ScenarioResult) -> String {
     if r.saturated {
-        "SATURATED".to_string()
-    } else {
-        format!("{:.0} ±{:.0}", r.turnaround.mean, r.turnaround.half_width)
+        return "SATURATED".to_string();
+    }
+    let cell = format!("{:.0} ±{:.0}", r.turnaround.mean, r.turnaround.half_width);
+    match &r.regret {
+        Some(reg) => format!(
+            "{cell}, regret {:.1}% ±{:.1}",
+            100.0 * reg.regret.mean,
+            100.0 * reg.regret.half_width
+        ),
+        None => cell,
     }
 }
 
@@ -133,7 +141,6 @@ mod tests {
             saturated_replications: u64::from(saturated),
             saturated,
             replication_means: vec![mean; 5],
-            metrics: None,
             failed_replications: 0,
             failure_reasons: Vec::new(),
             regret: None,

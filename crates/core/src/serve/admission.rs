@@ -11,7 +11,7 @@
 //! with fifty. Within a tenant, requests run in arrival order.
 //!
 //! The grant decision is a pure function of the queue state
-//! ([`AdmissionState::grant_next`]), unit-tested synchronously; the
+//! (`AdmissionState::grant_next`), unit-tested synchronously; the
 //! blocking shell around it is a `Mutex`/`Condvar` pair.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

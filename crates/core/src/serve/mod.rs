@@ -21,7 +21,9 @@
 //! - **Wire protocol** ([`protocol`]): hand-rolled HTTP/1.1 over std
 //!   `TcpListener` — no async runtime, blocking threads all the way
 //!   down. `POST /sweep` returns the response JSON; add `?stream=1` for
-//!   JSONL progress events as the sweep runs.
+//!   JSONL progress events as the sweep runs. `POST /oracle` takes a
+//!   sweep request plus the hindsight-oracle knobs and answers the same
+//!   shape with a `regret` section on every measured result.
 
 pub mod admission;
 pub mod cache;
@@ -33,7 +35,7 @@ pub use admission::{Admission, Permit};
 pub use cache::{CacheEntry, CacheLookup, ResultCache};
 pub use protocol::{
     http_request, http_request_streaming, validate_oracle, validate_scenarios, HttpResponse,
-    OracleRequest, OracleResponse, StreamEvent, SweepRequest, SweepResponse,
+    OracleRequest, StreamEvent, SweepRequest, SweepResponse,
 };
 pub use server::{self_check, ServeConfig, Server, ServerHandle};
 pub use single_flight::{FlightRole, SingleFlight};

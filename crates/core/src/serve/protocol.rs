@@ -90,7 +90,7 @@ pub const MAX_ORACLE_REPLICATIONS: u64 = 4096;
 
 /// Validates an oracle request's search knobs before any work starts:
 /// at least one restart, and no more restarts or replications than the
-/// caps above. The daemon and `dgsched oracle` both call it, so they
+/// caps above. The daemon and `dgsched run` both call it, so they
 /// reject the same knobs with the same message.
 pub fn validate_oracle(ocfg: &OracleConfig) -> Result<(), String> {
     if ocfg.restarts == 0 {
@@ -111,16 +111,19 @@ pub fn validate_oracle(ocfg: &OracleConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Body of a successful sweep response. Serialised once, cached, and
-/// replayed byte-for-byte on every cache hit — the determinism contract
-/// (same request ⇒ same bytes at any pool width) is what makes cache
-/// hits trivially verifiable.
+/// Body of a successful `/sweep` or `/oracle` response. Serialised once,
+/// cached, and replayed byte-for-byte on every cache hit — the
+/// determinism contract (same request ⇒ same bytes at any pool width) is
+/// what makes cache hits trivially verifiable.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepResponse {
-    /// The 128-bit sweep fingerprint the result is cached under.
+    /// The 128-bit sweep (or oracle) fingerprint the result is cached
+    /// under.
     pub fingerprint: String,
     /// One result per scenario, in request order — exactly what
-    /// [`run_matrix`](crate::experiment::run_matrix) would produce.
+    /// [`run_matrix`](crate::experiment::run_matrix) would produce, or
+    /// [`run_matrix_regret`](crate::experiment::run_matrix_regret) with a
+    /// `regret` section on every non-saturated scenario.
     pub results: Vec<ScenarioResult>,
 }
 
@@ -146,17 +149,17 @@ pub struct OracleRequest {
     pub tenant: Option<String>,
 }
 
-/// Body of a successful `/oracle` response: sweep results with the
-/// `regret` section attached to every non-saturated scenario. Cached and
-/// replayed byte-for-byte like sweep responses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OracleResponse {
-    /// The 128-bit oracle fingerprint the result is cached under.
-    pub fingerprint: String,
-    /// One result per scenario, in request order — exactly what
-    /// [`run_matrix_regret`](crate::experiment::run_matrix_regret)
-    /// produces.
-    pub results: Vec<ScenarioResult>,
+impl OracleRequest {
+    /// The sweep half of the request, and its search knobs.
+    pub fn into_parts(self) -> (SweepRequest, OracleConfig) {
+        let sweep = SweepRequest {
+            scenarios: self.scenarios,
+            base_seed: self.base_seed,
+            rule: self.rule,
+            tenant: self.tenant,
+        };
+        (sweep, self.oracle)
+    }
 }
 
 /// One line of a `POST /sweep?stream=1` response: progress events while

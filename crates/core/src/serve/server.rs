@@ -1,7 +1,8 @@
 //! The daemon: accept loop, request routing, and the sweep execution
 //! path that ties cache, single-flight, admission and journal together.
 //!
-//! Lifecycle of a `POST /sweep`:
+//! Lifecycle of a `POST /sweep` (a `POST /oracle` takes the same path,
+//! unstreamed, in its own key space and with the oracle attached):
 //!
 //! ```text
 //! parse + validate ─▶ fingerprint ─▶ cache probe ──hit──▶ cached bytes
@@ -30,14 +31,13 @@ use super::admission::Admission;
 use super::cache::{CacheEntry, CacheLookup, ResultCache};
 use super::protocol::{
     header_value, http_request, read_http_request, validate_oracle, validate_scenarios,
-    write_http_response, write_http_stream_head, HttpRequest, OracleRequest, OracleResponse,
-    StreamEvent, SweepRequest, SweepResponse,
+    write_http_response, write_http_stream_head, HttpRequest, OracleRequest, StreamEvent,
+    SweepRequest, SweepResponse,
 };
 use super::single_flight::{FlightRole, LeaderToken, SingleFlight};
 use crate::experiment::{
-    canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical, fixed_rule,
-    run_matrix_journaled_indexed, run_matrix_regret, run_matrix_regret_journaled,
-    run_matrix_with_progress, KeySpace, RepGuard, Scenario,
+    canonical_oracle_bytes, canonical_sweep_bytes, fingerprint_canonical, fixed_rule, run_sweep,
+    JournalStats, KeySpace, RepGuard, Scenario, SweepOptions,
 };
 use crate::policy::PolicyKind;
 use dgsched_des::time::SimTime;
@@ -114,56 +114,27 @@ impl ServeMetrics {
     /// standard snapshot shape.
     fn snapshot(&self, cache: &ResultCache) -> MetricsSnapshot {
         let mut reg = MetricsRegistry::new();
-        for (name, value) in [
-            ("serve_requests", self.requests.load(Ordering::Relaxed)),
-            (
-                "serve_sweep_requests",
-                self.sweep_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_oracle_requests",
-                self.oracle_requests.load(Ordering::Relaxed),
-            ),
-            ("serve_cache_hits", self.cache_hits.load(Ordering::Relaxed)),
-            (
-                "serve_cache_misses",
-                self.cache_misses.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_cache_collisions",
-                self.cache_collisions.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_single_flight_waits",
-                self.single_flight_waits.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_sweeps_executed",
-                self.sweeps_executed.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_sweeps_failed",
-                self.sweeps_failed.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_journal_replayed",
-                self.journal_replayed.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_journal_resumes",
-                self.journal_resumes.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_replications_reused",
-                self.replications_reused.load(Ordering::Relaxed),
-            ),
-            (
-                "serve_bad_requests",
-                self.bad_requests.load(Ordering::Relaxed),
-            ),
+        let counters = [
+            ("serve_requests", &self.requests),
+            ("serve_sweep_requests", &self.sweep_requests),
+            ("serve_oracle_requests", &self.oracle_requests),
+            ("serve_cache_hits", &self.cache_hits),
+            ("serve_cache_misses", &self.cache_misses),
+            ("serve_cache_collisions", &self.cache_collisions),
+            ("serve_single_flight_waits", &self.single_flight_waits),
+            ("serve_sweeps_executed", &self.sweeps_executed),
+            ("serve_sweeps_failed", &self.sweeps_failed),
+            ("serve_journal_replayed", &self.journal_replayed),
+            ("serve_journal_resumes", &self.journal_resumes),
+            ("serve_replications_reused", &self.replications_reused),
+            ("serve_bad_requests", &self.bad_requests),
+        ];
+        let counters = counters.map(|(name, c)| (name, c.load(Ordering::Relaxed)));
+        let cache_counts = [
             ("serve_cache_warm_entries", cache.warmed()),
             ("serve_pending_journals", cache.pending_journals()),
-        ] {
+        ];
+        for (name, value) in counters.into_iter().chain(cache_counts) {
             let id = reg.counter(name);
             reg.add(id, value);
         }
@@ -313,8 +284,8 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) -> io::Result<
             let _ = TcpStream::connect(inner.local_addr);
             Ok(())
         }
-        ("POST", "/sweep") => handle_sweep(inner, &request, &mut writer),
-        ("POST", "/oracle") => handle_oracle(inner, &request, &mut writer),
+        ("POST", "/sweep") => handle_run(inner, &request, &mut writer, false),
+        ("POST", "/oracle") => handle_run(inner, &request, &mut writer, true),
         _ => {
             ServeMetrics::bump(&inner.metrics.bad_requests);
             let (status, body) = json_error(404, "no such endpoint");
@@ -440,140 +411,100 @@ impl SweepConnection<'_> {
     }
 }
 
-fn handle_sweep(
+/// `POST /sweep`, and `POST /oracle` when `oracle`: an oracle request is
+/// a sweep request plus the hindsight-oracle search knobs, answered
+/// unstreamed and cached in the tagged oracle key space. Both run through
+/// the sweep core journaled under their fingerprint, so a killed daemon
+/// resumes either byte-identically, and both feed and read the
+/// replication index.
+fn handle_run(
     inner: &Arc<ServerInner>,
     request: &HttpRequest,
     writer: &mut BufWriter<TcpStream>,
+    oracle: bool,
 ) -> io::Result<()> {
-    ServeMetrics::bump(&inner.metrics.sweep_requests);
-    let streaming = request.query_flag("stream")
-        || header_value(&request.headers, "accept") == Some("application/x-ndjson");
+    let m = &inner.metrics;
+    ServeMetrics::bump(if oracle {
+        &m.oracle_requests
+    } else {
+        &m.sweep_requests
+    });
+    let kind = if oracle { "oracle" } else { "sweep" };
+    let streaming = !oracle
+        && (request.query_flag("stream")
+            || header_value(&request.headers, "accept") == Some("application/x-ndjson"));
     let conn = SweepConnection {
         writer: Mutex::new(writer),
         streaming,
         head_sent: AtomicBool::new(false),
     };
-    let req: SweepRequest = match serde_json::from_slice(&request.body) {
+    let parsed = match oracle {
+        true => serde_json::from_slice::<OracleRequest>(&request.body)
+            .map(|r| r.into_parts())
+            .map(|(r, ocfg)| (r, Some(ocfg))),
+        false => serde_json::from_slice::<SweepRequest>(&request.body).map(|r| (r, None)),
+    };
+    let (req, ocfg) = match parsed {
         Ok(r) => r,
         Err(e) => {
-            ServeMetrics::bump(&inner.metrics.bad_requests);
-            return conn.send_error(400, &format!("invalid sweep request: {e}"));
+            ServeMetrics::bump(&m.bad_requests);
+            return conn.send_error(400, &format!("invalid {kind} request: {e}"));
         }
     };
-    if let Err(msg) = validate_scenarios(&req.scenarios) {
-        ServeMetrics::bump(&inner.metrics.bad_requests);
+    let valid = validate_scenarios(&req.scenarios)
+        .and_then(|()| ocfg.as_ref().map_or(Ok(()), validate_oracle));
+    if let Err(msg) = valid {
+        ServeMetrics::bump(&m.bad_requests);
         return conn.send_error(400, &msg);
     }
-    let canonical = match canonical_sweep_bytes(&req.scenarios, req.base_seed, &req.rule) {
+    let (scenarios, seed, rule) = (&req.scenarios, req.base_seed, &req.rule);
+    let canonical = match &ocfg {
+        Some(o) => canonical_oracle_bytes(scenarios, seed, rule, o),
+        None => canonical_sweep_bytes(scenarios, seed, rule),
+    };
+    let canonical = match canonical {
         Ok(b) => b,
         Err(e) => return conn.send_error(500, &e.to_string()),
     };
     // The event clamp is part of what the daemon computes, so a daemon
     // restarted with a different clamp must not serve (or resume) the
-    // old answers; the default, no clamp, keeps the plain sweep key.
-    let space = match inner.guard.max_events {
-        None => KeySpace::Sweep,
-        Some(max_events) => KeySpace::ClampedSweep(max_events),
+    // old answers; the default, no clamp, keeps the plain sweep key. The
+    // oracle runs unclamped.
+    let guard = if oracle {
+        RepGuard::default()
+    } else {
+        inner.guard
+    };
+    let space = match (oracle, guard.max_events) {
+        (true, _) => KeySpace::Oracle,
+        (false, None) => KeySpace::Sweep,
+        (false, Some(max_events)) => KeySpace::ClampedSweep(max_events),
     };
     let fingerprint = fingerprint_canonical(space, &canonical);
     let job = Job {
-        kind: "sweep",
+        kind,
         tenant: req.tenant.as_deref().unwrap_or("anonymous"),
         fingerprint: &fingerprint,
         canonical: &canonical,
     };
-    // Journaled, the sweep resumes any journal a crashed instance left
-    // and reuses indexed replications.
-    let run = |journal: Option<&Path>| -> io::Result<Computed> {
-        let progress = |done, total, name: &str| conn.send_progress(done, total, name);
-        let (results, counts) = match journal {
-            Some(path) => {
-                let outcome = run_matrix_journaled_indexed(
-                    &req.scenarios,
-                    req.base_seed,
-                    &req.rule,
-                    path,
-                    inner.guard,
-                    inner.cache.rep_index(),
-                    progress,
-                )?;
-                let stats = outcome.stats;
-                let counts = [stats.records_replayed, stats.resumes, stats.records_reused];
-                (outcome.results, counts)
-            }
-            None => (
-                run_matrix_with_progress(&req.scenarios, req.base_seed, &req.rule, progress),
-                [0; 3],
-            ),
+    // Journaled, the run resumes any journal a crashed instance left and
+    // reuses indexed replications.
+    let run = |journal: Option<&Path>| -> io::Result<(Vec<u8>, JournalStats)> {
+        let opts = SweepOptions {
+            journal,
+            resume: true,
+            guard,
+            index: journal.map(|_| inner.cache.rep_index()),
+            oracle: ocfg.as_ref(),
         };
+        let progress = |done, total, name: &str| conn.send_progress(done, total, name);
+        let outcome = run_sweep(scenarios, seed, rule, opts, progress)?;
         let response = SweepResponse {
             fingerprint: fingerprint.clone(),
-            results,
+            results: outcome.results,
         };
-        Ok(Computed::new(&response, counts))
-    };
-    serve_job(inner, &conn, &job, run)
-}
-
-/// `POST /oracle`: the sweep plus per-policy hindsight regret. Shares
-/// the sweep path's machinery — fingerprint-keyed cache entry (in the
-/// tagged oracle key space), single-flight, fair-share admission, pool
-/// width override — and journals completed search restarts under the
-/// fingerprint so a killed daemon resumes the search byte-identically.
-fn handle_oracle(
-    inner: &Arc<ServerInner>,
-    request: &HttpRequest,
-    writer: &mut BufWriter<TcpStream>,
-) -> io::Result<()> {
-    ServeMetrics::bump(&inner.metrics.oracle_requests);
-    let conn = SweepConnection {
-        writer: Mutex::new(writer),
-        streaming: false,
-        head_sent: AtomicBool::new(false),
-    };
-    let req: OracleRequest = match serde_json::from_slice(&request.body) {
-        Ok(r) => r,
-        Err(e) => {
-            ServeMetrics::bump(&inner.metrics.bad_requests);
-            return conn.send_error(400, &format!("invalid oracle request: {e}"));
-        }
-    };
-    if let Err(msg) = validate_scenarios(&req.scenarios) {
-        ServeMetrics::bump(&inner.metrics.bad_requests);
-        return conn.send_error(400, &msg);
-    }
-    if let Err(msg) = validate_oracle(&req.oracle) {
-        ServeMetrics::bump(&inner.metrics.bad_requests);
-        return conn.send_error(400, &msg);
-    }
-    let canonical =
-        match canonical_oracle_bytes(&req.scenarios, req.base_seed, &req.rule, &req.oracle) {
-            Ok(b) => b,
-            Err(e) => return conn.send_error(500, &e.to_string()),
-        };
-    let fingerprint = fingerprint_canonical(KeySpace::Oracle, &canonical);
-    let job = Job {
-        kind: "oracle",
-        tenant: req.tenant.as_deref().unwrap_or("anonymous"),
-        fingerprint: &fingerprint,
-        canonical: &canonical,
-    };
-    let run = |journal: Option<&Path>| -> io::Result<Computed> {
-        let (s, seed, rule, ocfg) = (&req.scenarios, req.base_seed, &req.rule, &req.oracle);
-        let (results, counts) = match journal {
-            Some(path) => {
-                let resume = path.exists();
-                let (results, stats) =
-                    run_matrix_regret_journaled(s, seed, rule, ocfg, path, resume)?;
-                (results, [stats.restarts_replayed, stats.resumes, 0])
-            }
-            None => (run_matrix_regret(s, seed, rule, ocfg), [0; 3]),
-        };
-        let response = OracleResponse {
-            fingerprint: fingerprint.clone(),
-            results,
-        };
-        Ok(Computed::new(&response, counts))
+        let bytes = serde_json::to_vec(&response).expect("response serialises");
+        Ok((bytes, outcome.stats))
     };
     serve_job(inner, &conn, &job, run)
 }
@@ -589,27 +520,10 @@ struct Job<'a> {
     canonical: &'a [u8],
 }
 
-/// What one run computed: the response bytes, and the journal's
-/// `[replayed, resumes, reused]` counts for the `serve_journal_*` and
-/// `serve_replications_reused` counters.
-struct Computed {
-    response: Vec<u8>,
-    counts: [u64; 3],
-}
-
-impl Computed {
-    fn new(response: &impl serde::Serialize, counts: [u64; 3]) -> Self {
-        Computed {
-            response: serde_json::to_vec(response).expect("response serialises"),
-            counts,
-        }
-    }
-}
-
 /// The path every computing request takes once parsed and fingerprinted:
 /// cache probe, single-flight, then the leader or the collision path.
-/// `run` computes the answer, journaled at the given path (leader) or
-/// unjournaled (collision).
+/// `run` computes the response bytes, journaled at the given path
+/// (leader) or unjournaled (collision).
 fn serve_job<R>(
     inner: &Arc<ServerInner>,
     conn: &SweepConnection<'_>,
@@ -617,7 +531,7 @@ fn serve_job<R>(
     run: R,
 ) -> io::Result<()>
 where
-    R: Fn(Option<&Path>) -> io::Result<Computed>,
+    R: Fn(Option<&Path>) -> io::Result<(Vec<u8>, JournalStats)>,
 {
     let fingerprint = job.fingerprint;
     match inner.cache.lookup(fingerprint, job.canonical) {
@@ -682,7 +596,7 @@ fn run_leader<R>(
     run: R,
 ) -> io::Result<()>
 where
-    R: Fn(Option<&Path>) -> io::Result<Computed>,
+    R: Fn(Option<&Path>) -> io::Result<(Vec<u8>, JournalStats)>,
 {
     let (fingerprint, canonical) = (job.fingerprint, job.canonical);
     // Double-check the cache under leadership: a previous leader may
@@ -693,17 +607,31 @@ where
         return conn.send_result(fingerprint, CacheDisposition::Hit, &entry);
     }
     let journal_path = inner.cache.journal_path(fingerprint);
-    match run_admitted(inner, conn, job, || run(Some(&journal_path))) {
-        Ok(computed) => {
+    let computed = run_admitted(inner, conn, job, || {
+        run(Some(&journal_path)).or_else(|e| {
+            // A journal this build cannot resume — damaged before its
+            // last line, or written under another schema — would refuse
+            // every request for its fingerprint: move it aside, under a
+            // name nothing globs, and compute afresh.
+            if e.kind() != io::ErrorKind::InvalidData || !journal_path.exists() {
+                return Err(e);
+            }
+            let mut aside = journal_path.clone().into_os_string();
+            aside.push(".unreadable");
+            std::fs::rename(&journal_path, aside)?;
+            run(Some(&journal_path))
+        })
+    });
+    match computed {
+        Ok((response, stats)) => {
             let m = &inner.metrics;
-            let [replayed, resumes, reused] = computed.counts;
+            let replayed = stats.records_replayed + stats.restarts_replayed;
             m.journal_replayed.fetch_add(replayed, Ordering::Relaxed);
-            m.journal_resumes.fetch_add(resumes, Ordering::Relaxed);
+            m.journal_resumes
+                .fetch_add(stats.resumes, Ordering::Relaxed);
+            let reused = stats.records_reused;
             m.replications_reused.fetch_add(reused, Ordering::Relaxed);
-            match inner
-                .cache
-                .insert(fingerprint, canonical, computed.response)
-            {
+            match inner.cache.insert(fingerprint, canonical, response) {
                 Ok(entry) => {
                     inner.flight.finish(token, Ok(entry.clone()));
                     conn.send_result(fingerprint, CacheDisposition::Miss, &entry)
@@ -726,8 +654,9 @@ where
 }
 
 /// The fingerprint-collision path (2⁻¹²⁸ odds, or a corrupted store):
-/// compute this request's answer under admission, without touching the
-/// stored entry or the journal keyed by the colliding fingerprint.
+/// compute this request's answer under admission, as the leader would
+/// (the daemon's clamp included) but without touching the stored entry,
+/// the journal keyed by the colliding fingerprint or the index.
 fn run_collision<R>(
     inner: &Arc<ServerInner>,
     conn: &SweepConnection<'_>,
@@ -735,13 +664,13 @@ fn run_collision<R>(
     run: R,
 ) -> io::Result<()>
 where
-    R: Fn(Option<&Path>) -> io::Result<Computed>,
+    R: Fn(Option<&Path>) -> io::Result<(Vec<u8>, JournalStats)>,
 {
     match run_admitted(inner, conn, job, || run(None)) {
-        Ok(computed) => {
+        Ok((response, _)) => {
             let entry = CacheEntry {
                 request: Vec::new(),
-                response: computed.response,
+                response,
             };
             conn.send_result(job.fingerprint, CacheDisposition::Collision, &entry)
         }
@@ -871,6 +800,11 @@ mod tests {
         dir
     }
 
+    /// The response's `x-dgsched-cache` disposition.
+    fn cache(resp: &crate::serve::HttpResponse) -> Option<&str> {
+        header_value(&resp.headers, "x-dgsched-cache")
+    }
+
     fn spawn_server(dir: &Path) -> ServerHandle {
         spawn_guarded(dir, RepGuard::default())
     }
@@ -949,27 +883,21 @@ mod tests {
             "{}",
             String::from_utf8_lossy(&first.body)
         );
-        assert_eq!(
-            header_value(&first.headers, "x-dgsched-cache"),
-            Some("miss")
-        );
-        let resp: OracleResponse = serde_json::from_slice(&first.body).unwrap();
+        assert_eq!(cache(&first), Some("miss"));
+        let resp: SweepResponse = serde_json::from_slice(&first.body).unwrap();
         assert_eq!(resp.results.len(), 2);
         for r in &resp.results {
             let reg = r.regret.as_ref().expect("regret section");
             assert!(reg.regret.mean >= 0.0, "{}", r.name);
         }
         let second = http_request(&addr, "POST", "/oracle", &[], &body).unwrap();
-        assert_eq!(
-            header_value(&second.headers, "x-dgsched-cache"),
-            Some("hit")
-        );
+        assert_eq!(cache(&second), Some("hit"));
         assert_eq!(first.body, second.body, "cache hit must be byte-identical");
         // The oracle key space is tagged: the same scenarios submitted as
         // a plain sweep still miss (and compute their own entry).
         let sweep_body = serde_json::to_vec(&check_request()).unwrap();
         let sres = http_request(&addr, "POST", "/sweep", &[], &sweep_body).unwrap();
-        assert_eq!(header_value(&sres.headers, "x-dgsched-cache"), Some("miss"));
+        assert_eq!(cache(&sres), Some("miss"));
         // Bad search knobs are rejected up front.
         let mut bad = req;
         bad.oracle.restarts = 0;
@@ -988,12 +916,9 @@ mod tests {
         let dir = tmp_dir("torn-request");
         let body = serde_json::to_vec(&check_request()).unwrap();
         let post = |addr: &str| http_request(addr, "POST", "/sweep", &[], &body).unwrap();
-        let cache = |resp: &crate::serve::HttpResponse| {
-            header_value(&resp.headers, "x-dgsched-cache").map(str::to_string)
-        };
         let handle = spawn_server(&dir);
         let first = post(&handle.addr().to_string());
-        assert_eq!(cache(&first).as_deref(), Some("miss"));
+        assert_eq!(cache(&first), Some("miss"));
         handle.shutdown();
 
         let request_file = std::fs::read_dir(&dir)
@@ -1007,11 +932,11 @@ mod tests {
         let handle = spawn_server(&dir);
         let addr = handle.addr().to_string();
         let again = post(&addr);
-        assert_eq!(cache(&again).as_deref(), Some("miss"));
+        assert_eq!(cache(&again), Some("miss"));
         assert_eq!(again.body, first.body);
         assert_eq!(std::fs::read(&request_file).unwrap(), full, "re-inserted");
         let third = post(&addr);
-        assert_eq!(cache(&third).as_deref(), Some("hit"));
+        assert_eq!(cache(&third), Some("hit"));
         assert_eq!(third.body, first.body);
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -1027,10 +952,7 @@ mod tests {
         let post = |addr: &str| http_request(addr, "POST", "/sweep", &[], &body).unwrap();
         let handle = spawn_server(&dir);
         let plain = post(&handle.addr().to_string());
-        assert_eq!(
-            header_value(&plain.headers, "x-dgsched-cache"),
-            Some("miss")
-        );
+        assert_eq!(cache(&plain), Some("miss"));
         handle.shutdown();
 
         let tiny = RepGuard {
@@ -1041,10 +963,7 @@ mod tests {
         let addr = handle.addr().to_string();
         let clamped = post(&addr);
         assert_eq!(clamped.status, 200);
-        assert_eq!(
-            header_value(&clamped.headers, "x-dgsched-cache"),
-            Some("miss")
-        );
+        assert_eq!(cache(&clamped), Some("miss"));
         let resp: SweepResponse = serde_json::from_slice(&clamped.body).unwrap();
         assert!(
             resp.results.iter().all(|r| r.saturated),
@@ -1059,8 +978,39 @@ mod tests {
         // Unclamped again: the original answer is still a hit.
         let handle = spawn_server(&dir);
         let again = post(&handle.addr().to_string());
-        assert_eq!(header_value(&again.headers, "x-dgsched-cache"), Some("hit"));
+        assert_eq!(cache(&again), Some("hit"));
         assert_eq!(again.body, plain.body);
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A clamped daemon's collision path computes under its clamp, as
+    /// its leader path does: a stored request file that no longer matches
+    /// its fingerprint makes the request a collision, answered with the
+    /// bytes the leader computed.
+    #[test]
+    fn collision_path_honours_the_event_clamp() {
+        let dir = tmp_dir("clamped-collision");
+        let tiny = RepGuard {
+            max_events: Some(10),
+            wall_limit_s: None,
+        };
+        let body = serde_json::to_vec(&check_request()).unwrap();
+        let post = |addr: &str| http_request(addr, "POST", "/sweep", &[], &body).unwrap();
+        let handle = spawn_guarded(&dir, tiny);
+        let leader = post(&handle.addr().to_string());
+        assert_eq!(cache(&leader), Some("miss"));
+        handle.shutdown();
+        let fingerprint = header_value(&leader.headers, "x-dgsched-fingerprint").unwrap();
+        std::fs::write(dir.join(format!("{fingerprint}.request.json")), b"{}").unwrap();
+
+        let handle = spawn_guarded(&dir, tiny);
+        let collided = post(&handle.addr().to_string());
+        assert_eq!(cache(&collided), Some("collision"));
+        assert_eq!(
+            collided.body, leader.body,
+            "the clamp applies on both paths"
+        );
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

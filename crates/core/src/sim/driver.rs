@@ -229,7 +229,8 @@ pub fn simulate_observed_reference(
 }
 
 /// Replays `policy` against the recorded fault timeline `env` instead of
-/// the live availability/outage RNG streams (see [`super::replay`]).
+/// the live availability/outage RNG streams (see the private `replay`
+/// module).
 ///
 /// Replaying the policy whose run produced the trace reproduces its
 /// original [`RunResult`] byte-identically; replaying a *different*

@@ -2,12 +2,12 @@
 //!
 //! ## Layout
 //!
-//! The simulator is split into subsystems around [`driver`]'s `Driver` /
-//! `SimState` pair: [`dispatch`] runs the scheduling round (bag selection,
-//! replica launch, bag arrival), [`lifecycle`] handles replica milestones
-//! through task and bag completion, [`faults`] handles machine failure /
-//! repair and correlated outages, and [`indices`] holds the incrementally
-//! maintained structures the hot path reads.
+//! The simulator is split into private subsystems around `driver`'s
+//! `Driver` / `SimState` pair: `dispatch` runs the scheduling round (bag
+//! selection, replica launch, bag arrival), `lifecycle` handles replica
+//! milestones through task and bag completion, `faults` handles machine
+//! failure / repair and correlated outages, and `indices` holds the
+//! incrementally maintained structures the hot path reads.
 //!
 //! ## Index invariants
 //!

@@ -79,9 +79,10 @@ echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal/orac
 # (b) stay result-passive: the golden-fingerprint test inside
 # tests/lockcheck.rs pins run_matrix bytes to the seed value in BOTH
 # feature configurations, and the determinism batteries re-run with the
-# witness live at widths 1 and 4. Both journals take the same record-log
-# lock, so the oracle battery runs under the witness too, and so does the
-# replication pool's contract battery (tests/replication_pool.rs): the
+# witness live at widths 1 and 4. Oracle runs journal through the same
+# sweep core and record-log lock, so the oracle battery runs under the
+# witness too, and so does the replication pool's contract battery
+# (tests/replication_pool.rs): the
 # pool's own std lock is invisible to the witness, but every lock its
 # jobs and journal hooks take is not.
 cargo test -q -p parking_lot --features lockcheck
@@ -101,16 +102,19 @@ echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4 (regr
 # byte-identical across pool widths and across resumed restarts
 # (tests/oracle_regret.rs) — holds under both environment baselines.
 # The oracle's captures, replays and restarts are replication-pool jobs,
-# so a journaled `dgsched oracle` must then print the same bytes at
-# widths 1, 2 and 4.
+# so a shrunk E12 oracle request through a journaled `dgsched run` must
+# then print the same bytes at widths 1, 2 and 4.
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
 DGSCHED_THREADS=2 cargo test -q -p dgsched-core --test oracle_resume --test oracle_regret
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test trace_replay --test oracle_resume --test oracle_regret
 oracle_out="$(mktemp -d)"
-target/release/dgsched gen -n 12 -o "$oracle_out/s.json" 2> /dev/null
+sed -e 's/"count":60/"count":12/g' -e 's/"warmup_bags":5/"warmup_bags":1/g' \
+  -e 's/"restarts": 8, "iters": 60, "seed": 0, "replications": 3/"restarts": 2, "iters": 8, "seed": 0, "replications": 2/' \
+  experiments/e12-regret.json > "$oracle_out/o.json"
+grep -q '"iters": 8' "$oracle_out/o.json"
 for width in 1 2 4; do
-  DGSCHED_THREADS=$width target/release/dgsched oracle "$oracle_out/s.json" \
-    --min-reps 2 --max-reps 2 --restarts 2 --iters 8 --oracle-reps 2 \
+  DGSCHED_THREADS=$width target/release/dgsched run "$oracle_out/o.json" \
+    --min-reps 2 --max-reps 2 \
     --journal "$oracle_out/j.w$width.jsonl" > "$oracle_out/o.w$width.json" 2> /dev/null
 done
 cmp "$oracle_out/o.w1.json" "$oracle_out/o.w2.json"
@@ -123,7 +127,8 @@ echo "==> generator gate: sampler calibration + dgsched gen byte-identity at wid
 # (crates/workload/tests/dist_properties.rs), and `dgsched gen` emits
 # byte-identical scenarios/workloads for a fixed seed at any pool width,
 # rejects malformed distribution specs with usage errors, and its output
-# runs through `dgsched run`/`oracle` unmodified (tests/gen.rs).
+# runs through `dgsched run` unmodified, alone and inside an oracle
+# request (tests/gen.rs).
 DGSCHED_THREADS=1 cargo test -q -p dgsched-workload
 DGSCHED_THREADS=4 cargo test -q -p dgsched-workload
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test gen
@@ -132,7 +137,7 @@ DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test gen
 echo "==> telemetry gate: obs crate with and without the timing feature"
 # The observer seam must stay passive: the obs crate and its profiling
 # spans are built and tested in both configurations, and the passivity
-# battery re-runs with DGSCHED_TRACE exercised inside the test itself.
+# battery re-runs with the spans compiled in.
 cargo test -q -p dgsched-obs
 cargo test -q -p dgsched-obs --features timing
 cargo test -q -p dgsched-core --features timing --test observer_passivity
@@ -159,6 +164,13 @@ cargo clippy -p dgsched-obs --features timing -- -D warnings
 
 echo "==> cargo clippy -p dgsched-core --features lockcheck -- -D warnings"
 cargo clippy -p dgsched-core --features lockcheck -- -D warnings
+
+echo "==> docs gate: rustdoc -D warnings on every library crate"
+# Public docs must not link to private items (the link renders dead) or
+# to names that do not resolve.
+for crate in des grid workload obs oracle core analyze; do
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p "dgsched-$crate"
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --check

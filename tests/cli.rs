@@ -171,36 +171,32 @@ fn ring_trace_file_reports_its_drop_count() {
     }
 }
 
+/// An oracle request (the `POST /oracle` body) around one scenario file.
+fn oracle_body(scenario: &[u8], oracle: &str) -> Vec<u8> {
+    let scenario = String::from_utf8_lossy(scenario);
+    format!("{{\"scenarios\":[{scenario}],\"oracle\":{oracle}}}").into_bytes()
+}
+
 #[test]
 fn oracle_reports_regret_section() {
     let demo = Command::new(bin()).arg("demo").output().expect("demo");
-    let scenario = tmp("oracle-scenario.json");
-    std::fs::write(&scenario, &demo.stdout).expect("write scenario");
+    let body = tmp("oracle-request.json");
+    let knobs = r#"{"restarts":2,"iters":10,"replications":1}"#;
+    std::fs::write(&body, oracle_body(&demo.stdout, knobs)).expect("write request");
+    let body = body.to_str().unwrap();
     let out = Command::new(bin())
-        .args([
-            "oracle",
-            scenario.to_str().unwrap(),
-            "--min-reps",
-            "1",
-            "--max-reps",
-            "1",
-            "--oracle-reps",
-            "1",
-            "--restarts",
-            "2",
-            "--iters",
-            "10",
-        ])
+        .args(["run", body, "--min-reps", "1", "--max-reps", "1"])
         .output()
-        .expect("oracle");
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains(", regret "),
+        "the table shows regret: {stderr}"
     );
     let json: serde_json::Value =
         serde_json::from_slice(&out.stdout).expect("oracle output is JSON");
-    let regret = &json["regret"];
+    let regret = &json["results"][0]["regret"];
     assert!(
         regret["oracle_turnaround"]["mean"].as_f64().unwrap() > 0.0,
         "regret section missing: {}",
@@ -209,17 +205,20 @@ fn oracle_reports_regret_section() {
     assert!(regret["regret"]["mean"].as_f64().unwrap() >= 0.0);
     assert_eq!(regret["replications"], 1);
 
-    // --resume without --journal and a zero-restart search are usage errors.
+    // --resume without --journal is a usage error, a zero-restart search
+    // a refused request.
     let out = Command::new(bin())
-        .args(["oracle", scenario.to_str().unwrap(), "--resume"])
+        .args(["run", body, "--resume"])
         .output()
-        .expect("oracle");
-    assert!(!out.status.success());
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    let zero = tmp("oracle-zero.json");
+    std::fs::write(&zero, oracle_body(&demo.stdout, r#"{"restarts":0}"#)).unwrap();
     let out = Command::new(bin())
-        .args(["oracle", scenario.to_str().unwrap(), "--restarts", "0"])
+        .args(["run", zero.to_str().unwrap()])
         .output()
-        .expect("oracle");
-    assert!(!out.status.success());
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! The experiment files under `experiments/`: each is a `POST /sweep`
-//! body that `dgsched run` runs. The tests check that every file is a
-//! valid sweep request, that the figure files hold exactly the panels the
-//! library defines (the panels the benchmark's `paper-sweep` runs), that
-//! E1's file covers the configurations the paper omits, that every file
-//! runs end to end once shrunk, and that `dgsched run` prints the bytes
-//! the daemon answers for the same file, journaled or not.
+//! body, or a `POST /oracle` body (one with an `oracle` key), that
+//! `dgsched run` runs. The tests check that every file is a valid
+//! request, that the figure files hold exactly the panels the library
+//! defines (the panels the benchmark's `paper-sweep` runs), that E1's
+//! file covers the configurations the paper omits, that every file runs
+//! end to end once shrunk, and that `dgsched run` prints the bytes the
+//! daemon answers for the same file, journaled or not, sweep or oracle.
 
+use dgsched_core::experiment::OracleConfig;
 use dgsched_core::experiment::{fig1_panels, fig2_panels, run_matrix, PanelSpec, WorkloadKind};
 use dgsched_core::serve::{
-    http_request, validate_scenarios, HttpResponse, ServeConfig, Server, SweepRequest,
-    SweepResponse,
+    http_request, validate_oracle, validate_scenarios, HttpResponse, OracleRequest, ServeConfig,
+    Server, SweepRequest, SweepResponse,
 };
 use dgsched_des::stats::StoppingRule;
 use dgsched_grid::Availability;
@@ -66,15 +68,31 @@ fn shrunk(mut req: SweepRequest, bags: usize) -> SweepRequest {
     req
 }
 
+/// The oracle request in `name`.
+fn load_oracle(name: &str) -> OracleRequest {
+    let path = experiments_dir().join(name);
+    let data = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    serde_json::from_slice(&data).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
 #[test]
 fn every_file_is_a_valid_sweep_request() {
     let names = all_files();
-    assert_eq!(names.len(), 16, "{names:?}");
+    assert_eq!(names.len(), 17, "{names:?}");
     for name in &names {
         let req = load(name);
         validate_scenarios(&req.scenarios).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(req.tenant.is_none(), "{name} names a tenant");
     }
+    let oracle = load_oracle("e12-regret.json").oracle;
+    validate_oracle(&oracle).unwrap();
+    let e12 = OracleConfig {
+        restarts: 8,
+        iters: 60,
+        seed: 0,
+        replications: 3,
+    };
+    assert_eq!(oracle, e12, "E12's search knobs");
 }
 
 #[test]
@@ -167,6 +185,11 @@ fn cli_run(file: &Path, extra: &[&str]) -> (Vec<u8>, String) {
 
 /// `POST /sweep` of `body` to an in-process daemon caching under `dir`.
 fn post_sweep(dir: &Path, body: &[u8]) -> HttpResponse {
+    post(dir, "/sweep", body)
+}
+
+/// `POST route` of `body` to an in-process daemon caching under `dir`.
+fn post(dir: &Path, route: &str, body: &[u8]) -> HttpResponse {
     let server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         cache_dir: Some(dir.join("cache")),
@@ -174,10 +197,42 @@ fn post_sweep(dir: &Path, body: &[u8]) -> HttpResponse {
     })
     .expect("bind");
     let handle = server.spawn();
-    let response =
-        http_request(&handle.addr().to_string(), "POST", "/sweep", &[], body).expect("POST /sweep");
+    let response = http_request(&handle.addr().to_string(), "POST", route, &[], body).expect(route);
     handle.shutdown();
     response
+}
+
+/// Posts `body` to `route` and runs it through `dgsched run` plain,
+/// journaled and resumed: every stdout is the daemon's bytes, stderr
+/// shows each of `plain` and the journal lines `fresh` and `replayed`.
+/// Returns the daemon's response.
+fn assert_cli_serves_alike(
+    dir: &Path,
+    route: &str,
+    body: &[u8],
+    plain: &[&str],
+    [fresh, replayed]: [&str; 2],
+) -> SweepResponse {
+    let file = dir.join("request.json");
+    std::fs::write(&file, body).unwrap();
+    let served = post(dir, route, body);
+    let text = String::from_utf8_lossy(&served.body);
+    assert_eq!(served.status, 200, "{text}");
+    let journal = dir.join("run.journal.jsonl");
+    let journal = journal.to_str().unwrap();
+    let runs: [(&[&str], &[&str]); 3] = [
+        (&[], plain),
+        (&["--journal", journal], &[fresh]),
+        (&["--journal", journal, "--resume"], &[replayed]),
+    ];
+    for (args, shows) in runs {
+        let (stdout, stderr) = cli_run(&file, args);
+        assert_eq!(stdout, served.body, "{args:?} differs from {route}");
+        for line in shows {
+            assert!(stderr.contains(line), "{args:?} lacks {line:?}: {stderr}");
+        }
+    }
+    serde_json::from_slice(&served.body).unwrap()
 }
 
 #[test]
@@ -185,32 +240,37 @@ fn cli_prints_the_bytes_the_daemon_serves() {
     let dir = tmp_dir("cli");
     let req = shrunk(load("e9-burstiness.json"), 8);
     let body = serde_json::to_vec(&req).unwrap();
-    let file = dir.join("e9-small.json");
-    std::fs::write(&file, &body).unwrap();
-
-    let served = post_sweep(&dir, &body);
-    assert_eq!(
-        served.status,
-        200,
-        "{}",
-        String::from_utf8_lossy(&served.body)
-    );
-    let response: SweepResponse = serde_json::from_slice(&served.body).unwrap();
+    let journal = ["9 written, 0 replayed", "9 replayed (resumed)"];
+    let response = assert_cli_serves_alike(&dir, "/sweep", &body, &["[9/9] ", "| cv=4 "], journal);
     assert_eq!(response.results.len(), req.scenarios.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let (plain, stderr) = cli_run(&file, &[]);
-    assert_eq!(plain, served.body, "plain run differs from /sweep");
-    assert!(stderr.contains("[9/9] "), "progress lines: {stderr}");
-    assert!(stderr.contains("| cv=4 "), "pivot table: {stderr}");
-
-    let journal = dir.join("e9.journal.jsonl");
-    let journal = journal.to_str().unwrap();
-    let (first, stderr) = cli_run(&file, &["--journal", journal]);
-    assert_eq!(first, served.body, "journaled run differs from /sweep");
-    assert!(stderr.contains("9 written, 0 replayed"), "{stderr}");
-    let (resumed, stderr) = cli_run(&file, &["--journal", journal, "--resume"]);
-    assert_eq!(resumed, served.body, "resumed run differs from /sweep");
-    assert!(stderr.contains("9 replayed (resumed)"), "{stderr}");
+#[test]
+fn cli_prints_the_bytes_the_daemon_serves_for_oracle_bodies() {
+    let dir = tmp_dir("cli-oracle");
+    let (sweep, _) = load_oracle("e12-regret.json").into_parts();
+    let sweep = shrunk(sweep, 8);
+    let req = OracleRequest {
+        scenarios: sweep.scenarios,
+        base_seed: sweep.base_seed,
+        rule: sweep.rule,
+        oracle: OracleConfig {
+            restarts: 2,
+            iters: 8,
+            seed: 0,
+            replications: 2,
+        },
+        tenant: None,
+    };
+    let body = serde_json::to_vec(&req).unwrap();
+    let journal = [
+        "7 written, 0 replayed; 4 restarts written, 0 replayed",
+        "0 written, 7 replayed; 0 restarts written, 4 replayed (resumed)",
+    ];
+    let plain = ["[7/7] ", ", regret "];
+    let response = assert_cli_serves_alike(&dir, "/oracle", &body, &plain, journal);
+    assert!(response.results.iter().all(|r| r.regret.is_some()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

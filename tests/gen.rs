@@ -145,30 +145,35 @@ fn generated_scenario_runs_and_oracles_unmodified() {
     assert_eq!(json["replications"], 2);
     assert!(json["turnaround"]["mean"].as_f64().unwrap() > 0.0);
 
+    let scenario = std::fs::read_to_string(&path).unwrap();
+    let body = format!(
+        "{{\"scenarios\":[{scenario}],\"oracle\":{{\"restarts\":2,\"iters\":10,\"replications\":1}}}}"
+    );
+    let body_path = tmp("gen-oracle-request.json");
+    std::fs::write(&body_path, body).unwrap();
     let out = Command::new(bin())
         .args([
-            "oracle",
-            path.to_str().unwrap(),
+            "run",
+            body_path.to_str().unwrap(),
             "--min-reps",
             "1",
             "--max-reps",
             "1",
-            "--oracle-reps",
-            "1",
-            "--restarts",
-            "2",
-            "--iters",
-            "10",
         ])
         .output()
-        .expect("oracle");
+        .expect("run");
     assert!(
         out.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let json: serde_json::Value = serde_json::from_slice(&out.stdout).expect("oracle JSON");
-    assert!(json["regret"]["regret"]["mean"].as_f64().unwrap() >= 0.0);
+    assert!(
+        json["results"][0]["regret"]["regret"]["mean"]
+            .as_f64()
+            .unwrap()
+            >= 0.0
+    );
 }
 
 #[test]

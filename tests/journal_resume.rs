@@ -19,9 +19,9 @@
 //! baseline.
 
 use dgsched_core::experiment::{
-    oracle_fingerprint, run_matrix, run_matrix_journaled, run_matrix_journaled_indexed,
-    run_matrix_journaled_with, run_matrix_regret_journaled, sweep_fingerprint, JournalOutcome,
-    OracleConfig, RepGuard, Scenario, WorkloadKind,
+    oracle_fingerprint, run_matrix, run_matrix_journaled, run_matrix_journaled_with, run_sweep,
+    sweep_fingerprint, JournalOutcome, OracleConfig, RepGuard, Scenario, SweepOptions,
+    WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::ResultCache;
@@ -279,16 +279,13 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn indexed_sweep(dir: &Path, scenarios: &[Scenario]) -> JournalOutcome {
     let cache = ResultCache::open(dir).expect("cache opens");
     let path = cache.journal_path(&sweep_fingerprint(scenarios, 42, &rule()).unwrap());
-    run_matrix_journaled_indexed(
-        scenarios,
-        42,
-        &rule(),
-        &path,
-        RepGuard::default(),
-        cache.rep_index(),
-        |_, _, _| {},
-    )
-    .expect("indexed sweep")
+    let opts = SweepOptions {
+        journal: Some(&path),
+        resume: true,
+        index: Some(cache.rep_index()),
+        ..SweepOptions::default()
+    };
+    run_sweep(scenarios, 42, &rule(), opts, |_, _, _| {}).expect("indexed sweep")
 }
 
 /// Record boundaries (the byte after each newline past the header) of a
@@ -408,9 +405,9 @@ fn corrupt_journal_is_left_out_of_the_index() {
         sweep_fingerprint(&scenarios, 42, &rule()).unwrap()
     ));
     // A copy damaged in the middle, under another fingerprint, a file
-    // that is no journal at all, and the oracle restart journal the
-    // daemon keeps under the same suffix: its records are no
-    // replications, whatever its header says.
+    // that is no journal at all, and an oracle run's journal over the
+    // same scenarios: its replications are the sweep's own, so indexing
+    // them adds nothing, and its restart records are no replications.
     let full = std::fs::read(&path).unwrap();
     let mid = full.len() / 2;
     let mut damaged = full[..mid].to_vec();
@@ -428,9 +425,18 @@ fn corrupt_journal_is_left_out_of_the_index() {
         "{}.journal.jsonl",
         oracle_fingerprint(&scenarios, 42, &rule(), &ocfg).unwrap()
     ));
-    let (_, stats) =
-        run_matrix_regret_journaled(&scenarios, 42, &rule(), &ocfg, &oracle, false).unwrap();
-    assert_eq!(stats.restarts_written, 4);
+    let opts = SweepOptions {
+        journal: Some(&oracle),
+        oracle: Some(&ocfg),
+        ..SweepOptions::default()
+    };
+    let stats = run_sweep(&scenarios, 42, &rule(), opts, |_, _, _| {})
+        .unwrap()
+        .stats;
+    assert_eq!(
+        (stats.records_written, stats.restarts_written),
+        (journaled, 4)
+    );
     let cache = ResultCache::open(&dir).expect("damaged journals do not fail open");
     assert_eq!(cache.rep_index().len(), journaled);
     assert_eq!(cache.pending_journals(), 4);

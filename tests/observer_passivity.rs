@@ -7,19 +7,15 @@
 //! must round-trip the real event stream losslessly with truncation
 //! reported.
 
-use dgsched_core::experiment::{run_scenario, Scenario, WorkloadKind};
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::{
     simulate, simulate_instrumented, simulate_observed, NullObserver, SimConfig, TraceRecorder,
     TraceRing,
 };
-use dgsched_des::stats::StoppingRule;
 use dgsched_des::time::SimTime;
 use dgsched_grid::{Availability, CheckpointConfig, Grid, GridConfig, Heterogeneity};
 use dgsched_obs::{read_jsonl, write_jsonl};
-use dgsched_workload::{
-    BagOfTasks, BotId, BotType, Intensity, TaskId, TaskSpec, Workload, WorkloadSpec,
-};
+use dgsched_workload::{BagOfTasks, BotId, TaskId, TaskSpec, Workload};
 use rand::SeedableRng;
 
 fn grid(het: Heterogeneity, avail: Availability) -> Grid {
@@ -157,74 +153,6 @@ fn real_trace_round_trips_through_jsonl() {
     assert_eq!(t_jsonl.dropped, ring.dropped());
     assert!(t_jsonl.truncated());
     assert_eq!(t_jsonl.events, ring.events());
-}
-
-/// `run_scenario` output is byte-for-byte invariant when instrumentation
-/// is off, and turning `DGSCHED_TRACE` on only *appends* the metrics
-/// snapshot — every pre-existing field keeps its exact value. Env-var
-/// manipulation stays inside this one test to avoid cross-test races.
-#[test]
-fn run_matrix_json_is_invariant_without_the_toggle() {
-    std::env::remove_var("DGSCHED_TRACE");
-    let scenario = Scenario {
-        name: "passivity".into(),
-        grid: GridConfig {
-            total_power: 40.0,
-            heterogeneity: Heterogeneity::HOM,
-            availability: Availability::HIGH,
-            checkpoint: CheckpointConfig::default(),
-            outages: None,
-        },
-        workload: WorkloadKind::Single(WorkloadSpec {
-            bot_type: BotType::paper(25_000.0),
-            intensity: Intensity::Low,
-            count: 8,
-        }),
-        policy: PolicyKind::LongIdle,
-        sim: SimConfig {
-            warmup_bags: 1,
-            ..SimConfig::default()
-        },
-    };
-    let rule = StoppingRule {
-        min_replications: 2,
-        max_replications: 2,
-        ..StoppingRule::default()
-    };
-    let off_a = serde_json::to_string(&run_scenario(&scenario, 7, &rule)).unwrap();
-    let off_b = serde_json::to_string(&run_scenario(&scenario, 7, &rule)).unwrap();
-    assert_eq!(
-        off_a, off_b,
-        "uninstrumented run_scenario is not deterministic"
-    );
-    assert!(
-        !off_a.contains("\"metrics\""),
-        "metrics must serialise to nothing when instrumentation is off"
-    );
-
-    std::env::set_var("DGSCHED_TRACE", "1");
-    let mut on = run_scenario(&scenario, 7, &rule);
-    std::env::remove_var("DGSCHED_TRACE");
-    let snapshot = on
-        .metrics
-        .take()
-        .expect("toggle attaches a metrics snapshot");
-    assert!(snapshot.counters["dispatches"] > 0);
-    assert_eq!(
-        serde_json::to_string(&on).unwrap(),
-        off_a,
-        "instrumentation must only append, never change, the result"
-    );
-
-    // The "0"/"false"/"" spellings all mean off.
-    for off in ["0", "false", ""] {
-        std::env::set_var("DGSCHED_TRACE", off);
-        assert!(
-            !dgsched_core::experiment::obs_enabled(),
-            "DGSCHED_TRACE={off:?}"
-        );
-    }
-    std::env::remove_var("DGSCHED_TRACE");
 }
 
 /// The work a pure refactor of the kernel must not change: pending-event

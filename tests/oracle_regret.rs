@@ -6,15 +6,15 @@
 //! artifacts and inherit the repo's determinism contract.
 
 use dgsched_core::experiment::{
-    oracle_replication, run_matrix_regret, run_matrix_regret_journaled, OracleConfig, Scenario,
-    WorkloadKind,
+    oracle_replication, run_matrix_regret, run_sweep, JournalOutcome, OracleConfig, Scenario,
+    SweepOptions, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::SimConfig;
 use dgsched_des::stats::StoppingRule;
 use dgsched_grid::{Availability, CheckpointConfig, GridConfig, Heterogeneity};
 use dgsched_workload::{BotType, Intensity, WorkloadSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn small_grid(heterogeneity: Heterogeneity, availability: Availability) -> GridConfig {
     GridConfig {
@@ -186,6 +186,18 @@ fn journal_path(tag: &str) -> PathBuf {
     dir.join(format!("{tag}-{}.jsonl", std::process::id()))
 }
 
+/// The regret sweep journaled at `path`.
+fn journaled(scenarios: &[Scenario], path: &Path, resume: bool) -> JournalOutcome {
+    let ocfg = tiny_oracle();
+    let opts = SweepOptions {
+        journal: Some(path),
+        resume,
+        oracle: Some(&ocfg),
+        ..SweepOptions::default()
+    };
+    run_sweep(scenarios, 2008, &two_reps(), opts, |_, _, _| {}).unwrap()
+}
+
 /// A search interrupted mid-restart and resumed — even at a different
 /// pool width — folds to the same bytes as an uninterrupted run.
 #[test]
@@ -203,25 +215,29 @@ fn resumed_restarts_are_byte_identical_even_across_widths() {
     // the header plus three restart records.
     let path = journal_path("resume");
     std::fs::remove_file(&path).ok();
-    let (full, stats) = rayon::with_num_threads(4, || {
-        run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, false)
-    })
-    .unwrap();
+    let full = rayon::with_num_threads(4, || journaled(&scenarios, &path, false));
+    let stats = full.stats;
     assert_eq!(
         stats.restarts_written,
         u64::from(ocfg.restarts) * ocfg.replications
     );
-    assert_eq!(json(&full), json(&straight), "journaling is passive");
+    assert_eq!(
+        json(&full.results),
+        json(&straight),
+        "journaling is passive"
+    );
 
     let text = std::fs::read_to_string(&path).unwrap();
-    let kept: Vec<&str> = text.lines().take(4).collect();
+    let restarts = text
+        .lines()
+        .skip(1)
+        .filter(|l| l.contains("\"kind\":\"restart\""));
+    let kept: Vec<&str> = text.lines().take(1).chain(restarts.take(3)).collect();
     std::fs::write(&path, kept.join("\n") + "\n").unwrap();
 
     // Resume at width 1: three restarts replay, the rest recompute.
-    let (resumed, stats) = rayon::with_num_threads(1, || {
-        run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, true)
-    })
-    .unwrap();
+    let resumed = rayon::with_num_threads(1, || journaled(&scenarios, &path, true));
+    let stats = resumed.stats;
     assert_eq!(stats.resumes, 1);
     assert_eq!(stats.restarts_replayed, 3);
     assert_eq!(
@@ -229,7 +245,7 @@ fn resumed_restarts_are_byte_identical_even_across_widths() {
         u64::from(ocfg.restarts) * ocfg.replications - 3
     );
     assert_eq!(
-        json(&resumed),
+        json(&resumed.results),
         json(&straight),
         "resumed search must be byte-identical to an uninterrupted one"
     );
@@ -251,14 +267,13 @@ fn torn_journal_tail_is_recovered() {
 
     let path = journal_path("torn");
     std::fs::remove_file(&path).ok();
-    let (_, _) = run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, false).unwrap();
+    journaled(&scenarios, &path, false);
     let text = std::fs::read_to_string(&path).unwrap();
     let truncated = &text[..text.len() - text.len() / 3];
     std::fs::write(&path, truncated).unwrap();
 
-    let (resumed, stats) =
-        run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, true).unwrap();
-    assert_eq!(stats.torn_tails, 1);
-    assert_eq!(json(&resumed), json(&straight));
+    let resumed = journaled(&scenarios, &path, true);
+    assert_eq!(resumed.stats.torn_tails, 1);
+    assert_eq!(json(&resumed.results), json(&straight));
     std::fs::remove_file(&path).ok();
 }

@@ -6,19 +6,20 @@
 //!   width — each computed once, whatever the width and however the
 //!   workers interleave scenarios.
 //! * Each scenario's journal records appear in replication order.
-//! * With `DGSCHED_TRACE=1` every measured result carries its metrics.
-//! * The oracle's jobs run on the same pool: every (environment,
-//!   replication, restart) is journaled exactly once, each pair's
-//!   restarts in restart order, and a resumed search computes only the
-//!   restarts its journal is missing.
+//! * The oracle's jobs run on the same pool and journal into the same
+//!   schema: every replication and every (environment, replication,
+//!   restart) is journaled exactly once, each scenario's replications in
+//!   replication order and each pair's restarts in restart order, and a
+//!   resumed oracle run computes only the replications and restarts its
+//!   journal is missing.
 //!
 //! `scripts/ci.sh` runs this file at pool widths 1, 2 and 4 and under the
 //! `lockcheck` witness; the tests below also pin widths explicitly.
 
 use dgsched_core::experiment::{
     run_matrix, run_matrix_journaled, run_matrix_journaled_with, run_matrix_regret,
-    run_matrix_regret_journaled, run_replication, OracleConfig, RepGuard, Scenario, ScenarioResult,
-    WorkloadKind,
+    run_replication, run_sweep, JournalOutcome, OracleConfig, RepGuard, Scenario, ScenarioResult,
+    SweepOptions, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::SimConfig;
@@ -26,7 +27,7 @@ use dgsched_des::stats::StoppingRule;
 use dgsched_grid::{Availability, GridConfig, Heterogeneity};
 use dgsched_workload::{BotType, Intensity, WorkloadSpec};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 fn scenario(name: &str, policy: PolicyKind, app_size: f64) -> Scenario {
@@ -77,14 +78,8 @@ fn rule() -> StoppingRule {
     }
 }
 
-/// The results' JSON without the metrics snapshots, which only the
-/// `DGSCHED_TRACE` test below turns on (tests share the environment).
-fn bare(results: &[ScenarioResult]) -> String {
-    let mut results = results.to_vec();
-    for r in &mut results {
-        r.metrics = None;
-    }
-    serde_json::to_string(&results).unwrap()
+fn json(results: &[ScenarioResult]) -> String {
+    serde_json::to_string(results).unwrap()
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -132,7 +127,7 @@ fn computed_replications_are_the_batch_plan() {
         })
         .unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(bare(&out.results), bare(&reference));
+        assert_eq!(json(&out.results), json(&reference));
         let computed = computed.into_inner().unwrap();
         assert!(
             computed.values().all(|&n| n == 1),
@@ -192,33 +187,6 @@ fn journal_records_are_in_replication_order_per_scenario() {
     assert_eq!(total as u64, out.stats.records_written);
 }
 
-/// The only test here that sets `DGSCHED_TRACE`; the others compare
-/// results without their metrics.
-#[test]
-fn trace_toggle_attaches_metrics_at_every_width() {
-    let scenarios = matrix();
-    std::env::set_var("DGSCHED_TRACE", "1");
-    let runs: Vec<Vec<ScenarioResult>> = [1usize, 2, 4]
-        .iter()
-        .map(|&w| rayon::with_num_threads(w, || run_matrix(&scenarios, 42, &rule())))
-        .collect();
-    std::env::remove_var("DGSCHED_TRACE");
-    for results in &runs {
-        for r in results {
-            assert_eq!(
-                r.metrics.is_some(),
-                !r.saturated,
-                "{}: a measured result carries its metrics, a saturated one none",
-                r.name
-            );
-        }
-        assert_eq!(
-            serde_json::to_string(results).unwrap(),
-            serde_json::to_string(&runs[0]).unwrap()
-        );
-    }
-}
-
 fn oracle_config() -> OracleConfig {
     OracleConfig {
         restarts: 3,
@@ -239,19 +207,38 @@ fn oracle_matrix() -> Vec<Scenario> {
     scenarios
 }
 
-/// The journal's restart records as `(env, rep, restart)`, in file order.
-fn restart_records(path: &PathBuf) -> Vec<(String, u64, u64)> {
+/// An oracle run of `oracle_matrix` journaled at `path`.
+fn oracle_run(path: &Path, resume: bool) -> JournalOutcome {
+    let ocfg = oracle_config();
+    let opts = SweepOptions {
+        journal: Some(path),
+        resume,
+        oracle: Some(&ocfg),
+        ..SweepOptions::default()
+    };
+    run_sweep(&oracle_matrix(), 42, &rule(), opts, |_, _, _| {}).unwrap()
+}
+
+/// The journal's records of `kind`, in file order: `(env, rep, restart)`
+/// of each restart record, `(scenario, rep, 0)` of each replication
+/// record.
+fn records(path: &Path, kind: &str) -> Vec<(String, u64, u64)> {
     let journal = std::fs::read_to_string(path).unwrap();
-    journal
-        .lines()
-        .skip(1)
-        .map(|line| {
-            let record: serde_json::Value = serde_json::from_str(line).unwrap();
-            (
+    let lines = journal.lines().skip(1);
+    let values = lines.map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap());
+    values
+        .filter(|record| record["kind"] == kind)
+        .map(|record| match kind {
+            "restart" => (
                 record["env"].as_str().unwrap().to_string(),
                 record["rep"].as_u64().unwrap(),
                 record["outcome"]["restart"].as_u64().unwrap(),
-            )
+            ),
+            _ => (
+                record["scenario"].as_str().unwrap().to_string(),
+                record["rep"].as_u64().unwrap(),
+                0,
+            ),
         })
         .collect()
 }
@@ -264,25 +251,36 @@ fn oracle_restarts_are_journaled_once_each_in_restart_order() {
     let pairs = 2 * ocfg.replications;
     for width in [1usize, 2, 4] {
         let path = tmp(&format!("oracle-w{width}"));
-        let (results, stats) = rayon::with_num_threads(width, || {
-            run_matrix_regret_journaled(&scenarios, 42, &rule, &ocfg, &path, false)
-        })
-        .unwrap();
-        let records = restart_records(&path);
+        let out = rayon::with_num_threads(width, || oracle_run(&path, false));
+        let (restarts, reps) = (records(&path, "restart"), records(&path, "rep"));
         std::fs::remove_file(&path).ok();
-        assert_eq!(bare(&results), bare(&reference), "width {width}");
+        assert_eq!(json(&out.results), json(&reference), "width {width}");
+        let stats = out.stats;
         assert_eq!(stats.restarts_written, pairs * u64::from(ocfg.restarts));
-        let mut once = records.clone();
+        assert_eq!(restarts.len() as u64, stats.restarts_written);
+        // The sweep half is journaled too: each scenario's batch plan, in
+        // replication order.
+        assert_eq!(reps.len() as u64, stats.records_written);
+        for r in &reference {
+            let mine: Vec<u64> = reps.iter().filter(|x| x.0 == r.name).map(|x| x.1).collect();
+            let plan = planned(&rule, width as u64, r.replications);
+            assert_eq!(
+                mine,
+                (0..plan).collect::<Vec<_>>(),
+                "{} at width {width}",
+                r.name
+            );
+        }
+        let mut once = restarts.clone();
         once.sort();
         once.dedup();
         assert_eq!(
             once.len(),
-            records.len(),
+            restarts.len(),
             "a restart journaled twice at width {width}"
         );
-        assert_eq!(records.len() as u64, stats.restarts_written);
         let mut per_pair: BTreeMap<(String, u64), Vec<u64>> = BTreeMap::new();
-        for (env, rep, restart) in records {
+        for (env, rep, restart) in restarts {
             per_pair.entry((env, rep)).or_default().push(restart);
         }
         assert_eq!(per_pair.len() as u64, pairs);
@@ -293,19 +291,17 @@ fn oracle_restarts_are_journaled_once_each_in_restart_order() {
     }
 }
 
+/// A killed oracle run, resumed at another width, computes only the
+/// replications and restarts its journal is missing.
 #[test]
 fn resumed_oracle_computes_only_the_missing_restarts() {
     let scenarios = oracle_matrix();
     let (rule, ocfg) = (rule(), oracle_config());
     let reference = run_matrix_regret(&scenarios, 42, &rule, &ocfg);
     let path = tmp("oracle-resume");
-    let total = rayon::with_num_threads(4, || {
-        run_matrix_regret_journaled(&scenarios, 42, &rule, &ocfg, &path, false)
-    })
-    .unwrap()
-    .1
-    .restarts_written;
-    // Keep the header and every other restart record.
+    let full = rayon::with_num_threads(4, || oracle_run(&path, false)).stats;
+    // Keep the header and every other record, as if the run had died
+    // with records of both kinds still to write.
     let journal = std::fs::read_to_string(&path).unwrap();
     let kept: Vec<&str> = journal
         .lines()
@@ -314,20 +310,43 @@ fn resumed_oracle_computes_only_the_missing_restarts() {
         .map(|(_, line)| line)
         .collect();
     std::fs::write(&path, kept.join("\n") + "\n").unwrap();
-    let kept = restart_records(&path);
-    let (results, stats) = rayon::with_num_threads(2, || {
-        run_matrix_regret_journaled(&scenarios, 42, &rule, &ocfg, &path, true)
-    })
-    .unwrap();
-    let after = restart_records(&path);
+    let (kept_restarts, kept_reps) = (records(&path, "restart"), records(&path, "rep"));
+    assert!(!kept_restarts.is_empty() && !kept_reps.is_empty());
+    let out = rayon::with_num_threads(2, || oracle_run(&path, true));
+    let after = records(&path, "restart");
     std::fs::remove_file(&path).ok();
-    assert_eq!(bare(&results), bare(&reference));
-    assert_eq!(stats.restarts_replayed, kept.len() as u64);
-    assert_eq!(stats.restarts_written, total - kept.len() as u64);
+    assert_eq!(json(&out.results), json(&reference));
+    let stats = out.stats;
+    assert_eq!(stats.restarts_replayed, kept_restarts.len() as u64);
+    assert_eq!(
+        stats.restarts_written,
+        full.restarts_written - kept_restarts.len() as u64
+    );
+    // Only each scenario's contiguous journaled prefix replays; the rest
+    // of its replications are computed once more.
+    let prefix = |name: &str| {
+        let reps: Vec<u64> = kept_reps
+            .iter()
+            .filter(|r| r.0 == name)
+            .map(|r| r.1)
+            .collect();
+        (0..).zip(&reps).take_while(|(i, rep)| i == *rep).count() as u64
+    };
+    let replayable: u64 = scenarios.iter().map(|s| prefix(&s.name)).sum();
+    assert_eq!(stats.records_replayed, replayable);
+    assert_eq!(
+        stats.records_written,
+        full.records_written - replayable,
+        "only the missing replications run"
+    );
     // The fresh records are exactly the missing restarts.
-    let mut fresh = after[kept.len()..].to_vec();
-    fresh.extend(kept);
+    let mut fresh = after[kept_restarts.len()..].to_vec();
+    fresh.extend(kept_restarts);
     fresh.sort();
     fresh.dedup();
-    assert_eq!(fresh.len() as u64, total, "every restart journaled once");
+    assert_eq!(
+        fresh.len() as u64,
+        full.restarts_written,
+        "every restart journaled once"
+    );
 }

@@ -20,11 +20,14 @@
 //! All three must hold at pool width 1 and width 4 — the determinism
 //! contract says width never changes bytes.
 
-use dgsched_core::experiment::{run_matrix, OracleConfig, Scenario, WorkloadKind};
+use dgsched_core::experiment::{
+    oracle_fingerprint, run_matrix, run_matrix_journaled, run_matrix_regret, sweep_fingerprint,
+    OracleConfig, RepGuard, Scenario, WorkloadKind,
+};
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::protocol::header_value;
 use dgsched_core::serve::{
-    http_request, http_request_streaming, OracleRequest, SweepRequest, SweepResponse,
+    http_request, http_request_streaming, HttpResponse, OracleRequest, SweepRequest, SweepResponse,
 };
 use dgsched_core::sim::SimConfig;
 use dgsched_des::stats::StoppingRule;
@@ -58,6 +61,11 @@ impl Daemon {
     /// width and cache directory, and parses the bound address from the
     /// machine-readable `listening` line on stdout.
     fn start(cache_dir: &Path, width: &str) -> Daemon {
+        Daemon::start_with(cache_dir, width, &[])
+    }
+
+    /// [`start`](Self::start) with extra environment variables.
+    fn start_with(cache_dir: &Path, width: &str, env: &[(&str, &str)]) -> Daemon {
         let mut child = Command::new(bin())
             .args([
                 "serve",
@@ -67,6 +75,7 @@ impl Daemon {
                 cache_dir.to_str().expect("utf-8 temp path"),
             ])
             .env("DGSCHED_THREADS", width)
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -81,6 +90,10 @@ impl Daemon {
         assert_eq!(value["event"], "listening");
         let addr = value["addr"].as_str().expect("addr string").to_string();
         Daemon { child, addr }
+    }
+
+    fn post(&self, route: &str, body: &[u8]) -> HttpResponse {
+        http_request(&self.addr, "POST", route, &[], body).expect("POST")
     }
 
     fn metrics(&self) -> serde_json::Value {
@@ -199,7 +212,7 @@ fn concurrent_identical_requests_dedupe_at(width: &str) {
     );
     // A third request long after completion is a plain cache hit, still
     // the same bytes.
-    let third = http_request(&daemon.addr, "POST", "/sweep", &[], &body).expect("third request");
+    let third = daemon.post("/sweep", &body);
     assert_eq!(third.status, 200);
     assert_eq!(third.body, bodies[0], "cache hit changed bytes");
     assert_eq!(daemon.counter("serve_sweeps_executed"), 1);
@@ -227,8 +240,7 @@ fn kill_resume_is_byte_identical_at(width: &str) {
     // Reference: an uninterrupted daemon computes the canonical bytes.
     let ref_dir = tmp_dir(&format!("killref-w{width}"));
     let reference = Daemon::start(&ref_dir, width);
-    let expected =
-        http_request(&reference.addr, "POST", "/sweep", &[], &body).expect("reference request");
+    let expected = reference.post("/sweep", &body);
     assert_eq!(expected.status, 200);
     reference.kill();
     std::fs::remove_dir_all(&ref_dir).ok();
@@ -255,8 +267,7 @@ fn kill_resume_is_byte_identical_at(width: &str) {
         restarted.counter("serve_pending_journals") >= 1,
         "the killed sweep's journal must be visible at startup"
     );
-    let resumed =
-        http_request(&restarted.addr, "POST", "/sweep", &[], &body).expect("re-issued request");
+    let resumed = restarted.post("/sweep", &body);
     assert_eq!(resumed.status, 200);
     assert_eq!(
         resumed.body, expected.body,
@@ -310,7 +321,7 @@ fn deeply_nested_request_is_rejected_and_the_daemon_survives() {
     let dir = tmp_dir("deep-nesting");
     let daemon = Daemon::start(&dir, "1");
     let body = vec![b'['; 100_000];
-    let resp = http_request(&daemon.addr, "POST", "/sweep", &[], &body).expect("POST /sweep");
+    let resp = daemon.post("/sweep", &body);
     assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
     assert!(
         String::from_utf8_lossy(&resp.body).contains("nesting"),
@@ -374,13 +385,13 @@ fn overlap_reuse_survives_a_restart_at(width: &str) {
 
     let first = Daemon::start(&dir, width);
     let base_body = serde_json::to_vec(&base).unwrap();
-    let base_resp = http_request(&first.addr, "POST", "/sweep", &[], &base_body).unwrap();
+    let base_resp = first.post("/sweep", &base_body);
     assert_eq!(base_resp.status, 200);
     first.kill();
 
     let daemon = Daemon::start(&dir, width);
     let body = serde_json::to_vec(&extended).unwrap();
-    let resp = http_request(&daemon.addr, "POST", "/sweep", &[], &body).unwrap();
+    let resp = daemon.post("/sweep", &body);
     assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
     assert_eq!(header_value(&resp.headers, "x-dgsched-cache"), Some("miss"));
     for (name, want) in [
@@ -476,7 +487,7 @@ fn assert_refused_alike(
     prefix: &str,
     message: &str,
 ) {
-    let resp = http_request(&daemon.addr, "POST", route, &[], body).expect("POST");
+    let resp = daemon.post(route, body);
     let text = String::from_utf8_lossy(&resp.body);
     assert_eq!(resp.status, 400, "{text}");
     let error: serde_json::Value = serde_json::from_slice(&resp.body).expect("error JSON");
@@ -489,40 +500,22 @@ fn assert_refused_alike(
 }
 
 /// Oracle knobs past their caps are refused before any work starts, by
-/// the daemon (400) and by `dgsched oracle` (exit 1) with the same
-/// message: a trillion replications would otherwise be allocated as
-/// pool cells up front, and an allocation failure aborts the daemon.
+/// the daemon (400) and by `dgsched run` of the same body (exit 1) with
+/// the same message: a trillion replications would otherwise be
+/// allocated as pool cells up front, and an allocation failure aborts the
+/// daemon. A restart count past `u32` does not decode, on either side.
 #[test]
 fn oversized_oracle_knobs_are_rejected_before_any_work() {
     let dir = tmp_dir("oracle-caps");
     std::fs::create_dir_all(&dir).unwrap();
     let scenario = small_scenario("caps", PolicyKind::Rr);
-    let scenario_path = dir.join("scenario.json");
-    std::fs::write(&scenario_path, serde_json::to_vec(&scenario).unwrap()).unwrap();
     let daemon = Daemon::start(&dir.join("cache"), "1");
     let knobs = |replications, restarts| OracleConfig {
         replications,
         restarts,
         ..OracleConfig::default()
     };
-    let cases = [
-        (
-            knobs(1_000_000_000_000, 8),
-            ["--oracle-reps", "1000000000000"],
-            "oracle.replications must be at most 4096 (got 1000000000000)",
-        ),
-        (
-            knobs(3, 4_000_000_000),
-            ["--restarts", "4000000000"],
-            "oracle.restarts must be at most 4096 (got 4000000000)",
-        ),
-        (
-            knobs(3, 0),
-            ["--restarts", "0"],
-            "oracle.restarts must be non-zero",
-        ),
-    ];
-    for (i, (oracle, flags, message)) in cases.into_iter().enumerate() {
+    let body = |oracle| {
         let request = OracleRequest {
             scenarios: vec![scenario.clone()],
             base_seed: 2008,
@@ -530,24 +523,208 @@ fn oversized_oracle_knobs_are_rejected_before_any_work() {
             oracle,
             tenant: None,
         };
-        let body = serde_json::to_vec(&request).unwrap();
+        serde_json::to_string(&request).unwrap()
+    };
+    let prefix = "invalid oracle request: ";
+    let too_wide = body(knobs(3, 8)).replace("\"restarts\":8", "\"restarts\":4294967297");
+    let cases = [
+        (
+            body(knobs(1_000_000_000_000, 8)),
+            prefix,
+            "oracle.replications must be at most 4096 (got 1000000000000)",
+        ),
+        (
+            body(knobs(3, 4_000_000_000)),
+            prefix,
+            "oracle.restarts must be at most 4096 (got 4000000000)",
+        ),
+        (
+            body(knobs(3, 0)),
+            prefix,
+            "oracle.restarts must be non-zero",
+        ),
+        (too_wide, "", prefix),
+    ];
+    for (i, (body, prefix, message)) in cases.into_iter().enumerate() {
+        let path = dir.join(format!("request{i}.json"));
+        std::fs::write(&path, &body).unwrap();
         let mut cli = Command::new(bin());
-        cli.arg("oracle").arg(&scenario_path).args(flags);
-        assert_refused_alike(&daemon, "/oracle", &body, cli, "", message);
+        cli.arg("run").arg(&path);
+        assert_refused_alike(&daemon, "/oracle", body.as_bytes(), cli, prefix, message);
         assert_eq!(daemon.counter("serve_bad_requests"), i as u64 + 1);
     }
     assert_eq!(daemon.counter("serve_sweeps_executed"), 0);
     let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET /healthz");
     assert_eq!(health.status, 200);
-    // A count past u32 is a usage error, not a silently truncated one.
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `dgsched run FILE`'s stdout.
+fn cli_stdout(file: &Path) -> Vec<u8> {
     let out = Command::new(bin())
-        .arg("oracle")
-        .arg(&scenario_path)
-        .args(["--restarts", "4294967297"])
+        .arg("run")
+        .arg(file)
         .output()
-        .expect("run dgsched oracle");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--restarts takes a number up to"));
+        .expect("run dgsched");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+/// Two small scenarios under a fixed two-replication rule.
+fn small_request() -> SweepRequest {
+    SweepRequest {
+        scenarios: vec![
+            small_scenario("small: RR", PolicyKind::Rr),
+            small_scenario("small: SBF", PolicyKind::Sbf),
+        ],
+        base_seed: 2008,
+        rule: StoppingRule {
+            min_replications: 2,
+            max_replications: 2,
+            ..StoppingRule::default()
+        },
+        tenant: None,
+    }
+}
+
+/// `req` as an oracle request with a small search.
+fn small_oracle(req: &SweepRequest, replications: u64) -> OracleRequest {
+    OracleRequest {
+        scenarios: req.scenarios.clone(),
+        base_seed: req.base_seed,
+        rule: req.rule,
+        oracle: OracleConfig {
+            restarts: 2,
+            iters: 6,
+            seed: 3,
+            replications,
+        },
+        tenant: None,
+    }
+}
+
+/// The instrumentation environment toggle is gone: a daemon started
+/// with `DGSCHED_TRACE=1` caches and serves the bytes `dgsched run`
+/// prints, so no cache entry depends on an environment no key covers.
+#[test]
+fn trace_environment_does_not_change_served_bytes() {
+    let dir = tmp_dir("trace-env");
+    std::fs::create_dir_all(&dir).unwrap();
+    let body = serde_json::to_vec(&small_request()).unwrap();
+    let file = dir.join("request.json");
+    std::fs::write(&file, &body).unwrap();
+    let daemon = Daemon::start_with(&dir.join("cache"), "1", &[("DGSCHED_TRACE", "1")]);
+    let served = daemon.post("/sweep", &body);
+    assert_eq!(served.status, 200);
+    assert_eq!(served.body, cli_stdout(&file));
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal the daemon cannot resume — damaged before its last line, or
+/// an oracle restart journal of the older two-schema layout — is moved
+/// aside to `<fp>.journal.jsonl.unreadable` and the request computed
+/// afresh, instead of failing every request for that fingerprint.
+/// `dgsched run --resume` still refuses such a file.
+#[test]
+fn unreadable_journal_is_moved_aside_and_recomputed() {
+    let dir = tmp_dir("unreadable");
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let req = small_request();
+    let (s, seed, rule) = (&req.scenarios, req.base_seed, &req.rule);
+    let oracle = small_oracle(&req, 1);
+    let journal = |fp: String| cache.join(format!("{fp}.journal.jsonl"));
+    let sweep_journal = journal(sweep_fingerprint(s, seed, rule).unwrap());
+    let oracle_journal = journal(oracle_fingerprint(s, seed, rule, &oracle.oracle).unwrap());
+    // The sweep's own journal with a corrupt middle line, and the oracle's
+    // as the older layout wrote it.
+    run_matrix_journaled(s, seed, rule, &sweep_journal, false, RepGuard::default()).unwrap();
+    let text = std::fs::read_to_string(&sweep_journal).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[2] = "{not json}";
+    let damaged = lines.join("\n") + "\n";
+    let old =
+        "{\"kind\":\"header\",\"version\":1,\"fingerprint\":\"00\",\"code_version\":\"0.1.0\"}\n\
+               {\"kind\":\"restart\",\"env\":\"00\",\"rep\":0,\"outcome\":{}}\n";
+    let copy = dir.join("damaged.jsonl");
+    for (path, bytes) in [
+        (&sweep_journal, &*damaged),
+        (&oracle_journal, old),
+        (&copy, &*damaged),
+    ] {
+        std::fs::write(path, bytes).unwrap();
+    }
+    let daemon = Daemon::start(&cache, "1");
+    for (route, body, path, bytes) in [
+        (
+            "/sweep",
+            serde_json::to_vec(&req).unwrap(),
+            &sweep_journal,
+            &*damaged,
+        ),
+        (
+            "/oracle",
+            serde_json::to_vec(&oracle).unwrap(),
+            &oracle_journal,
+            old,
+        ),
+    ] {
+        let file = dir.join("request.json");
+        std::fs::write(&file, &body).unwrap();
+        let served = daemon.post(route, &body);
+        assert_eq!(
+            served.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&served.body)
+        );
+        assert_eq!(served.body, cli_stdout(&file), "{route}");
+        let mut aside = path.clone().into_os_string();
+        aside.push(".unreadable");
+        assert_eq!(std::fs::read_to_string(&aside).unwrap(), bytes, "{route}");
+        assert!(path.exists(), "{route}: the recomputed run journals afresh");
+        let out = Command::new(bin())
+            .arg("run")
+            .arg(&file)
+            .args(["--journal", copy.to_str().unwrap(), "--resume"])
+            .output()
+            .expect("run dgsched");
+        assert_eq!(out.status.code(), Some(1), "{route}: --resume refuses it");
+    }
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An oracle run is a sweep plus a regret pass: `/oracle` after `/sweep`
+/// over the same scenarios reuses every journaled replication, and still
+/// answers what a fresh computation answers.
+#[test]
+fn oracle_reuses_the_replications_a_sweep_journaled() {
+    let dir = tmp_dir("oracle-reuse");
+    let daemon = Daemon::start(&dir, "2");
+    let req = small_request();
+    assert_eq!(
+        daemon
+            .post("/sweep", &serde_json::to_vec(&req).unwrap())
+            .status,
+        200
+    );
+    let oracle = small_oracle(&req, 2);
+    let resp = daemon.post("/oracle", &serde_json::to_vec(&oracle).unwrap());
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(daemon.counter("serve_replications_reused"), 4);
+    let parsed: SweepResponse = serde_json::from_slice(&resp.body).unwrap();
+    let fresh = SweepResponse {
+        fingerprint: parsed.fingerprint,
+        results: run_matrix_regret(&req.scenarios, req.base_seed, &req.rule, &oracle.oracle),
+    };
+    assert_eq!(resp.body, serde_json::to_vec(&fresh).unwrap());
     daemon.kill();
     std::fs::remove_dir_all(&dir).ok();
 }
