@@ -439,7 +439,12 @@ where
 {
     let mut retried = false;
     loop {
-        // dgsched-analyze: allow(wall-clock) -- RepGuard's wall-clock limit is an explicit safety valve; a tripped limit serializes as `saturated`, the same value the event budget produces deterministically
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "RepGuard's wall-clock limit is an explicit safety valve; a tripped \
+                      limit serializes as `saturated`, the same value the event budget \
+                      produces deterministically"
+        )]
         let start = ctx.guard.wall_limit_s.map(|limit| (limit, Instant::now()));
         match catch_unwind(AssertUnwindSafe(|| {
             RepSummary::of(&rep_runner(scenario, ctx.base_seed, rep))

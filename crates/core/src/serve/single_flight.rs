@@ -31,8 +31,8 @@ struct Flight {
 }
 
 // Ordered on purpose: `/metrics` (and any future flight enumeration)
-// must see in-flight fingerprints in deterministic key order, per the
-// determinism lint's unordered-iter rule.
+// must see in-flight fingerprints in deterministic key order, per
+// `clippy.toml`'s `HashMap` rule.
 type FlightMap = Mutex<BTreeMap<String, Arc<Flight>>>;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {

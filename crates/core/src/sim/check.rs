@@ -17,7 +17,7 @@ use super::observer::SimObserver;
 use dgsched_des::time::SimTime;
 use dgsched_grid::MachineId;
 use dgsched_workload::{BotId, TaskId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Collects invariant violations over a run.
 #[derive(Debug, Default)]
@@ -27,15 +27,11 @@ pub struct CheckingObserver {
     threshold: Option<u32>,
     /// Require every dispatch to target the oldest active bag.
     exclusive: bool,
-    // dgsched-analyze: allow(unordered-iter) -- diagnostic shadow state, probed by key per event; violations collect in occurrence order, never via map iteration
-    machine_busy: HashMap<u32, (u32, u32)>,
-    // dgsched-analyze: allow(unordered-iter) -- membership probe only (is this machine down?); never iterated
-    machine_down: HashSet<u32>,
-    // dgsched-analyze: allow(unordered-iter) -- per-replica counters probed by (bag, task) key; never iterated into results
-    replica_counts: HashMap<(u32, u32), u32>,
+    machine_busy: BTreeMap<u32, (u32, u32)>,
+    machine_down: BTreeSet<u32>,
+    replica_counts: BTreeMap<(u32, u32), u32>,
     active_bags: Vec<u32>,
-    // dgsched-analyze: allow(unordered-iter) -- completion membership probe; never iterated
-    completed_tasks: HashSet<(u32, u32)>,
+    completed_tasks: BTreeSet<(u32, u32)>,
     /// Human-readable violations, in occurrence order.
     violations: Vec<String>,
     /// Dispatches observed (for cross-checking against run counters).

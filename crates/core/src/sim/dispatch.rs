@@ -76,7 +76,7 @@ impl Driver<'_, '_> {
     /// a dispatch removes only the machine just used, and nothing becomes
     /// free mid-round.
     pub(super) fn dispatch_all(&mut self, sched: &mut Scheduler<'_, Event>) {
-        #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
+        #[allow(clippy::let_unit_value, reason = "unit Stamp without `timing`")]
         let round_started = dgsched_obs::stamp();
         let now = sched.now();
         let threshold = self.effective_threshold(now);
@@ -192,7 +192,7 @@ impl Driver<'_, '_> {
         is_replication: bool,
         sched: &mut Scheduler<'_, Event>,
     ) {
-        #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
+        #[allow(clippy::let_unit_value, reason = "unit Stamp without `timing`")]
         let launch_started = dgsched_obs::stamp();
         let now = sched.now();
         self.observer

@@ -20,7 +20,10 @@ pub use dgsched_obs::{TraceEvent, TraceRecorder, TraceRing};
 ///
 /// All methods default to no-ops so observers implement only what they
 /// need.
-#[allow(unused_variables)]
+#[allow(
+    unused_variables,
+    reason = "the default no-op bodies ignore their arguments; implementors keep the names"
+)]
 pub trait SimObserver {
     /// A replica of `(bag, task)` was dispatched on `machine`;
     /// `is_replication` is true when the task already had a running

@@ -204,7 +204,7 @@ impl<E> Engine<E> {
             if self.processed >= self.event_limit {
                 return RunOutcome::EventLimit;
             }
-            #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
+            #[allow(clippy::let_unit_value, reason = "unit Stamp without `timing`")]
             let t = stamp();
             let popped = self.queue.pop();
             self.pop_span.record(t);
@@ -254,7 +254,7 @@ impl<E> Engine<E> {
             if self.queue.peek_time().is_some_and(|t| t >= until) {
                 return None;
             }
-            #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
+            #[allow(clippy::let_unit_value, reason = "unit Stamp without `timing`")]
             let t = stamp();
             let popped = self.queue.pop();
             self.pop_span.record(t);

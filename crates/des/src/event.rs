@@ -3,7 +3,7 @@
 /// Opaque handle identifying a scheduled event, usable for cancellation.
 ///
 /// Handles are unique for the lifetime of a queue; they are never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(pub(crate) u64);
 
 impl EventId {

@@ -364,8 +364,7 @@ impl<E> PendingEvents<E> for BinaryHeapQueue<E> {
 pub struct BTreeQueue<E> {
     map: BTreeMap<(u64, u64), (SimTime, E)>,
     /// id → key, so `cancel` can find the entry.
-    // dgsched-analyze: allow(unordered-iter) -- id→key lookup table probed by event id; iteration order can't reach results (pop order comes from the BTreeMap)
-    index: std::collections::HashMap<u64, (u64, u64)>,
+    index: BTreeMap<u64, (u64, u64)>,
     next_id: u64,
 }
 
@@ -380,8 +379,7 @@ impl<E> BTreeQueue<E> {
     pub fn new() -> Self {
         BTreeQueue {
             map: BTreeMap::new(),
-            // dgsched-analyze: allow(unordered-iter) -- constructor for the lookup table annotated above
-            index: std::collections::HashMap::new(),
+            index: BTreeMap::new(),
             next_id: 0,
         }
     }

@@ -73,10 +73,13 @@ impl Eq for SimTime {}
 
 impl Ord for SimTime {
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SimTime::new rejects NaN only under debug_assert!, so a release \
+                  build can carry one; the expect() then turns it into a loud \
+                  panic instead of a silent reorder"
+    )]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Values are never NaN (enforced at construction), so partial_cmp
-        // always succeeds.
-        // dgsched-analyze: allow(float-ord) -- SimTime::new rejects NaN, and the expect() turns any future leak into a loud panic instead of a silent reorder
         self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
     }
 }

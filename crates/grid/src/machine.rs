@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Identifies a machine within one grid (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MachineId(pub u32);
 
 impl MachineId {

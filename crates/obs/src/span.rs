@@ -95,10 +95,10 @@ mod tests {
         let mut prof = Profiler::new();
         let round = prof.span("scheduler_round");
         let dispatch = prof.span("dispatch");
-        #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
+        #[allow(clippy::let_unit_value, reason = "unit Stamp without `timing`")]
         let t = stamp();
         prof.record(dispatch, t);
-        #[allow(clippy::let_unit_value)] // unit Stamp without `timing`
+        #[allow(clippy::let_unit_value, reason = "unit Stamp without `timing`")]
         let t = stamp();
         prof.record(round, t);
         prof.absorb("engine_pop", SpanTimes::default());

@@ -5,7 +5,7 @@ use dgsched_des::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Identifies a bag within one workload (dense, in arrival order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BotId(pub u32);
 
 impl BotId {
@@ -13,6 +13,20 @@ impl BotId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// Arrival order: compares the raw ids. Written by hand because a derived
+/// `PartialOrd` calls the `partial_cmp` that `clippy.toml` disallows.
+impl Ord for BotId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for BotId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -61,12 +75,12 @@ impl BagOfTasks {
             if t.id.index() != i {
                 return Err(format!("{}: task id {} at position {i}", self.id, t.id));
             }
-            // `!(work > 0.0)` is true for zero, negatives AND NaN — the
-            // old `partial_cmp != Greater` spelling hid the NaN case in
-            // a comparison that silently returned None. The negation is
-            // the point: clippy's preferred `partial_cmp` spelling is
-            // exactly the NaN-swallowing form this replaces.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            #[allow(
+                clippy::neg_cmp_op_on_partial_ord,
+                reason = "`!(work > 0.0)` is true for zero, negatives AND NaN; clippy's \
+                          preferred `partial_cmp` spelling is exactly the NaN-swallowing \
+                          form this replaces"
+            )]
             if !(t.work > 0.0) {
                 let why = if t.work.is_nan() {
                     "NaN work (rejected: NaN would poison every turnaround statistic)"

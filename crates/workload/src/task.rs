@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Identifies a task *within its bag* (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TaskId(pub u32);
 
 impl TaskId {

@@ -10,12 +10,42 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> determinism lint gate: dgsched-analyze"
-# Walks crates/**/*.rs and fails on any unannotated result-path
-# determinism violation (unordered iteration, wall-clock reads, NaN-lossy
-# float ordering, thread identity). Suppressions must carry a written
-# reason; the lint's fixture battery runs inside `cargo test` above.
-cargo run --release -q -p dgsched-analyze -- lint
+echo "==> determinism lint gate: clippy.toml rules over shipping code"
+# clippy.toml disallows unordered containers, wall-clock reads, NaN-lossy
+# float ordering and thread identity. This pass lints shipping code only
+# (no tests, benches, examples or #[cfg(test)]); an exception is an
+# #[expect(clippy::disallowed_..., reason = "...")] at the site, and a
+# stale one fails the build. The workspace lint table denies any #[allow]
+# without a reason.
+cargo clippy --workspace --lib --bins -- -D warnings
+
+echo "==> lint canary: every clippy.toml rule still fires"
+# A clippy.toml path that does not resolve only prints a warning, which
+# -D warnings does not raise, and a path naming the wrong item (say
+# f64::partial_cmp) matches nothing without a word: either way a rule is
+# off while the gate above stays green.
+# scripts/lint_canary.rs holds one violation of each rule, one #[allow]
+# without a reason and one stale #[expect]: all 8 diagnostics must appear.
+canary_out="$(mktemp -d)"
+CLIPPY_CONF_DIR=. clippy-driver --edition 2021 --crate-type lib --emit=metadata \
+  --out-dir "$canary_out" -W clippy::allow_attributes_without_reason \
+  scripts/lint_canary.rs 2> "$canary_out/diagnostics"
+for diag in \
+  'use of a disallowed type `std::collections::HashMap`' \
+  'use of a disallowed type `std::collections::HashSet`' \
+  'use of a disallowed type `std::time::SystemTime`' \
+  'use of a disallowed method `std::time::Instant::now`' \
+  'use of a disallowed method `std::thread::current`' \
+  'use of a disallowed method `core::cmp::PartialOrd::partial_cmp`' \
+  '`allow` attribute without specifying a reason' \
+  'this lint expectation is unfulfilled'; do
+  if ! grep -qxF "warning: $diag" "$canary_out/diagnostics"; then
+    echo "lint canary: no \"$diag\" diagnostic" >&2
+    cat "$canary_out/diagnostics" >&2
+    exit 1
+  fi
+done
+rm -rf "$canary_out"
 
 echo "==> parallel-determinism gate: threads forced to 1, 2 and 4, and default"
 # The test compares run_matrix JSON across pool widths in-process; running
@@ -150,14 +180,21 @@ echo "==> benchmark gate: the benchmark package's unit tests and --check"
 # gate the benchmark checks fails here instead of in a later comparison.
 cargo test -q --offline --manifest-path crates/bench/benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path crates/bench/benchmark/Cargo.toml -- --check
+# The benchmark measures wall time by design, so only Instant::now is
+# let through; the root clippy.toml's other rules still apply.
+cargo clippy --offline --manifest-path crates/bench/benchmark/Cargo.toml --all-targets \
+  -- -D warnings -A clippy::disallowed_methods
 # The benchmark builds without --locked, so a workspace dependency change
 # can silently rewrite its tracked Cargo.lock: fail on any unstaged drift.
 git diff --exit-code -- crates/bench/benchmark BENCHMARK.json
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # --all-targets lints tests, examples and criterion benches too; nothing
-# else in this script builds crates/bench/benches.
-cargo clippy --workspace --all-targets -- -D warnings
+# else in this script builds crates/bench/benches. The clippy.toml rules
+# bind shipping code only (the determinism lint gate above), so they are
+# allowed here.
+cargo clippy --workspace --all-targets -- -D warnings \
+  -A clippy::disallowed_methods -A clippy::disallowed_types
 
 echo "==> cargo clippy -p dgsched-obs --features timing -- -D warnings"
 cargo clippy -p dgsched-obs --features timing -- -D warnings
@@ -168,7 +205,7 @@ cargo clippy -p dgsched-core --features lockcheck -- -D warnings
 echo "==> docs gate: rustdoc -D warnings on every library crate"
 # Public docs must not link to private items (the link renders dead) or
 # to names that do not resolve.
-for crate in des grid workload obs oracle core analyze; do
+for crate in des grid workload obs oracle core; do
   RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p "dgsched-$crate"
 done
 

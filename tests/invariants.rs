@@ -1,149 +1,17 @@
-//! Scheduler invariants enforced over full traces via the observer hooks:
-//! machines are never double-booked or used while down, replica counts
-//! respect the threshold, FCFS-Excl really is exclusive, checkpoints are
-//! monotone, and traces are deterministic.
+//! Scheduler invariants enforced over full traces by the library's
+//! `CheckingObserver`: machines are never double-booked or used while
+//! down, replica counts respect the threshold, FCFS-Excl really is
+//! exclusive, kills and completions match occupants, checkpoints are
+//! non-trivial, and traces are deterministic.
 
 use dgsched_core::policy::PolicyKind;
-use dgsched_core::sim::{
-    simulate_observed, CheckingObserver, SimConfig, SimObserver, TraceRecorder,
-};
-use dgsched_des::time::SimTime;
-use dgsched_grid::{Availability, GridConfig, Heterogeneity, MachineId};
-use dgsched_workload::{BotId, BotType, Intensity, TaskId, WorkloadSpec};
+use dgsched_core::sim::{simulate_observed, CheckingObserver, SimConfig, TraceRecorder};
+use dgsched_grid::{Availability, GridConfig, Heterogeneity};
+use dgsched_workload::{BotType, Intensity, WorkloadSpec};
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
 
-/// Shadows the simulator's state from observer callbacks alone and panics
-/// on any inconsistency.
-#[derive(Default)]
-struct InvariantObserver {
-    /// The policy's replication threshold (`None` = unlimited, FCFS-Excl).
-    threshold: Option<u32>,
-    /// Whether dispatches must always target the oldest active bag.
-    exclusive: bool,
-    machine_busy: HashMap<u32, (u32, u32)>,
-    machine_down: HashSet<u32>,
-    replica_counts: HashMap<(u32, u32), u32>,
-    active_bags: Vec<u32>,
-    completed_tasks: HashSet<(u32, u32)>,
-    checkpoint_progress: HashMap<(u32, u32), f64>,
-    dispatches: u64,
-}
-
-impl SimObserver for InvariantObserver {
-    fn on_bag_arrival(&mut self, _now: SimTime, bag: BotId) {
-        self.active_bags.push(bag.0);
-    }
-
-    fn on_bag_complete(&mut self, _now: SimTime, bag: BotId) {
-        self.active_bags.retain(|&b| b != bag.0);
-    }
-
-    fn on_dispatch(
-        &mut self,
-        _now: SimTime,
-        bag: BotId,
-        task: TaskId,
-        machine: MachineId,
-        _is_replication: bool,
-    ) {
-        self.dispatches += 1;
-        assert!(
-            !self.machine_busy.contains_key(&machine.0),
-            "machine {machine} double-booked"
-        );
-        assert!(
-            !self.machine_down.contains(&machine.0),
-            "dispatch onto failed machine {machine}"
-        );
-        assert!(
-            !self.completed_tasks.contains(&(bag.0, task.0)),
-            "dispatch of a completed task {bag}/{task}"
-        );
-        if self.exclusive {
-            assert_eq!(
-                Some(bag.0),
-                self.active_bags.first().copied(),
-                "FCFS-Excl dispatched a bag that is not the oldest"
-            );
-        }
-        let count = self.replica_counts.entry((bag.0, task.0)).or_insert(0);
-        *count += 1;
-        if let Some(thr) = self.threshold {
-            assert!(
-                *count <= thr,
-                "task {bag}/{task} exceeded threshold: {count}"
-            );
-        }
-        self.machine_busy.insert(machine.0, (bag.0, task.0));
-    }
-
-    fn on_task_complete(&mut self, _now: SimTime, bag: BotId, task: TaskId, machine: MachineId) {
-        let occupant = self.machine_busy.remove(&machine.0);
-        assert_eq!(
-            occupant,
-            Some((bag.0, task.0)),
-            "completion from wrong machine"
-        );
-        let count = self
-            .replica_counts
-            .get_mut(&(bag.0, task.0))
-            .expect("counted");
-        *count -= 1;
-        assert!(
-            self.completed_tasks.insert((bag.0, task.0)),
-            "task {bag}/{task} completed twice"
-        );
-    }
-
-    fn on_replica_killed(
-        &mut self,
-        _now: SimTime,
-        bag: BotId,
-        task: TaskId,
-        machine: MachineId,
-        _by_failure: bool,
-    ) {
-        let occupant = self.machine_busy.remove(&machine.0);
-        assert_eq!(occupant, Some((bag.0, task.0)), "kill of wrong occupant");
-        let count = self
-            .replica_counts
-            .get_mut(&(bag.0, task.0))
-            .expect("counted");
-        *count -= 1;
-    }
-
-    fn on_machine_fail(&mut self, _now: SimTime, machine: MachineId) {
-        assert!(
-            self.machine_down.insert(machine.0),
-            "double failure of {machine}"
-        );
-    }
-
-    fn on_machine_repair(&mut self, _now: SimTime, machine: MachineId) {
-        assert!(
-            self.machine_down.remove(&machine.0),
-            "repair of healthy {machine}"
-        );
-        assert!(
-            !self.machine_busy.contains_key(&machine.0),
-            "machine {machine} repaired while still booked"
-        );
-    }
-
-    fn on_checkpoint_saved(&mut self, _now: SimTime, bag: BotId, task: TaskId, work: f64) {
-        let prev = self
-            .checkpoint_progress
-            .entry((bag.0, task.0))
-            .or_insert(0.0);
-        // Per-replica progress is monotone; across replicas the server keeps
-        // the max, so the observed stream may dip but must stay positive.
-        assert!(work > 0.0, "empty checkpoint for {bag}/{task}");
-        *prev = prev.max(work);
-    }
-}
-
-fn run_with_invariants(policy: PolicyKind, threshold: u32, seed: u64) -> InvariantObserver {
+/// Runs `policy` under the checker and fails on any invariant violation.
+fn run_with_invariants(policy: PolicyKind, threshold: u32, seed: u64) -> CheckingObserver {
     let grid_cfg = GridConfig::paper(Heterogeneity::HET, Availability::LOW);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let grid = grid_cfg.build(&mut rng);
@@ -157,10 +25,10 @@ fn run_with_invariants(policy: PolicyKind, threshold: u32, seed: u64) -> Invaria
         count: 8,
     }
     .generate(&grid_cfg, &mut rng);
-    let mut obs = InvariantObserver {
-        threshold: (policy != PolicyKind::FcfsExcl).then_some(threshold),
-        exclusive: policy == PolicyKind::FcfsExcl,
-        ..Default::default()
+    let mut obs = if policy == PolicyKind::FcfsExcl {
+        CheckingObserver::exclusive()
+    } else {
+        CheckingObserver::with_threshold(threshold)
     };
     let cfg = SimConfig {
         replication_threshold: threshold,
@@ -171,6 +39,7 @@ fn run_with_invariants(policy: PolicyKind, threshold: u32, seed: u64) -> Invaria
         r.completed, 8,
         "{policy} must complete under invariant checking"
     );
+    obs.assert_clean();
     assert_eq!(
         r.counters.replicas_launched, obs.dispatches,
         "observer saw every dispatch"
@@ -182,15 +51,7 @@ fn run_with_invariants(policy: PolicyKind, threshold: u32, seed: u64) -> Invaria
 fn invariants_hold_for_all_policies() {
     for policy in PolicyKind::all_with_baselines() {
         for seed in [1, 2] {
-            let obs = run_with_invariants(policy, 2, seed);
-            assert!(
-                obs.machine_busy.is_empty(),
-                "{policy}: machines left booked at drain"
-            );
-            assert!(
-                obs.active_bags.is_empty(),
-                "{policy}: bags left active at drain"
-            );
+            run_with_invariants(policy, 2, seed).assert_drained();
         }
     }
 }
@@ -203,9 +64,7 @@ fn invariants_hold_for_higher_thresholds() {
     }
 }
 
-/// The library's own `CheckingObserver` (the productised version of the
-/// shadow state above) must agree that every policy is clean — including
-/// on a failure-heavy platform with extra thresholds.
+/// Every policy stays clean on a second, busier failure-heavy platform.
 #[test]
 fn library_checker_agrees() {
     let grid_cfg = GridConfig::paper(Heterogeneity::HET, Availability::LOW);
