@@ -165,18 +165,6 @@ impl RunResult {
             self.counters.killed_occupancy / self.counters.busy_time
         }
     }
-
-    /// Mean machine occupancy over the run: busy machine-seconds divided by
-    /// available machine-seconds (machine count × run length). Includes
-    /// replica waste — this is occupancy, not useful utilization.
-    pub fn mean_occupancy(&self) -> f64 {
-        let denom = self.machines.len() as f64 * self.end_time;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            self.counters.busy_time / denom
-        }
-    }
 }
 
 /// A [`SimObserver`] that folds the callback stream into a

@@ -127,11 +127,6 @@ impl BagRt {
         self.running_replicas > 0
     }
 
-    /// Number of tasks waiting to be dispatched.
-    pub fn pending_tasks(&self) -> usize {
-        self.pending_restarts.len() + self.pending_fresh.len()
-    }
-
     /// Pops the next pending task: restarts first, then fresh arrivals.
     pub fn pop_pending(&mut self) -> Option<TaskId> {
         if let Some(t) = self.pending_restarts.pop_front() {
@@ -348,7 +343,6 @@ mod tests {
         let b = bag3();
         assert_eq!(b.total_tasks(), 3);
         assert!(b.has_pending());
-        assert_eq!(b.pending_tasks(), 3);
         assert!(!b.has_running());
         assert!(!b.is_complete());
         assert_eq!(b.tasks[2].ckpt_key, 2);

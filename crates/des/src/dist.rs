@@ -277,6 +277,22 @@ mod tests {
                 cfg.mean()
             );
         }
+        // The up-time sampler's shape, not only its mean: the coefficient
+        // of variation of Weibull(k) is sqrt(Γ(1 + 2/k) / Γ(1 + 1/k)² − 1),
+        // about 1.46 at k = 0.7 (1.26 at k = 0.8, 1.76 at k = 0.6).
+        let k = 0.7;
+        let s = DistConfig::weibull_with_mean(k, 5400.0).sampler();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let mut w = crate::stats::Welford::new();
+        for _ in 0..200_000 {
+            w.push(s.sample(&mut rng));
+        }
+        let cv = w.std_dev() / w.mean();
+        let analytic = (gamma(1.0 + 2.0 / k) / gamma(1.0 + 1.0 / k).powi(2) - 1.0).sqrt();
+        assert!(
+            (cv - analytic).abs() / analytic < 0.03,
+            "Weibull({k}) CV: empirical {cv} vs analytic {analytic}"
+        );
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl<E> Scheduler<'_, E> {
         self.ops.cancelled += u64::from(hit);
         hit
     }
-
-    /// Number of live pending events.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// Outcome of handling one event: continue or stop the run early.

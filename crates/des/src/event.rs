@@ -9,9 +9,4 @@ pub struct EventId(pub(crate) u64);
 impl EventId {
     /// A handle that no queue will ever issue; useful as a sentinel.
     pub const NONE: EventId = EventId(u64::MAX);
-
-    /// Raw value, for diagnostics.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }

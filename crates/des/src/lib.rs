@@ -46,7 +46,3 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-
-pub use engine::{Control, Engine, Handler, QueueOps, RunOutcome, Scheduler};
-pub use event::EventId;
-pub use time::SimTime;

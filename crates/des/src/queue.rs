@@ -598,7 +598,7 @@ mod tests {
         // Cancel all but every 16th event, in a scattered order.
         for k in 0..ids.len() {
             let id = ids[(k * 7919) % ids.len()];
-            if id.raw() % 16 != 0 {
+            if id.0 % 16 != 0 {
                 assert!(q.cancel(id));
             }
             assert!(

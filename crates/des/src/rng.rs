@@ -45,11 +45,6 @@ impl StreamSeeder {
         StreamSeeder { master }
     }
 
-    /// The master seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// Derives the 64-bit seed of the stream `label`/`index`.
     pub fn stream_seed(&self, label: &str, index: u64) -> u64 {
         let mixed = splitmix64(self.master ^ fnv1a(label));

@@ -263,11 +263,6 @@ impl ConfidenceInterval {
             self.half_width / self.mean.abs()
         }
     }
-
-    /// Interval bounds `(lo, hi)`.
-    pub fn bounds(&self) -> (f64, f64) {
-        (self.mean - self.half_width, self.mean + self.half_width)
-    }
 }
 
 /// Sequential stopping rule: keep adding replications until the CI is tight.
@@ -403,8 +398,6 @@ mod tests {
             "hw={}",
             ci.half_width
         );
-        let (lo, hi) = ci.bounds();
-        assert!(lo < 10.4 && hi > 10.4);
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl Welford {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
 }
 
 impl std::iter::FromIterator<f64> for Welford {
@@ -197,7 +192,6 @@ mod tests {
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(w.min(), 2.0);
         assert_eq!(w.max(), 9.0);
-        assert!((w.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]

@@ -153,29 +153,33 @@ impl UpDownSampler {
         }
         failures
     }
-
-    /// Simulates the renewal process for `horizon` seconds and returns the
-    /// fraction of time spent up — used by calibration tests.
-    pub fn empirical_availability<R: Rng + ?Sized>(&self, horizon: f64, rng: &mut R) -> f64 {
-        let mut t = 0.0;
-        let mut up_time = 0.0;
-        while t < horizon {
-            let up = self.next_up(rng).min(horizon - t);
-            up_time += up;
-            t += up;
-            if t >= horizon {
-                break;
-            }
-            t += self.next_down(rng);
-        }
-        up_time / horizon
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Walks the renewal process for `horizon` seconds and returns the
+    /// fraction of time spent up.
+    fn empirical_availability<R: Rng + ?Sized>(
+        s: &UpDownSampler,
+        horizon: f64,
+        rng: &mut R,
+    ) -> f64 {
+        let mut t = 0.0;
+        let mut up_time = 0.0;
+        while t < horizon {
+            let up = s.next_up(rng).min(horizon - t);
+            up_time += up;
+            t += up;
+            if t >= horizon {
+                break;
+            }
+            t += s.next_down(rng);
+        }
+        up_time / horizon
+    }
 
     #[test]
     fn preset_long_run_values() {
@@ -204,7 +208,7 @@ mod tests {
             let s = level.sampler().unwrap();
             let mut rng = rand::rngs::StdRng::seed_from_u64(11);
             // Long horizon: renewal-reward converges slowly for shape 0.7.
-            let a = s.empirical_availability(3e8, &mut rng);
+            let a = empirical_availability(&s, 3e8, &mut rng);
             assert!((a - target).abs() < 0.02, "target {target}: empirical {a}");
         }
     }

@@ -184,25 +184,6 @@ impl Grid {
     pub fn is_empty(&self) -> bool {
         self.machines.is_empty()
     }
-
-    /// Sum of machine powers actually materialised.
-    pub fn nominal_power(&self) -> f64 {
-        self.machines.iter().map(|m| m.power).sum()
-    }
-
-    /// Mean machine power.
-    pub fn mean_power(&self) -> f64 {
-        if self.machines.is_empty() {
-            0.0
-        } else {
-            self.nominal_power() / self.machines.len() as f64
-        }
-    }
-
-    /// A machine by id.
-    pub fn machine(&self, id: MachineId) -> &Machine {
-        &self.machines[id.index()]
-    }
 }
 
 #[cfg(test)]
@@ -234,9 +215,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let grid = cfg.build(&mut rng);
         assert_eq!(grid.len(), 100);
-        assert_eq!(grid.nominal_power(), 1000.0);
-        assert_eq!(grid.mean_power(), 10.0);
-        assert_eq!(grid.machine(MachineId(42)).power, 10.0);
+        let total: f64 = grid.machines.iter().map(|m| m.power).sum();
+        assert_eq!(total, 1000.0);
+        assert!(grid.machines.iter().all(|m| m.power == 10.0));
     }
 
     #[test]

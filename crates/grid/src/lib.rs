@@ -4,7 +4,7 @@
 //! owned machines of heterogeneous power that fail and recover without
 //! notice, plus the checkpoint server the WQR-FT scheduler relies on.
 //!
-//! * [`machine`] — machine descriptions (power, work/wall conversions);
+//! * [`machine`] — machine descriptions (id, relative power);
 //! * [`power`] — heterogeneity presets (`Hom`, `Het`) and the
 //!   fill-to-total-power construction;
 //! * [`availability`] — the alternating Weibull/Normal renewal process and
@@ -36,12 +36,10 @@ pub mod config;
 pub mod machine;
 pub mod outage;
 pub mod power;
-pub mod trace;
 
 pub use availability::Availability;
-pub use checkpoint::{CheckpointConfig, CheckpointStore};
+pub use checkpoint::CheckpointConfig;
 pub use config::{Grid, GridConfig};
-pub use machine::{Machine, MachineId};
+pub use machine::MachineId;
 pub use outage::OutageConfig;
-pub use power::{generate_class_powers, Heterogeneity};
-pub use trace::AvailabilityTrace;
+pub use power::Heterogeneity;

@@ -38,44 +38,9 @@ pub struct Machine {
     pub power: f64,
 }
 
-impl Machine {
-    /// Wall-clock seconds this machine needs for `work` reference-seconds.
-    #[inline]
-    pub fn wall_time_for(&self, work: f64) -> f64 {
-        work / self.power
-    }
-
-    /// Reference-seconds of work done in `wall` seconds on this machine.
-    #[inline]
-    pub fn work_done_in(&self, wall: f64) -> f64 {
-        wall * self.power
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn power_scales_wall_time() {
-        let m = Machine {
-            id: MachineId(0),
-            power: 10.0,
-        };
-        assert_eq!(m.wall_time_for(1000.0), 100.0);
-        assert_eq!(m.work_done_in(100.0), 1000.0);
-    }
-
-    #[test]
-    fn work_wall_round_trip() {
-        let m = Machine {
-            id: MachineId(3),
-            power: 2.3,
-        };
-        let work = 5417.0;
-        let back = m.work_done_in(m.wall_time_for(work));
-        assert!((back - work).abs() < 1e-9);
-    }
 
     #[test]
     fn id_display_and_index() {

@@ -24,23 +24,6 @@ pub struct OutageConfig {
 }
 
 impl OutageConfig {
-    /// A work-hours reclaim pattern: roughly once a day, `fraction` of the
-    /// machines disappear for a working day of 8 hours (owners reclaim
-    /// their desktops). The gap is exponential with a one-day mean rather
-    /// than strictly periodic — a standard memoryless approximation.
-    pub fn workday(fraction: f64) -> Self {
-        const EIGHT_HOURS: f64 = 8.0 * 3600.0;
-        const DAY: f64 = 24.0 * 3600.0;
-        OutageConfig {
-            mtbo: DAY - EIGHT_HOURS,
-            duration: DistConfig::NormalTrunc {
-                mean: EIGHT_HOURS,
-                sd: 1_800.0,
-            },
-            fraction,
-        }
-    }
-
     /// Validates parameters.
     pub fn validate(&self) -> Result<(), String> {
         // `mtbo <= 0.0` alone lets NaN through (every comparison with NaN
@@ -148,16 +131,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn workday_preset_loses_a_third_of_daytime_capacity() {
-        let w = OutageConfig::workday(1.0);
-        assert!(w.validate().is_ok());
-        // 8h lost per ~24h cycle ⇒ unavailability = 8/24 = 1/3.
-        assert!((w.unavailability() - 1.0 / 3.0).abs() < 1e-9);
-        let half = OutageConfig::workday(0.5);
-        assert!((half.unavailability() - 1.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]

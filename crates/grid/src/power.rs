@@ -34,42 +34,6 @@ pub enum Heterogeneity {
     },
 }
 
-/// Generates machine powers for a discrete fleet: machines come in a few
-/// hardware classes, each `(power, weight)`, drawn with probability
-/// proportional to weight until the total power target is reached. Models
-/// real desktop fleets (sites buy machines in batches) better than a
-/// uniform spread; pair with [`crate::config::Grid`] by building the
-/// machine list directly.
-pub fn generate_class_powers<R: Rng + ?Sized>(
-    classes: &[(f64, f64)],
-    total_power: f64,
-    rng: &mut R,
-) -> Vec<f64> {
-    assert!(!classes.is_empty(), "need at least one machine class");
-    assert!(
-        classes.iter().all(|&(p, w)| p > 0.0 && w > 0.0),
-        "class powers and weights must be positive"
-    );
-    assert!(total_power > 0.0, "total power must be positive");
-    let weight_sum: f64 = classes.iter().map(|c| c.1).sum();
-    let mut powers = Vec::new();
-    let mut sum = 0.0;
-    while sum < total_power {
-        let mut x = rng.gen_range(0.0..weight_sum);
-        let mut chosen = classes[classes.len() - 1].0;
-        for &(p, w) in classes {
-            if x < w {
-                chosen = p;
-                break;
-            }
-            x -= w;
-        }
-        powers.push(chosen);
-        sum += chosen;
-    }
-    powers
-}
-
 impl Heterogeneity {
     /// The paper's `Hom` level: every machine has power 10.
     pub const HOM: Heterogeneity = Heterogeneity::Homogeneous { power: 10.0 };
@@ -158,30 +122,6 @@ mod tests {
         let powers = het.generate_powers(100.0, &mut rng);
         assert_eq!(powers.len(), 4);
         assert_eq!(het.mean_power(), 25.0);
-    }
-
-    #[test]
-    fn class_fleet_draws_only_listed_powers() {
-        let classes = [(5.0, 1.0), (10.0, 2.0), (20.0, 1.0)];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let powers = generate_class_powers(&classes, 2_000.0, &mut rng);
-        assert!(powers.iter().all(|p| [5.0, 10.0, 20.0].contains(p)));
-        let sum: f64 = powers.iter().sum();
-        assert!((2_000.0..2_020.0).contains(&sum));
-        // The weight-2 class should dominate the draw.
-        let tens = powers.iter().filter(|&&p| p == 10.0).count();
-        assert!(
-            tens as f64 / powers.len() as f64 > 0.35,
-            "weighted class underrepresented: {tens}/{}",
-            powers.len()
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn class_fleet_rejects_empty() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let _ = generate_class_powers(&[], 100.0, &mut rng);
     }
 
     #[test]

@@ -81,32 +81,16 @@ impl MetricsRegistry {
         self.counters[id.0].1 += n;
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
     /// Sets a gauge.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
         self.gauges[id.0].1 = value;
     }
 
-    /// Steps a time-weighted series to `value` at time `now`.
-    #[inline]
-    pub fn series_set(&mut self, id: SeriesId, now: SimTime, value: f64) {
-        self.series[id.0].1.set(now, value);
-    }
-
     /// Adds `delta` to a time-weighted series at time `now`.
     #[inline]
     pub fn series_add(&mut self, id: SeriesId, now: SimTime, delta: f64) {
         self.series[id.0].1.add(now, delta);
-    }
-
-    /// Current level of a time-weighted series.
-    pub fn series_value(&self, id: SeriesId) -> f64 {
-        self.series[id.0].1.current()
     }
 
     /// Freezes everything into a deterministic, serialisable snapshot.
@@ -206,8 +190,6 @@ mod tests {
         reg.set_gauge(g, 0.75);
         reg.series_add(s, SimTime::new(2.0), 3.0); // 3 busy from t=2
         reg.series_add(s, SimTime::new(6.0), -1.0); // 2 busy from t=6
-        assert_eq!(reg.counter_value(c), 3);
-        assert_eq!(reg.series_value(s), 2.0);
 
         let snap = reg.snapshot(SimTime::new(10.0));
         assert_eq!(snap.counters["dispatches"], 3);

@@ -75,11 +75,6 @@ impl TraceRing {
         self.buf.push_back(event);
     }
 
-    /// Events currently held, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
     /// Copies the surviving window into a vector, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.buf.iter().cloned().collect()
@@ -95,11 +90,6 @@ impl TraceRing {
         self.buf.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events evicted because the ring was full. Zero means the ring saw
     /// the complete run.
     pub fn dropped(&self) -> u64 {
@@ -109,14 +99,6 @@ impl TraceRing {
     /// True when at least one event was evicted.
     pub fn truncated(&self) -> bool {
         self.dropped > 0
-    }
-
-    /// Converts the surviving window into a [`TraceRecorder`] (for code
-    /// that consumes the recorder shape, e.g. Gantt rendering).
-    pub fn to_recorder(&self) -> TraceRecorder {
-        TraceRecorder {
-            events: self.events(),
-        }
     }
 }
 
@@ -136,12 +118,10 @@ mod tests {
             ring.push(ev(i as f64));
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
         assert_eq!(ring.dropped(), 2);
         assert!(ring.truncated());
-        let ats: Vec<f64> = ring.iter().map(|e| e.at()).collect();
+        let ats: Vec<f64> = ring.events().iter().map(|e| e.at()).collect();
         assert_eq!(ats, vec![2.0, 3.0, 4.0]);
-        assert!(ring.to_recorder().is_time_ordered());
     }
 
     #[test]

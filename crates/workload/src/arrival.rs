@@ -1,4 +1,4 @@
-//! Arrival-rate derivation and the Poisson arrival process.
+//! Arrival-rate derivation and the arrival processes.
 //!
 //! §4.2 of the paper: arrivals are Poisson with rate λ chosen so that the
 //! grid operates at a target utilization `U`. With `D` the computing demand
@@ -30,11 +30,6 @@ impl Intensity {
             Intensity::Medium => 0.75,
             Intensity::High => 0.90,
         }
-    }
-
-    /// All three intensities, lightest first.
-    pub fn all() -> [Intensity; 3] {
-        [Intensity::Low, Intensity::Medium, Intensity::High]
     }
 }
 
@@ -252,11 +247,6 @@ pub struct ArrivalSampler {
 }
 
 impl ArrivalSampler {
-    /// Absolute time of the most recent arrival (0 before the first).
-    pub fn now(&self) -> f64 {
-        self.t
-    }
-
     /// Draws the next arrival instant (strictly increasing).
     pub fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let lambda = self.lambda;
@@ -311,48 +301,6 @@ impl ArrivalSampler {
     }
 }
 
-/// A Poisson arrival process: exponential inter-arrival times of rate λ.
-#[derive(Debug, Clone, Copy)]
-pub struct PoissonArrivals {
-    lambda: f64,
-}
-
-impl PoissonArrivals {
-    /// Creates a process with rate `lambda` (arrivals per second).
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda > 0.0, "arrival rate must be positive, got {lambda}");
-        PoissonArrivals { lambda }
-    }
-
-    /// The rate λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Mean inter-arrival time 1/λ.
-    pub fn mean_interarrival(&self) -> f64 {
-        1.0 / self.lambda
-    }
-
-    /// Draws the next inter-arrival gap.
-    pub fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Inverse-CDF sampling; `1 - U` avoids ln(0).
-        let u: f64 = rng.gen();
-        -(1.0 - u).ln() / self.lambda
-    }
-
-    /// Generates the first `n` arrival instants (monotone, starting after 0).
-    pub fn arrival_times<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
-        let mut t = 0.0;
-        (0..n)
-            .map(|_| {
-                t += self.next_gap(rng);
-                t
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +313,6 @@ mod tests {
         assert_eq!(Intensity::Low.utilization(), 0.50);
         assert_eq!(Intensity::Medium.utilization(), 0.75);
         assert_eq!(Intensity::High.utilization(), 0.90);
-        assert_eq!(Intensity::all().len(), 3);
         assert_eq!(Intensity::High.to_string(), "high");
     }
 
@@ -390,9 +337,8 @@ mod tests {
 
     #[test]
     fn empirical_rate_matches_lambda() {
-        let p = PoissonArrivals::new(0.01);
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let times = p.arrival_times(20_000, &mut rng);
+        let times = ArrivalModel::Poisson.arrival_times(0.01, 20_000, &mut rng);
         assert_eq!(times.len(), 20_000);
         assert!(
             times.windows(2).all(|w| w[1] > w[0]),
@@ -400,13 +346,6 @@ mod tests {
         );
         let rate = times.len() as f64 / times.last().unwrap();
         assert!((rate - 0.01).abs() / 0.01 < 0.03, "rate={rate}");
-    }
-
-    #[test]
-    fn mean_interarrival() {
-        let p = PoissonArrivals::new(0.25);
-        assert_eq!(p.mean_interarrival(), 4.0);
-        assert_eq!(p.lambda(), 0.25);
     }
 
     #[test]
@@ -430,15 +369,6 @@ mod tests {
                 "cv={cv}: empirical {emp_cv}"
             );
         }
-    }
-
-    #[test]
-    fn poisson_model_matches_struct() {
-        let mut a = rand::rngs::StdRng::seed_from_u64(7);
-        let mut b = rand::rngs::StdRng::seed_from_u64(7);
-        let from_model = ArrivalModel::Poisson.arrival_times(0.02, 50, &mut a);
-        let from_struct = PoissonArrivals::new(0.02).arrival_times(50, &mut b);
-        assert_eq!(from_model, from_struct);
     }
 
     #[test]

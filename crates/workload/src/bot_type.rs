@@ -80,17 +80,6 @@ impl BotType {
         Ok(())
     }
 
-    /// Draws one task's work.
-    pub fn sample_work<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.jitter == 0.0 {
-            self.granularity
-        } else {
-            let lo = self.granularity * (1.0 - self.jitter);
-            let hi = self.granularity * (1.0 + self.jitter);
-            rng.gen_range(lo..hi)
-        }
-    }
-
     /// Generates a bag's task list: tasks are appended until their work sums
     /// to the application size (§4.2's fill construction; the final task is
     /// kept even if it overshoots).
@@ -177,9 +166,8 @@ mod tests {
     fn work_within_jitter_band() {
         let ty = BotType::paper(1_000.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        for _ in 0..1000 {
-            let w = ty.sample_work(&mut rng);
-            assert!((500.0..1500.0).contains(&w), "work {w}");
+        for t in ty.generate_tasks(&mut rng) {
+            assert!((500.0..1500.0).contains(&t.work), "work {}", t.work);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Workload generation: combining BoT types, arrival processes and grids
 //! into the 12 workloads of §4.2 (and arbitrary custom ones).
 
-use crate::arrival::{bag_demand, lambda_for, ArrivalModel, Intensity, PoissonArrivals};
+use crate::arrival::{bag_demand, lambda_for, ArrivalModel, Intensity};
 use crate::bot::{BagOfTasks, BotId};
 use crate::bot_type::{fill_tasks, BotType};
 use crate::dist::{SizeModel, TaskJitter};
@@ -67,7 +67,6 @@ impl WorkloadSpec {
     ) -> Workload {
         self.validate().expect("invalid workload spec");
         let lambda = lambda_for(self.intensity, self.bot_type.app_size, grid);
-        let _ = PoissonArrivals::new(lambda); // validates λ > 0 uniformly
         let arrivals = model.arrival_times(lambda, self.count, rng);
         let bags = arrivals
             .into_iter()
@@ -84,22 +83,6 @@ impl WorkloadSpec {
             lambda,
             label: format!("g={} U={}", self.bot_type.granularity, self.intensity),
         }
-    }
-
-    /// The paper's 12 workloads (4 granularities × 3 intensities) with
-    /// `count` bags each.
-    pub fn paper_suite(count: usize) -> Vec<WorkloadSpec> {
-        let mut out = Vec::with_capacity(12);
-        for bot_type in BotType::paper_suite() {
-            for intensity in Intensity::all() {
-                out.push(WorkloadSpec {
-                    bot_type,
-                    intensity,
-                    count,
-                });
-            }
-        }
-        out
     }
 }
 
@@ -129,19 +112,6 @@ pub struct RealisticSpec {
 }
 
 impl RealisticSpec {
-    /// The paper's workload expressed in this vocabulary: fixed size,
-    /// uniform ±50 % jitter, Poisson arrivals.
-    pub fn paper(granularity: f64, intensity: Intensity, count: usize) -> Self {
-        RealisticSpec {
-            granularity,
-            size: SizeModel::paper(),
-            task_jitter: TaskJitter::paper(),
-            arrivals: ArrivalModel::Poisson,
-            intensity,
-            count,
-        }
-    }
-
     /// Checks every axis for NaN/∞/out-of-range parameters. Call on any
     /// spec read from JSON before generating.
     pub fn validate(&self) -> Result<(), String> {
@@ -261,17 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_suite_is_twelve() {
-        let suite = WorkloadSpec::paper_suite(10);
-        assert_eq!(suite.len(), 12);
-        assert!(suite.iter().all(|s| s.count == 10));
-        // 4 distinct granularities × 3 intensities
-        let mut gs: Vec<f64> = suite.iter().map(|s| s.bot_type.granularity).collect();
-        gs.dedup();
-        assert_eq!(gs.len(), 4 * 3 / 3);
-    }
-
-    #[test]
     fn deterministic_under_same_seed() {
         let spec = WorkloadSpec {
             bot_type: BotType::paper(1_000.0),
@@ -331,7 +290,16 @@ mod tests {
 
     #[test]
     fn realistic_paper_corner_matches_workload_spec_lambda() {
-        let realistic = RealisticSpec::paper(25_000.0, Intensity::High, 5);
+        // The paper's workload in this vocabulary: fixed size, uniform
+        // ±50 % jitter, Poisson arrivals.
+        let realistic = RealisticSpec {
+            granularity: 25_000.0,
+            size: SizeModel::paper(),
+            task_jitter: TaskJitter::paper(),
+            arrivals: ArrivalModel::Poisson,
+            intensity: Intensity::High,
+            count: 5,
+        };
         let classic = WorkloadSpec {
             bot_type: BotType::paper(25_000.0),
             intensity: Intensity::High,

@@ -42,21 +42,17 @@ pub mod bot;
 pub mod bot_type;
 pub mod dist;
 pub mod generator;
-pub mod import;
 pub mod mix;
 pub mod summary;
 pub mod task;
 pub mod workload;
 
-pub use arrival::{
-    bag_demand, lambda_for, ArrivalModel, ArrivalSampler, Intensity, PoissonArrivals,
-};
+pub use arrival::{bag_demand, ArrivalModel, Intensity};
 pub use bot::{BagOfTasks, BotId};
-pub use bot_type::{fill_tasks, BotType, PAPER_APP_SIZE, PAPER_GRANULARITIES};
+pub use bot_type::{BotType, PAPER_APP_SIZE, PAPER_GRANULARITIES};
 pub use dist::{SizeModel, TaskJitter};
 pub use generator::{RealisticSpec, WorkloadSpec, MAX_EXPECTED_TASKS};
-pub use import::{export_tasks, import_bags, import_tasks, ImportError};
-pub use mix::{MixComponent, MixSpec};
+pub use mix::MixSpec;
 pub use summary::WorkloadSummary;
 pub use task::{TaskId, TaskSpec};
 pub use workload::Workload;

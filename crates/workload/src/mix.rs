@@ -105,21 +105,10 @@ impl MixSpec {
     /// Generates the mixed workload for a grid with the paper's Poisson
     /// arrivals.
     pub fn generate<R: Rng + ?Sized>(&self, grid: &GridConfig, rng: &mut R) -> Workload {
-        self.generate_with(ArrivalModel::Poisson, grid, rng)
-    }
-
-    /// [`MixSpec::generate`] with an explicit arrival model (bursty or
-    /// diurnal submission at the same mean rate).
-    pub fn generate_with<R: Rng + ?Sized>(
-        &self,
-        model: ArrivalModel,
-        grid: &GridConfig,
-        rng: &mut R,
-    ) -> Workload {
         self.validate().expect("invalid mixture");
         let demand = bag_demand(self.mean_app_size(), grid);
         let lambda = self.intensity.utilization() / demand;
-        let arrivals = model.arrival_times(lambda, self.count, rng);
+        let arrivals = ArrivalModel::Poisson.arrival_times(lambda, self.count, rng);
         let bags = arrivals
             .into_iter()
             .enumerate()

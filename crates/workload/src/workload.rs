@@ -53,22 +53,6 @@ impl Workload {
         Ok(w)
     }
 
-    /// Merges two submission streams into one (multi-tenant studies: two
-    /// user communities submitting concurrently). Bags are interleaved by
-    /// arrival time and renumbered; λ adds.
-    pub fn merge(a: &Workload, b: &Workload) -> Workload {
-        let mut bags: Vec<BagOfTasks> = a.bags.iter().chain(&b.bags).cloned().collect();
-        bags.sort_by_key(|x| x.arrival);
-        for (i, bag) in bags.iter_mut().enumerate() {
-            bag.id = crate::bot::BotId(i as u32);
-        }
-        Workload {
-            bags,
-            lambda: a.lambda + b.lambda,
-            label: format!("{} + {}", a.label, b.label),
-        }
-    }
-
     /// Validates ordering and per-bag consistency.
     pub fn validate(&self) -> Result<(), String> {
         for (i, bag) in self.bags.iter().enumerate() {
@@ -149,39 +133,6 @@ mod tests {
         let back = Workload::load(&path).unwrap();
         assert_eq!(w, back);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn merge_interleaves_and_renumbers() {
-        let mk = |at: f64, work: f64| BagOfTasks {
-            id: BotId(0),
-            arrival: SimTime::new(at),
-            tasks: vec![TaskSpec {
-                id: TaskId(0),
-                work,
-            }],
-            granularity: work,
-        };
-        let a = Workload {
-            bags: vec![mk(1.0, 10.0), mk(5.0, 20.0)],
-            lambda: 0.1,
-            label: "a".into(),
-        };
-        let mut b = Workload {
-            bags: vec![mk(3.0, 30.0), mk(7.0, 40.0)],
-            lambda: 0.2,
-            label: "b".into(),
-        };
-        b.bags[1].id = BotId(1);
-        let m = Workload::merge(&a, &b);
-        assert_eq!(m.len(), 4);
-        assert!(m.validate().is_ok(), "{:?}", m.validate());
-        let arrivals: Vec<f64> = m.bags.iter().map(|x| x.arrival.as_secs()).collect();
-        assert_eq!(arrivals, vec![1.0, 3.0, 5.0, 7.0]);
-        let works: Vec<f64> = m.bags.iter().map(|x| x.tasks[0].work).collect();
-        assert_eq!(works, vec![10.0, 30.0, 20.0, 40.0]);
-        assert!((m.lambda - 0.3).abs() < 1e-12);
-        assert_eq!(m.label, "a + b");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::{simulate, SimConfig};
 use dgsched_des::time::SimTime;
 use dgsched_grid::{Availability, GridConfig, Heterogeneity};
-use dgsched_workload::{bag_demand, BotType, PoissonArrivals, Workload};
+use dgsched_workload::{bag_demand, ArrivalModel, BotType, Workload};
 use dgsched_workload::{BagOfTasks, BotId};
 use rand::SeedableRng;
 
@@ -24,7 +24,7 @@ use rand::SeedableRng;
 fn workload_at(u: f64, bot_type: BotType, count: usize, grid: &GridConfig, seed: u64) -> Workload {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let lambda = u / bag_demand(bot_type.app_size, grid);
-    let arrivals = PoissonArrivals::new(lambda).arrival_times(count, &mut rng);
+    let arrivals = ArrivalModel::Poisson.arrival_times(lambda, count, &mut rng);
     let bags = arrivals
         .into_iter()
         .enumerate()

@@ -20,7 +20,7 @@ fn main() {
     println!(
         "grid: {} machines, nominal power {:.0}, effective power {:.0}",
         grid.len(),
-        grid.nominal_power(),
+        grid.machines.iter().map(|m| m.power).sum::<f64>(),
         grid_cfg.effective_power()
     );
 

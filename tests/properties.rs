@@ -4,10 +4,10 @@
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::{simulate, SimConfig};
 use dgsched_core::state::BagRt;
+use dgsched_des::event::EventId;
 use dgsched_des::queue::{BTreeQueue, BinaryHeapQueue, PendingEvents};
 use dgsched_des::stats::Welford;
 use dgsched_des::time::SimTime;
-use dgsched_des::EventId;
 use dgsched_grid::{Availability, CheckpointConfig, GridConfig, Heterogeneity};
 use dgsched_workload::{BagOfTasks, BotId, TaskId, TaskSpec, Workload};
 use proptest::prelude::*;
