@@ -42,7 +42,7 @@ fn build_bags(n: usize) -> (Vec<BotId>, Vec<BagRt>) {
             let t = rt.pop_pending().expect("fresh bag has pending tasks");
             rt.note_replica_started(t, now);
         }
-        active.push(rt.id);
+        active.push(bag.id);
         bags.push(rt);
     }
     (active, bags)

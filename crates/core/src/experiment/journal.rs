@@ -53,10 +53,9 @@
 //! ```text
 //! run ──ok──────────────────────────▶ clean / saturated summary ─▶ journal
 //!  │                                       ▲
-//!  ├─panic─▶ retry (once) ──ok─────────────┘
-//!  │             │
-//!  │             └─panic─▶ failed-with-reason summary ──────────▶ journal
-//!  └─over wall budget─▶ saturated summary ──────────────────────▶ journal
+//!  └─panic─▶ retry (once) ──ok─────────────┘
+//!                │
+//!                └─panic─▶ failed-with-reason summary ──────────▶ journal
 //! ```
 //!
 //! A failed replication is recorded, marks its scenario unusable (same
@@ -96,7 +95,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::time::Instant;
 
 /// Journal schema version; folded into the fingerprint, so a journal
 /// written by an incompatible schema refuses to resume. v2 widened the
@@ -111,11 +109,6 @@ pub struct RepGuard {
     /// the effective configuration, and a tripped budget takes the
     /// ordinary saturation path.
     pub max_events: Option<u64>,
-    /// Wall-clock budget per replication, seconds. **Non-deterministic
-    /// safety valve**, default off: a replication that finishes over
-    /// budget is recorded as saturated, which machine speed can change.
-    /// Leave `None` whenever reproducibility matters.
-    pub wall_limit_s: Option<f64>,
 }
 
 /// What the journal did during one sweep.
@@ -188,8 +181,8 @@ pub(super) struct RepLine {
     scenario: String,
     rep: u64,
     /// Replication key ([`rep_key`]). Absent from journals written
-    /// before keys existed and from sweeps under a wall-clock limit:
-    /// such records resume their own sweep but are never indexed.
+    /// before keys existed: such records resume their own sweep but are
+    /// never indexed.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     key: Option<String>,
     summary: RepSummary,
@@ -403,7 +396,6 @@ impl RepIndex {
 /// and the counts the parallel workers bump.
 struct SweepCtx {
     base_seed: u64,
-    guard: RepGuard,
     stats: Mutex<JournalStats>,
 }
 
@@ -431,35 +423,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// Runs one replication inside the isolation wrapper: panics are caught
 /// on the worker (the pool never sees them), retried once, then recorded
-/// as a failed-with-reason summary; a wall-budget overrun is recorded as
-/// saturation.
+/// as a failed-with-reason summary.
 fn run_rep_isolated<R>(scenario: &Scenario, rep: u64, ctx: &SweepCtx, rep_runner: &R) -> RepSummary
 where
     R: Fn(&Scenario, u64, u64) -> RunResult + Sync,
 {
     let mut retried = false;
     loop {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "RepGuard's wall-clock limit is an explicit safety valve; a tripped \
-                      limit serializes as `saturated`, the same value the event budget \
-                      produces deterministically"
-        )]
-        let start = ctx.guard.wall_limit_s.map(|limit| (limit, Instant::now()));
         match catch_unwind(AssertUnwindSafe(|| {
             RepSummary::of(&rep_runner(scenario, ctx.base_seed, rep))
         })) {
-            Ok(summary) => {
-                if let Some((limit, start)) = start {
-                    if start.elapsed().as_secs_f64() > limit {
-                        return RepSummary {
-                            saturated: true,
-                            ..Default::default()
-                        };
-                    }
-                }
-                return summary;
-            }
+            Ok(summary) => return summary,
             Err(payload) => {
                 ctx.stats.lock().replication_panics += 1;
                 let reason = panic_message(payload.as_ref()).to_string();
@@ -504,9 +478,7 @@ pub struct SweepOptions<'a> {
     /// it is longer than the journal's, and fresh replications join the
     /// index once durable. Replications taken from it are counted in
     /// [`JournalStats::records_reused`] and not copied into this journal:
-    /// the journal they came from stays where the index read it. Under a
-    /// [`RepGuard::wall_limit_s`] the index is bypassed, because a
-    /// wall-clock saturation cannot be reproduced.
+    /// the journal they came from stays where the index read it.
     pub index: Option<&'a RepIndex>,
     /// Score every non-saturated result against the hindsight oracle, as
     /// [`run_matrix_regret`](super::run_matrix_regret) does. The journal
@@ -654,10 +626,8 @@ where
         }
         log = Some(opened);
     }
-    // Keys exist only for a journal or an index to hold. A wall-clock
-    // saturation is not a function of the key: such records carry no
-    // key, so no index ever serves them.
-    let keyed = (log.is_some() || index.is_some()) && guard.wall_limit_s.is_none();
+    // Keys exist only for a journal or an index to hold.
+    let keyed = log.is_some() || index.is_some();
     let mut replays = Vec::with_capacity(scenarios.len());
     for scenario in scenarios {
         let key = match keyed {
@@ -687,7 +657,6 @@ where
     let oracle = oracle.map(|ocfg| OraclePass::new(scenarios, base_seed, ocfg, restarts));
     let ctx = SweepCtx {
         base_seed,
-        guard,
         stats: Mutex::default(),
     };
     let replicate = |job: Job| {
@@ -845,7 +814,6 @@ mod tests {
         let path = tmp("guard");
         let guard = RepGuard {
             max_events: Some(10),
-            wall_limit_s: None,
         };
         let out = run_matrix_journaled(&scenarios, 11, &rule(), &path, false, guard).unwrap();
         assert!(out.results[0].saturated, "10 events cannot drain 6 bags");
@@ -946,7 +914,6 @@ mod tests {
                 assert_eq!((stats.records_written, stats.records_reused), (3, 0));
                 let clamp = RepGuard {
                     max_events: Some(u64::MAX),
-                    wall_limit_s: None,
                 };
                 let stats = indexed(&tag("clamp"), &base, 11, &fixed_rule(3), clamp, &index);
                 assert_eq!((stats.records_written, stats.records_reused), (3, 0));
@@ -956,21 +923,6 @@ mod tests {
                 assert_eq!(index.len(), 12);
             });
         }
-    }
-
-    #[test]
-    fn wall_limit_bypasses_the_index() {
-        let index = RepIndex::default();
-        let base = vec![Scenario::small("a", PolicyKind::Rr)];
-        let clean = RepGuard::default();
-        indexed("wall-base", &base, 11, &fixed_rule(3), clean, &index);
-        let wall = RepGuard {
-            max_events: None,
-            wall_limit_s: Some(1e9),
-        };
-        let stats = indexed("wall-limited", &base, 11, &fixed_rule(5), wall, &index);
-        assert_eq!((stats.records_written, stats.records_reused), (5, 0));
-        assert_eq!(index.len(), 3, "unkeyed records are not indexed");
     }
 
     #[test]

@@ -957,7 +957,6 @@ mod tests {
 
         let tiny = RepGuard {
             max_events: Some(10),
-            wall_limit_s: None,
         };
         let handle = spawn_guarded(&dir, tiny);
         let addr = handle.addr().to_string();
@@ -993,7 +992,6 @@ mod tests {
         let dir = tmp_dir("clamped-collision");
         let tiny = RepGuard {
             max_events: Some(10),
-            wall_limit_s: None,
         };
         let body = serde_json::to_vec(&check_request()).unwrap();
         let post = |addr: &str| http_request(addr, "POST", "/sweep", &[], &body).unwrap();

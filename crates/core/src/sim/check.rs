@@ -13,10 +13,8 @@
 //! Violations are collected rather than panicking, so a failing policy can
 //! be diagnosed from a full run.
 
-use super::observer::SimObserver;
+use super::observer::{SimObserver, TraceEvent};
 use dgsched_des::time::SimTime;
-use dgsched_grid::MachineId;
-use dgsched_workload::{BotId, TaskId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Collects invariant violations over a run.
@@ -61,12 +59,27 @@ impl CheckingObserver {
         self.violations.push(msg);
     }
 
+    /// A replica of `(bag, task)` left `machine` by `how` (completion or
+    /// kill): the machine must have held exactly that replica.
+    fn release(&mut self, now: SimTime, how: &str, bag: u32, task: u32, machine: u32) {
+        match self.machine_busy.remove(&machine) {
+            Some(occ) if occ == (bag, task) => {}
+            occ => self.violate(format!(
+                "{now}: {how} of bag{bag}/t{task} on m{machine}, occupant {occ:?}"
+            )),
+        }
+        if let Some(c) = self.replica_counts.get_mut(&(bag, task)) {
+            *c = c.saturating_sub(1);
+        }
+    }
+
     /// Violations recorded so far.
     pub fn violations(&self) -> &[String] {
         &self.violations
     }
 
-    /// True when no violation was recorded and no residual state remains.
+    /// True when no violation was recorded (residual state is
+    /// [`assert_drained`](Self::assert_drained)'s concern).
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
@@ -97,108 +110,83 @@ impl CheckingObserver {
 }
 
 impl SimObserver for CheckingObserver {
-    fn on_bag_arrival(&mut self, _now: SimTime, bag: BotId) {
-        self.active_bags.push(bag.0);
-    }
-
-    fn on_bag_complete(&mut self, _now: SimTime, bag: BotId) {
-        let before = self.active_bags.len();
-        self.active_bags.retain(|&b| b != bag.0);
-        if self.active_bags.len() != before - 1 {
-            self.violate(format!("completion of unknown bag {bag}"));
-        }
-    }
-
-    fn on_dispatch(
-        &mut self,
-        now: SimTime,
-        bag: BotId,
-        task: TaskId,
-        machine: MachineId,
-        _is_replication: bool,
-    ) {
-        self.dispatches += 1;
-        if self.machine_busy.contains_key(&machine.0) {
-            self.violate(format!("{now}: machine {machine} double-booked"));
-        }
-        if self.machine_down.contains(&machine.0) {
-            self.violate(format!("{now}: dispatch onto failed machine {machine}"));
-        }
-        if self.completed_tasks.contains(&(bag.0, task.0)) {
-            self.violate(format!("{now}: dispatch of completed task {bag}/{task}"));
-        }
-        if self.exclusive && Some(bag.0) != self.active_bags.first().copied() {
-            self.violate(format!(
-                "{now}: exclusive policy served non-oldest bag {bag}"
-            ));
-        }
-        let count = {
-            let c = self.replica_counts.entry((bag.0, task.0)).or_insert(0);
-            *c += 1;
-            *c
-        };
-        if let Some(thr) = self.threshold {
-            if count > thr {
-                self.violate(format!(
-                    "{now}: task {bag}/{task} has {count} replicas (threshold {thr})"
-                ));
+    fn observe(&mut self, event: TraceEvent) {
+        let now = SimTime::new(event.at());
+        match event {
+            TraceEvent::BagArrival { bag, .. } => self.active_bags.push(bag),
+            TraceEvent::BagComplete { bag, .. } => {
+                let before = self.active_bags.len();
+                self.active_bags.retain(|&b| b != bag);
+                if self.active_bags.len() + 1 != before {
+                    self.violate(format!("{now}: completion of unknown bag{bag}"));
+                }
             }
-        }
-        self.machine_busy.insert(machine.0, (bag.0, task.0));
-    }
-
-    fn on_task_complete(&mut self, now: SimTime, bag: BotId, task: TaskId, machine: MachineId) {
-        match self.machine_busy.remove(&machine.0) {
-            Some(occ) if occ == (bag.0, task.0) => {}
-            occ => self.violate(format!(
-                "{now}: completion of {bag}/{task} on {machine}, occupant {occ:?}"
-            )),
-        }
-        if let Some(c) = self.replica_counts.get_mut(&(bag.0, task.0)) {
-            *c = c.saturating_sub(1);
-        }
-        if !self.completed_tasks.insert((bag.0, task.0)) {
-            self.violate(format!("{now}: task {bag}/{task} completed twice"));
-        }
-    }
-
-    fn on_replica_killed(
-        &mut self,
-        now: SimTime,
-        bag: BotId,
-        task: TaskId,
-        machine: MachineId,
-        _by_failure: bool,
-    ) {
-        match self.machine_busy.remove(&machine.0) {
-            Some(occ) if occ == (bag.0, task.0) => {}
-            occ => self.violate(format!(
-                "{now}: kill of {bag}/{task} on {machine}, occupant {occ:?}"
-            )),
-        }
-        if let Some(c) = self.replica_counts.get_mut(&(bag.0, task.0)) {
-            *c = c.saturating_sub(1);
-        }
-    }
-
-    fn on_machine_fail(&mut self, now: SimTime, machine: MachineId) {
-        if !self.machine_down.insert(machine.0) {
-            self.violate(format!("{now}: double failure of {machine}"));
-        }
-    }
-
-    fn on_machine_repair(&mut self, now: SimTime, machine: MachineId) {
-        if !self.machine_down.remove(&machine.0) {
-            self.violate(format!("{now}: repair of healthy {machine}"));
-        }
-        if self.machine_busy.contains_key(&machine.0) {
-            self.violate(format!("{now}: {machine} repaired while still booked"));
-        }
-    }
-
-    fn on_checkpoint_saved(&mut self, now: SimTime, bag: BotId, task: TaskId, work: f64) {
-        if work <= 0.0 {
-            self.violate(format!("{now}: empty checkpoint for {bag}/{task}"));
+            TraceEvent::Dispatch {
+                bag, task, machine, ..
+            } => {
+                self.dispatches += 1;
+                if self.machine_busy.contains_key(&machine) {
+                    self.violate(format!("{now}: machine m{machine} double-booked"));
+                }
+                if self.machine_down.contains(&machine) {
+                    self.violate(format!("{now}: dispatch onto failed machine m{machine}"));
+                }
+                if self.completed_tasks.contains(&(bag, task)) {
+                    self.violate(format!(
+                        "{now}: dispatch of completed task bag{bag}/t{task}"
+                    ));
+                }
+                if self.exclusive && Some(bag) != self.active_bags.first().copied() {
+                    self.violate(format!(
+                        "{now}: exclusive policy served non-oldest bag{bag}"
+                    ));
+                }
+                let count = {
+                    let c = self.replica_counts.entry((bag, task)).or_insert(0);
+                    *c += 1;
+                    *c
+                };
+                if let Some(thr) = self.threshold {
+                    if count > thr {
+                        self.violate(format!(
+                            "{now}: task bag{bag}/t{task} has {count} replicas (threshold {thr})"
+                        ));
+                    }
+                }
+                self.machine_busy.insert(machine, (bag, task));
+            }
+            TraceEvent::TaskComplete {
+                bag, task, machine, ..
+            } => {
+                self.release(now, "completion", bag, task, machine);
+                if !self.completed_tasks.insert((bag, task)) {
+                    self.violate(format!("{now}: task bag{bag}/t{task} completed twice"));
+                }
+            }
+            TraceEvent::ReplicaKilled {
+                bag, task, machine, ..
+            } => self.release(now, "kill", bag, task, machine),
+            TraceEvent::MachineFail { machine, .. } => {
+                if !self.machine_down.insert(machine) {
+                    self.violate(format!("{now}: double failure of m{machine}"));
+                }
+            }
+            TraceEvent::MachineRepair { machine, .. } => {
+                if !self.machine_down.remove(&machine) {
+                    self.violate(format!("{now}: repair of healthy m{machine}"));
+                }
+                if self.machine_busy.contains_key(&machine) {
+                    self.violate(format!("{now}: m{machine} repaired while still booked"));
+                }
+            }
+            TraceEvent::CheckpointSaved {
+                bag, task, work, ..
+            } => {
+                if work <= 0.0 {
+                    self.violate(format!("{now}: empty checkpoint for bag{bag}/t{task}"));
+                }
+            }
+            TraceEvent::Outage { .. } => {}
         }
     }
 }
@@ -206,6 +194,26 @@ impl SimObserver for CheckingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn arrival(bag: u32) -> TraceEvent {
+        TraceEvent::BagArrival { at: 0.0, bag }
+    }
+
+    fn dispatch(at: f64, bag: u32, task: u32, machine: u32) -> TraceEvent {
+        TraceEvent::Dispatch {
+            at,
+            bag,
+            task,
+            machine,
+            is_replication: false,
+        }
+    }
+
+    fn run(c: &mut CheckingObserver, events: &[TraceEvent]) {
+        for &ev in events {
+            c.observe(ev);
+        }
+    }
 
     #[test]
     fn clean_checker_reports_clean() {
@@ -218,9 +226,10 @@ mod tests {
     #[test]
     fn double_booking_is_caught() {
         let mut c = CheckingObserver::with_threshold(2);
-        c.on_bag_arrival(SimTime::ZERO, BotId(0));
-        c.on_dispatch(SimTime::ZERO, BotId(0), TaskId(0), MachineId(3), false);
-        c.on_dispatch(SimTime::new(1.0), BotId(0), TaskId(1), MachineId(3), false);
+        run(
+            &mut c,
+            &[arrival(0), dispatch(0.0, 0, 0, 3), dispatch(1.0, 0, 1, 3)],
+        );
         assert!(!c.is_clean());
         assert!(c.violations()[0].contains("double-booked"));
     }
@@ -228,18 +237,17 @@ mod tests {
     #[test]
     fn threshold_breach_is_caught() {
         let mut c = CheckingObserver::with_threshold(1);
-        c.on_bag_arrival(SimTime::ZERO, BotId(0));
-        c.on_dispatch(SimTime::ZERO, BotId(0), TaskId(0), MachineId(0), false);
-        c.on_dispatch(SimTime::ZERO, BotId(0), TaskId(0), MachineId(1), true);
+        run(
+            &mut c,
+            &[arrival(0), dispatch(0.0, 0, 0, 0), dispatch(0.0, 0, 0, 1)],
+        );
         assert!(c.violations().iter().any(|v| v.contains("threshold")));
     }
 
     #[test]
     fn exclusive_violation_is_caught() {
         let mut c = CheckingObserver::exclusive();
-        c.on_bag_arrival(SimTime::ZERO, BotId(0));
-        c.on_bag_arrival(SimTime::ZERO, BotId(1));
-        c.on_dispatch(SimTime::ZERO, BotId(1), TaskId(0), MachineId(0), false);
+        run(&mut c, &[arrival(0), arrival(1), dispatch(0.0, 1, 0, 0)]);
         assert!(c.violations().iter().any(|v| v.contains("non-oldest")));
     }
 
@@ -247,16 +255,35 @@ mod tests {
     #[should_panic(expected = "scheduler invariants violated")]
     fn assert_clean_panics_on_violation() {
         let mut c = CheckingObserver::with_threshold(2);
-        c.on_machine_repair(SimTime::ZERO, MachineId(0)); // repair of healthy machine
+        // Repair of a healthy machine.
+        c.observe(TraceEvent::MachineRepair {
+            at: 0.0,
+            machine: 0,
+        });
         c.assert_clean();
     }
 
     #[test]
     fn dispatch_on_down_machine_is_caught() {
         let mut c = CheckingObserver::with_threshold(2);
-        c.on_bag_arrival(SimTime::ZERO, BotId(0));
-        c.on_machine_fail(SimTime::ZERO, MachineId(0));
-        c.on_dispatch(SimTime::new(1.0), BotId(0), TaskId(0), MachineId(0), false);
+        run(
+            &mut c,
+            &[
+                arrival(0),
+                TraceEvent::MachineFail {
+                    at: 0.0,
+                    machine: 0,
+                },
+                dispatch(1.0, 0, 0, 0),
+            ],
+        );
         assert!(c.violations().iter().any(|v| v.contains("failed machine")));
+    }
+
+    #[test]
+    fn completion_of_unknown_bag_is_a_violation() {
+        let mut c = CheckingObserver::with_threshold(2);
+        c.observe(TraceEvent::BagComplete { at: 1.0, bag: 7 });
+        assert!(c.violations().iter().any(|v| v.contains("unknown bag7")));
     }
 }

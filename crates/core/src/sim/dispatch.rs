@@ -10,6 +10,7 @@
 use super::config::{MachineOrder, TaskOrder};
 use super::driver::{Driver, SimState};
 use super::events::Event;
+use super::observer::TraceEvent;
 use crate::policy::View;
 use crate::state::{BagRt, Replica, ReplicaPhase};
 use dgsched_des::engine::Scheduler;
@@ -137,7 +138,10 @@ impl Driver<'_, '_> {
             return true;
         }
         // Down right now: the elided failure surfaces at observation time.
-        self.observer.on_machine_fail(now, mid);
+        self.observer.observe(TraceEvent::MachineFail {
+            at: now.as_secs(),
+            machine: mid.0,
+        });
         self.state.free.remove(mid);
         let ev = sched.schedule_in(
             self.state.machines.hot[i].cycle_end - t,
@@ -195,8 +199,13 @@ impl Driver<'_, '_> {
         #[allow(clippy::let_unit_value, reason = "unit Stamp without `timing`")]
         let launch_started = dgsched_obs::stamp();
         let now = sched.now();
-        self.observer
-            .on_dispatch(now, bag, task, machine, is_replication);
+        self.observer.observe(TraceEvent::Dispatch {
+            at: now.as_secs(),
+            bag: bag.0,
+            task: task.0,
+            machine: machine.0,
+            is_replication,
+        });
         self.state.bags[bag.index()].note_replica_started(task, now);
         let t = &self.state.bags[bag.index()].tasks[task.index()];
         let ckpt_key = t.ckpt_key;
@@ -254,7 +263,10 @@ impl Driver<'_, '_> {
         self.state.bags.push(rt);
         self.state.active.push(bag.id);
         self.policy.on_bag_arrival(bag.id);
-        self.observer.on_bag_arrival(sched.now(), bag.id);
+        self.observer.observe(TraceEvent::BagArrival {
+            at: sched.now().as_secs(),
+            bag: bag.id.0,
+        });
         self.dispatch_all(sched);
     }
 }

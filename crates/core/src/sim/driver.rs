@@ -185,7 +185,7 @@ pub struct SimReport {
 /// [`simulate_observed`] plus a [`MetricsObserver`] riding the same seam:
 /// returns the ordinary [`RunResult`] (identical to the uninstrumented
 /// run) together with a [`SimReport`]. `observer` still receives every
-/// callback, so a tracer can be attached at the same time.
+/// event, so a tracer can be attached at the same time.
 pub fn simulate_instrumented(
     grid: &Grid,
     workload: &Workload,

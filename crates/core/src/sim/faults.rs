@@ -7,6 +7,7 @@
 
 use super::driver::Driver;
 use super::events::Event;
+use super::observer::TraceEvent;
 use dgsched_des::engine::Scheduler;
 use dgsched_des::event::EventId;
 use dgsched_grid::MachineId;
@@ -26,7 +27,10 @@ impl Driver<'_, '_> {
         };
         // Announced before the per-machine failures so the trace stays
         // time-ordered with the outage ahead of its same-timestamp kills.
-        self.observer.on_outage(now, duration);
+        self.observer.observe(TraceEvent::Outage {
+            at: now.as_secs(),
+            duration,
+        });
         // Lazy availability: settle every idle machine's renewal state
         // *before* the hit loop. The hit draw below is consumed only for
         // up machines, so up-ness must be exact here or the outage stream
@@ -46,7 +50,10 @@ impl Driver<'_, '_> {
                 if !self.state.machines.hot[i].up {
                     // Down all along: surface the failure and materialise
                     // the repair at its closed-form window end.
-                    self.observer.on_machine_fail(now, mid);
+                    self.observer.observe(TraceEvent::MachineFail {
+                        at: now.as_secs(),
+                        machine: mid.0,
+                    });
                     self.state.free.remove(mid);
                     let ev = sched.schedule_in(
                         self.state.machines.hot[i].cycle_end - now.as_secs(),
@@ -71,7 +78,10 @@ impl Driver<'_, '_> {
             if !hit {
                 continue;
             }
-            self.observer.on_machine_fail(now, mid);
+            self.observer.observe(TraceEvent::MachineFail {
+                at: now.as_secs(),
+                machine: mid.0,
+            });
             if self.state.machines.is_free(i) {
                 self.state.free.remove(mid);
             }
@@ -144,7 +154,10 @@ impl Driver<'_, '_> {
     pub(super) fn machine_fail(&mut self, mid: MachineId, sched: &mut Scheduler<'_, Event>) {
         let now = sched.now();
         let i = mid.index();
-        self.observer.on_machine_fail(now, mid);
+        self.observer.observe(TraceEvent::MachineFail {
+            at: now.as_secs(),
+            machine: mid.0,
+        });
         if self.state.machines.is_free(i) {
             self.state.free.remove(mid);
         }
@@ -182,7 +195,10 @@ impl Driver<'_, '_> {
     }
 
     pub(super) fn machine_repair(&mut self, mid: MachineId, sched: &mut Scheduler<'_, Event>) {
-        self.observer.on_machine_repair(sched.now(), mid);
+        self.observer.observe(TraceEvent::MachineRepair {
+            at: sched.now().as_secs(),
+            machine: mid.0,
+        });
         let i = mid.index();
         debug_assert!(
             !self.state.machines.hot[i].up,

@@ -76,16 +76,6 @@ impl Gantt {
         Gantt { lanes, end }
     }
 
-    /// Number of machines that appear in the trace.
-    pub fn machines(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Trace end time (seconds).
-    pub fn end_time(&self) -> f64 {
-        self.end
-    }
-
     /// Busy fraction of one machine over the trace (0 when unknown).
     pub fn busy_fraction(&self, machine: u32) -> f64 {
         if self.end <= 0.0 {
@@ -195,8 +185,8 @@ mod tests {
     #[test]
     fn reconstructs_intervals() {
         let g = Gantt::from_trace(&trace());
-        assert_eq!(g.machines(), 2);
-        assert_eq!(g.end_time(), 100.0);
+        assert_eq!(g.lanes.len(), 2);
+        assert_eq!(g.end, 100.0);
         assert!(
             (g.busy_fraction(0) - 1.0).abs() < 1e-9,
             "machine 0 always busy"
@@ -235,7 +225,7 @@ mod tests {
     #[test]
     fn empty_trace() {
         let g = Gantt::from_trace(&TraceRecorder::new());
-        assert_eq!(g.machines(), 0);
+        assert!(g.lanes.is_empty());
         assert_eq!(g.busy_fraction(0), 0.0);
     }
 

@@ -8,6 +8,7 @@
 use super::driver::Driver;
 use super::events::Event;
 use super::metrics::BagMetrics;
+use super::observer::TraceEvent;
 use crate::state::{ReplicaId, ReplicaPhase};
 use dgsched_des::engine::{Control, Scheduler};
 use dgsched_des::event::EventId;
@@ -101,8 +102,12 @@ impl Driver<'_, '_> {
                 t.has_checkpoint = true;
                 self.state.store.save(key, work_at_write);
                 self.state.counters.checkpoints_written += 1;
-                self.observer
-                    .on_checkpoint_saved(now, bag, task, work_at_write);
+                self.observer.observe(TraceEvent::CheckpointSaved {
+                    at: now.as_secs(),
+                    bag: bag.0,
+                    task: task.0,
+                    work: work_at_write,
+                });
                 self.start_computing(rid, work_at_write, sched);
                 Control::Continue
             }
@@ -119,8 +124,12 @@ impl Driver<'_, '_> {
         let now = sched.now();
         let r = self.state.slab.remove(rid);
         let (bag_id, task_id) = (r.bag, r.task);
-        self.observer
-            .on_task_complete(now, bag_id, task_id, r.machine);
+        self.observer.observe(TraceEvent::TaskComplete {
+            at: now.as_secs(),
+            bag: bag_id.0,
+            task: task_id.0,
+            machine: r.machine.0,
+        });
         self.state.machines.hot[r.machine.index()].replica = None;
         self.state.machines.hot[r.machine.index()].busy_time += now.since(r.started);
         self.state.counters.busy_time += now.since(r.started);
@@ -174,7 +183,10 @@ impl Driver<'_, '_> {
         self.state.completed_bags += 1;
         self.state.active.retain(|&b| b != bag_id);
         self.policy.on_bag_complete(bag_id);
-        self.observer.on_bag_complete(now, bag_id);
+        self.observer.observe(TraceEvent::BagComplete {
+            at: now.as_secs(),
+            bag: bag_id.0,
+        });
         let bag = &mut self.state.bags[bag_id.index()];
         if (bag_id.index()) >= self.cfg.warmup_bags {
             let work: f64 = bag.tasks.iter().map(|t| t.work).sum();
@@ -212,8 +224,13 @@ impl Driver<'_, '_> {
     ) {
         let now = sched.now();
         let r = self.state.slab.remove(rid);
-        self.observer
-            .on_replica_killed(now, r.bag, r.task, r.machine, by_failure);
+        self.observer.observe(TraceEvent::ReplicaKilled {
+            at: now.as_secs(),
+            bag: r.bag.0,
+            task: r.task.0,
+            machine: r.machine.0,
+            by_failure,
+        });
         sched.cancel(r.event);
         let mi = r.machine.index();
         debug_assert_eq!(self.state.machines.hot[mi].replica, Some(rid));

@@ -1,12 +1,10 @@
 //! Run-level metrics and counters, plus the [`MetricsObserver`] that
-//! builds a named-metric snapshot from the observer callbacks alone.
+//! builds a named-metric snapshot from the observer events alone.
 
-use super::observer::SimObserver;
+use super::observer::{SimObserver, TraceEvent};
 use dgsched_des::stats::Welford;
 use dgsched_des::time::SimTime;
-use dgsched_grid::MachineId;
 use dgsched_obs::{BagObservation, CounterId, MetricsRegistry, MetricsSnapshot, SeriesId};
-use dgsched_workload::{BotId, TaskId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -76,17 +74,6 @@ pub struct MachineStats {
     pub failures: u64,
 }
 
-impl MachineStats {
-    /// Busy fraction over a run of length `end_time`.
-    pub fn busy_fraction(&self, end_time: f64) -> f64 {
-        if end_time <= 0.0 {
-            0.0
-        } else {
-            self.busy_time / end_time
-        }
-    }
-}
-
 /// Result of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunResult {
@@ -131,13 +118,6 @@ impl RunResult {
         self.welford_of(|b| b.makespan).mean()
     }
 
-    /// Mean slowdown (turnaround over ideal empty-grid makespan) — the
-    /// fairness view: policies that starve some class show a high mean and
-    /// a very high max even when mean turnaround looks fine.
-    pub fn mean_slowdown(&self) -> f64 {
-        self.welford_of(|b| b.slowdown).mean()
-    }
-
     /// Largest slowdown any measured bag suffered.
     pub fn max_slowdown(&self) -> f64 {
         self.bags.iter().map(|b| b.slowdown).fold(0.0, f64::max)
@@ -167,7 +147,7 @@ impl RunResult {
     }
 }
 
-/// A [`SimObserver`] that folds the callback stream into a
+/// A [`SimObserver`] that folds the event stream into a
 /// [`MetricsRegistry`]: named monotonic counters, time-weighted
 /// busy-machine / active-bag series, and per-bag turnaround records.
 ///
@@ -249,77 +229,52 @@ impl MetricsObserver {
 }
 
 impl SimObserver for MetricsObserver {
-    fn on_dispatch(
-        &mut self,
-        now: SimTime,
-        _bag: BotId,
-        _task: TaskId,
-        _machine: MachineId,
-        is_replication: bool,
-    ) {
-        self.registry.inc(self.c_dispatches);
-        if is_replication {
-            self.registry.inc(self.c_replications);
+    fn observe(&mut self, event: TraceEvent) {
+        let now = SimTime::new(event.at());
+        match event {
+            TraceEvent::Dispatch { is_replication, .. } => {
+                self.registry.inc(self.c_dispatches);
+                if is_replication {
+                    self.registry.inc(self.c_replications);
+                }
+                self.registry.series_add(self.s_busy, now, 1.0);
+            }
+            TraceEvent::TaskComplete { .. } => {
+                self.registry.inc(self.c_task_completions);
+                self.registry.series_add(self.s_busy, now, -1.0);
+            }
+            TraceEvent::ReplicaKilled { by_failure, .. } => {
+                self.registry.inc(if by_failure {
+                    self.c_killed_failure
+                } else {
+                    self.c_killed_sibling
+                });
+                self.registry.series_add(self.s_busy, now, -1.0);
+            }
+            TraceEvent::MachineFail { .. } => self.registry.inc(self.c_machine_failures),
+            TraceEvent::MachineRepair { .. } => self.registry.inc(self.c_machine_repairs),
+            TraceEvent::Outage { .. } => self.registry.inc(self.c_outages),
+            TraceEvent::BagArrival { at, bag } => {
+                self.registry.inc(self.c_bag_arrivals);
+                self.registry.series_add(self.s_active_bags, now, 1.0);
+                let idx = bag as usize;
+                if self.arrivals.len() <= idx {
+                    self.arrivals.resize(idx + 1, f64::NAN);
+                }
+                self.arrivals[idx] = at;
+            }
+            TraceEvent::BagComplete { at, bag } => {
+                self.registry.inc(self.c_bag_completions);
+                self.registry.series_add(self.s_active_bags, now, -1.0);
+                let arrival = self.arrivals.get(bag as usize).copied().unwrap_or(f64::NAN);
+                self.per_bag.push(BagObservation {
+                    bag,
+                    arrival,
+                    turnaround: at - arrival,
+                });
+            }
+            TraceEvent::CheckpointSaved { .. } => self.registry.inc(self.c_checkpoints),
         }
-        self.registry.series_add(self.s_busy, now, 1.0);
-    }
-
-    fn on_task_complete(&mut self, now: SimTime, _bag: BotId, _task: TaskId, _machine: MachineId) {
-        self.registry.inc(self.c_task_completions);
-        self.registry.series_add(self.s_busy, now, -1.0);
-    }
-
-    fn on_replica_killed(
-        &mut self,
-        now: SimTime,
-        _bag: BotId,
-        _task: TaskId,
-        _machine: MachineId,
-        by_failure: bool,
-    ) {
-        self.registry.inc(if by_failure {
-            self.c_killed_failure
-        } else {
-            self.c_killed_sibling
-        });
-        self.registry.series_add(self.s_busy, now, -1.0);
-    }
-
-    fn on_machine_fail(&mut self, _now: SimTime, _machine: MachineId) {
-        self.registry.inc(self.c_machine_failures);
-    }
-
-    fn on_machine_repair(&mut self, _now: SimTime, _machine: MachineId) {
-        self.registry.inc(self.c_machine_repairs);
-    }
-
-    fn on_outage(&mut self, _now: SimTime, _duration: f64) {
-        self.registry.inc(self.c_outages);
-    }
-
-    fn on_bag_arrival(&mut self, now: SimTime, bag: BotId) {
-        self.registry.inc(self.c_bag_arrivals);
-        self.registry.series_add(self.s_active_bags, now, 1.0);
-        let idx = bag.index();
-        if self.arrivals.len() <= idx {
-            self.arrivals.resize(idx + 1, f64::NAN);
-        }
-        self.arrivals[idx] = now.as_secs();
-    }
-
-    fn on_bag_complete(&mut self, now: SimTime, bag: BotId) {
-        self.registry.inc(self.c_bag_completions);
-        self.registry.series_add(self.s_active_bags, now, -1.0);
-        let arrival = self.arrivals.get(bag.index()).copied().unwrap_or(f64::NAN);
-        self.per_bag.push(BagObservation {
-            bag: bag.0,
-            arrival,
-            turnaround: now.as_secs() - arrival,
-        });
-    }
-
-    fn on_checkpoint_saved(&mut self, _now: SimTime, _bag: BotId, _task: TaskId, _work: f64) {
-        self.registry.inc(self.c_checkpoints);
     }
 }
 
@@ -361,7 +316,6 @@ mod tests {
         assert_eq!(r.mean_waiting(), 20.0);
         assert_eq!(r.mean_makespan(), 130.0);
         assert_eq!(r.wasted_fraction(), 0.25);
-        assert_eq!(r.mean_slowdown(), 3.0);
         assert_eq!(r.max_slowdown(), 4.0);
     }
 
@@ -394,19 +348,57 @@ mod tests {
     #[test]
     fn metrics_observer_folds_callbacks() {
         let mut obs = MetricsObserver::new();
-        let b = BotId(0);
-        let t = TaskId(0);
-        let m = MachineId(0);
-        obs.on_bag_arrival(SimTime::new(0.0), b);
-        obs.on_dispatch(SimTime::new(0.0), b, t, m, false);
-        obs.on_dispatch(SimTime::new(2.0), b, TaskId(1), MachineId(1), true);
-        obs.on_replica_killed(SimTime::new(4.0), b, TaskId(1), MachineId(1), false);
-        obs.on_task_complete(SimTime::new(8.0), b, t, m);
-        obs.on_checkpoint_saved(SimTime::new(5.0), b, t, 100.0);
-        obs.on_outage(SimTime::new(6.0), 50.0);
-        obs.on_machine_fail(SimTime::new(6.0), MachineId(1));
-        obs.on_machine_repair(SimTime::new(7.0), MachineId(1));
-        obs.on_bag_complete(SimTime::new(8.0), b);
+        for event in [
+            TraceEvent::BagArrival { at: 0.0, bag: 0 },
+            TraceEvent::Dispatch {
+                at: 0.0,
+                bag: 0,
+                task: 0,
+                machine: 0,
+                is_replication: false,
+            },
+            TraceEvent::Dispatch {
+                at: 2.0,
+                bag: 0,
+                task: 1,
+                machine: 1,
+                is_replication: true,
+            },
+            TraceEvent::ReplicaKilled {
+                at: 4.0,
+                bag: 0,
+                task: 1,
+                machine: 1,
+                by_failure: false,
+            },
+            TraceEvent::TaskComplete {
+                at: 8.0,
+                bag: 0,
+                task: 0,
+                machine: 0,
+            },
+            TraceEvent::CheckpointSaved {
+                at: 5.0,
+                bag: 0,
+                task: 0,
+                work: 100.0,
+            },
+            TraceEvent::Outage {
+                at: 6.0,
+                duration: 50.0,
+            },
+            TraceEvent::MachineFail {
+                at: 6.0,
+                machine: 1,
+            },
+            TraceEvent::MachineRepair {
+                at: 7.0,
+                machine: 1,
+            },
+            TraceEvent::BagComplete { at: 8.0, bag: 0 },
+        ] {
+            obs.observe(event);
+        }
 
         let snap = obs.finish(SimTime::new(10.0), 2);
         assert_eq!(snap.counters["dispatches"], 2);

@@ -110,17 +110,6 @@ impl TraceEnv {
     pub fn machines(&self) -> usize {
         self.machines
     }
-
-    /// Total recorded failures (personal + outage kills) across machines.
-    pub fn failures(&self) -> usize {
-        self.personal_fails.iter().map(Vec::len).sum::<usize>()
-            + self.outage_kills.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Recorded outages.
-    pub fn outages(&self) -> usize {
-        self.outages.len()
-    }
 }
 
 /// Replay cursors over a [`TraceEnv`]: each recorded transition is
@@ -268,8 +257,6 @@ mod tests {
         assert_eq!(env.repairs[0], vec![9.0]);
         assert_eq!(env.repairs[1], vec![23.0]);
         assert_eq!(env.outages, vec![(20.0, 3.0)]);
-        assert_eq!(env.failures(), 2);
-        assert_eq!(env.outages(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::task::{TaskPhase, TaskRt};
 use crate::sim::indices::ReplicaCountBuckets;
 use dgsched_des::time::SimTime;
-use dgsched_workload::{BagOfTasks, BotId, TaskId};
+use dgsched_workload::{BagOfTasks, TaskId};
 use std::collections::VecDeque;
 
 /// Runtime state of one bag: its tasks, its pending queues and its
@@ -29,8 +29,6 @@ use std::collections::VecDeque;
 /// twins to cross-check the incremental forms.
 #[derive(Debug, Clone)]
 pub struct BagRt {
-    /// This bag's id.
-    pub id: BotId,
     /// Submission time.
     pub arrival: SimTime,
     /// Granularity class (reporting only).
@@ -74,7 +72,6 @@ impl BagRt {
             .map(|(i, t)| TaskRt::new(t.work, bag.arrival, ckpt_base + i))
             .collect();
         BagRt {
-            id: bag.id,
             arrival: bag.arrival,
             granularity: bag.granularity,
             pending_fresh: (0..tasks.len() as u32).map(TaskId).collect(),
@@ -321,7 +318,7 @@ impl BagRt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgsched_workload::TaskSpec;
+    use dgsched_workload::{BotId, TaskSpec};
 
     fn bag3() -> BagRt {
         let bag = BagOfTasks {

@@ -69,21 +69,6 @@ pub struct Replica {
     pub started: SimTime,
 }
 
-impl Replica {
-    /// Work this replica has completed (beyond what was saved before it
-    /// started) if inspected at `now` — used for waste accounting when the
-    /// replica is killed.
-    pub fn work_in_progress(&self, now: SimTime, power: f64) -> f64 {
-        match self.phase {
-            ReplicaPhase::Retrieving { .. } => 0.0,
-            ReplicaPhase::Computing {
-                since, base_work, ..
-            } => base_work + now.since(since) * power,
-            ReplicaPhase::Checkpointing { work_at_write } => work_at_write,
-        }
-    }
-}
-
 /// One slab slot: generation stamp, occupancy, and the packed record.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -97,23 +82,12 @@ struct Slot {
 pub struct ReplicaSlab {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    live: usize,
 }
 
 impl ReplicaSlab {
     /// An empty slab.
     pub fn new() -> Self {
         ReplicaSlab::default()
-    }
-
-    /// Number of live replicas.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no replicas are live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Resolves a handle to its slot, panicking on a stale or dead one.
@@ -134,7 +108,6 @@ impl ReplicaSlab {
 
     /// Inserts a replica, returning its handle.
     pub fn insert(&mut self, replica: Replica) -> ReplicaId {
-        self.live += 1;
         if let Some(idx) = self.free.pop() {
             let s = &mut self.slots[idx as usize];
             debug_assert!(!s.occupied);
@@ -163,7 +136,6 @@ impl ReplicaSlab {
         s.occupied = false;
         s.gen = s.gen.wrapping_add(1);
         self.free.push(id.idx);
-        self.live -= 1;
         s.rep
     }
 
@@ -180,11 +152,6 @@ impl ReplicaSlab {
     /// The machine a live replica occupies.
     pub fn machine(&self, id: ReplicaId) -> MachineId {
         self.slots[self.slot(id)].rep.machine
-    }
-
-    /// A live replica's current phase.
-    pub fn phase(&self, id: ReplicaId) -> ReplicaPhase {
-        self.slots[self.slot(id)].rep.phase
     }
 
     /// A live replica's phase, or `None` when the handle is stale.
@@ -224,15 +191,12 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let mut slab = ReplicaSlab::new();
-        assert!(slab.is_empty());
         let id = slab.insert(replica());
-        assert_eq!(slab.len(), 1);
         assert!(slab.contains(id));
         assert_eq!(slab.bag(id), BotId(0));
         assert_eq!(slab.machine(id), MachineId(0));
         let r = slab.remove(id);
         assert_eq!(r.bag, BotId(0));
-        assert!(slab.is_empty());
         assert!(!slab.contains(id), "removed handle must be stale");
         assert!(slab.try_phase(id).is_none());
     }
@@ -271,27 +235,10 @@ mod tests {
         );
         slab.set_event(id, EventId::NONE);
         assert_eq!(
-            slab.phase(id),
-            ReplicaPhase::Checkpointing {
+            slab.try_phase(id),
+            Some(ReplicaPhase::Checkpointing {
                 work_at_write: 450.0
-            }
+            })
         );
-    }
-
-    #[test]
-    fn work_in_progress_by_phase() {
-        let mut r = replica();
-        let now = SimTime::new(100.0);
-        assert_eq!(r.work_in_progress(now, 10.0), 0.0);
-        r.phase = ReplicaPhase::Computing {
-            since: SimTime::new(40.0),
-            base_work: 200.0,
-            next_is_checkpoint: false,
-        };
-        assert_eq!(r.work_in_progress(now, 10.0), 200.0 + 600.0);
-        r.phase = ReplicaPhase::Checkpointing {
-            work_at_write: 450.0,
-        };
-        assert_eq!(r.work_in_progress(now, 10.0), 450.0);
     }
 }

@@ -1,14 +1,16 @@
 //! The structured trace-event schema.
 //!
-//! One [`TraceEvent`] is recorded per semantically meaningful simulator
-//! transition. The serde shape (`kind` tag, snake_case variants, field
-//! order) is a compatibility contract: the golden-trace tests fingerprint
-//! the serialised form, so any change here is a semantic version change.
+//! The simulator emits one [`TraceEvent`] per semantically meaningful
+//! transition; every observer (tracer, metrics collector, invariant
+//! checker) receives the same value. The serde shape (`kind` tag,
+//! snake_case variants, field order) is a compatibility contract: the
+//! golden-trace tests fingerprint the serialised form, so any change here
+//! is a semantic version change.
 
 use serde::{Deserialize, Serialize};
 
-/// One recorded transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One simulator transition.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum TraceEvent {
     /// Replica dispatched.

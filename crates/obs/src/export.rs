@@ -208,7 +208,7 @@ mod tests {
         let events = sample_events();
         let mut ring = crate::ring::TraceRing::new(4);
         for ev in &events {
-            ring.push(ev.clone());
+            ring.push(*ev);
         }
         assert_eq!(ring.dropped(), events.len() as u64 - 4);
 

@@ -4,8 +4,9 @@
 //! changing it:
 //!
 //! * [`TraceEvent`] — the structured event schema (dispatch, completion,
-//!   kill, failure, repair, outage, arrival, checkpoint) shared by every
-//!   tracer and codec;
+//!   kill, failure, repair, outage, arrival, checkpoint): the simulator
+//!   emits one per transition, and every observer, tracer and codec
+//!   shares it;
 //! * [`TraceRecorder`] — an unbounded in-order recorder, and
 //!   [`TraceRing`] — a fixed-capacity ring buffer that overwrites its
 //!   oldest events and reports how many were dropped;
@@ -19,8 +20,9 @@
 //!   `timing` feature is enabled.
 //!
 //! The crate deliberately knows nothing about the simulator's observer
-//! trait: `dgsched-core` implements its `SimObserver` for the recorder
-//! and ring types, keeping the dependency arrow pointing downward
+//! trait: `dgsched-core`'s one-method `SimObserver` takes a
+//! [`TraceEvent`], and core implements it for the recorder and ring
+//! types, keeping the dependency arrow pointing downward
 //! (core → obs → des).
 
 mod event;

@@ -77,7 +77,7 @@ impl TraceRing {
 
     /// Copies the surviving window into a vector, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf.iter().cloned().collect()
+        self.buf.iter().copied().collect()
     }
 
     /// Number of events currently held (at most the capacity).

@@ -18,6 +18,10 @@ echo "==> determinism lint gate: clippy.toml rules over shipping code"
 # stale one fails the build. The workspace lint table denies any #[allow]
 # without a reason.
 cargo clippy --workspace --lib --bins -- -D warnings
+# The same rules over the timing build: profile::stamp's exception (the
+# only wall-clock read compiled into the simulator) exists only there.
+cargo clippy -p dgsched-des -p dgsched-obs -p dgsched-core --features dgsched-core/timing \
+  --lib --bins -- -D warnings
 
 echo "==> lint canary: every clippy.toml rule still fires"
 # A clippy.toml path that does not resolve only prints a warning, which

@@ -14,9 +14,10 @@ use dgsched_core::sim::{
 };
 use dgsched_des::time::SimTime;
 use dgsched_grid::{Availability, CheckpointConfig, Grid, GridConfig, Heterogeneity};
-use dgsched_obs::{read_jsonl, write_jsonl};
+use dgsched_obs::{read_jsonl, write_jsonl, TraceEvent};
 use dgsched_workload::{BagOfTasks, BotId, TaskId, TaskSpec, Workload};
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 fn grid(het: Heterogeneity, avail: Availability) -> Grid {
     let cfg = GridConfig {
@@ -63,6 +64,43 @@ fn result_json(r: &dgsched_core::sim::RunResult) -> String {
     serde_json::to_string(r).expect("result serialises")
 }
 
+/// Every counter the metrics registry keeps.
+const COUNTERS: [&str; 11] = [
+    "dispatches",
+    "replications",
+    "task_completions",
+    "replicas_killed_failure",
+    "replicas_killed_sibling",
+    "machine_failures",
+    "machine_repairs",
+    "outages",
+    "bag_arrivals",
+    "bag_completions",
+    "checkpoints_written",
+];
+
+/// The counters one traced event should bump, read off the trace alone.
+fn counters_of(e: &TraceEvent) -> &'static [&'static str] {
+    match e {
+        TraceEvent::Dispatch {
+            is_replication: true,
+            ..
+        } => &["dispatches", "replications"],
+        TraceEvent::Dispatch { .. } => &["dispatches"],
+        TraceEvent::TaskComplete { .. } => &["task_completions"],
+        TraceEvent::ReplicaKilled {
+            by_failure: true, ..
+        } => &["replicas_killed_failure"],
+        TraceEvent::ReplicaKilled { .. } => &["replicas_killed_sibling"],
+        TraceEvent::MachineFail { .. } => &["machine_failures"],
+        TraceEvent::MachineRepair { .. } => &["machine_repairs"],
+        TraceEvent::Outage { .. } => &["outages"],
+        TraceEvent::BagArrival { .. } => &["bag_arrivals"],
+        TraceEvent::BagComplete { .. } => &["bag_completions"],
+        TraceEvent::CheckpointSaved { .. } => &["checkpoints_written"],
+    }
+}
+
 /// Attaching the recorder, the ring, or the metrics registry never changes
 /// the `RunResult`, for all 7 policies across Hom/Het × High/Low grids.
 #[test]
@@ -91,12 +129,17 @@ fn tracers_never_perturb_the_run() {
                 // The metrics registry rides the same seam, so the golden
                 // trace the external tracer sees is unchanged too.
                 assert_eq!(rec, observed, "trace diverged: {label}");
+                // Every metrics counter equals an independent count of its
+                // event kind in the recorded trace.
+                let mut expected: BTreeMap<String, u64> =
+                    COUNTERS.iter().map(|&n| (n.to_string(), 0)).collect();
+                for e in &rec.events {
+                    for &n in counters_of(e) {
+                        *expected.get_mut(n).expect("listed counter") += 1;
+                    }
+                }
                 assert_eq!(
-                    report.metrics.counters["dispatches"] as usize,
-                    rec.events
-                        .iter()
-                        .filter(|e| matches!(e, dgsched_obs::TraceEvent::Dispatch { .. }))
-                        .count(),
+                    report.metrics.counters, expected,
                     "metrics disagree with the trace: {label}"
                 );
 
