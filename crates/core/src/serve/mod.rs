@@ -20,7 +20,11 @@
 //!   replications instead of recomputing them.
 //! - **Wire protocol** ([`protocol`]): hand-rolled HTTP/1.1 over std
 //!   `TcpListener` — no async runtime, blocking threads all the way
-//!   down. `POST /sweep` returns the response JSON; add `?stream=1` for
+//!   down: reused handler threads each accept and answer their own
+//!   connections, under a read and write timeout
+//!   ([`server::CONNECTION_TIMEOUT`]), and at most
+//!   [`server::IDLE_HANDLER_CAP`] wait idle between bursts.
+//!   `POST /sweep` returns the response JSON; add `?stream=1` for
 //!   JSONL progress events as the sweep runs. `POST /oracle` takes a
 //!   sweep request plus the hindsight-oracle knobs and answers the same
 //!   shape with a `regret` section on every measured result.

@@ -397,7 +397,9 @@ fn read_response_head<R: BufRead>(r: &mut R) -> io::Result<(u16, Vec<(String, St
 
 /// Minimal blocking HTTP client: one request, one response, connection
 /// closed. The body is read to `Content-Length` when present, else to
-/// EOF (the framing the service's streaming responses use). Used by the
+/// EOF (the framing the service's streaming responses use); either way
+/// it returns once the server has closed the connection, so a caller's
+/// next request never races the previous one's handler. Used by the
 /// `serve --check` self-test and the integration tests.
 pub fn http_request(
     addr: &str,
@@ -420,6 +422,8 @@ pub fn http_request(
                 .map_err(|_| bad(format!("unparsable content-length: {v:?}")))?;
             let mut body = vec![0u8; len];
             reader.read_exact(&mut body)?;
+            // A reset after the whole answer arrived is no error.
+            let _ = reader.read_to_end(&mut Vec::new());
             body
         }
         None => {

@@ -1,5 +1,6 @@
-//! The daemon: accept loop, request routing, and the sweep execution
-//! path that ties cache, single-flight, admission and journal together.
+//! The daemon: handler threads that accept their own connections,
+//! request routing, and the sweep execution path that ties cache,
+//! single-flight, admission and journal together.
 //!
 //! Lifecycle of a `POST /sweep` (a `POST /oracle` takes the same path,
 //! unstreamed, in its own key space and with the oracle attached):
@@ -45,10 +46,12 @@ use dgsched_obs::{MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{self, Arc, Condvar};
 use std::thread;
+use std::time::Duration;
 
 /// Configuration of one daemon instance.
 #[derive(Debug, Clone)]
@@ -110,9 +113,9 @@ impl ServeMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the counters (plus the cache's open-time numbers) in the
-    /// standard snapshot shape.
-    fn snapshot(&self, cache: &ResultCache) -> MetricsSnapshot {
+    /// Renders the counters (plus the cache's open-time numbers and the
+    /// handler threads) in the standard snapshot shape.
+    fn snapshot(&self, cache: &ResultCache, handlers: &Handlers) -> MetricsSnapshot {
         let mut reg = MetricsRegistry::new();
         let counters = [
             ("serve_requests", &self.requests),
@@ -133,11 +136,17 @@ impl ServeMetrics {
         let cache_counts = [
             ("serve_cache_warm_entries", cache.warmed()),
             ("serve_pending_journals", cache.pending_journals()),
+            (
+                "serve_handler_threads_started",
+                handlers.started.load(Ordering::Relaxed),
+            ),
         ];
         for (name, value) in counters.into_iter().chain(cache_counts) {
             let id = reg.counter(name);
             reg.add(id, value);
         }
+        let idle = reg.gauge("serve_handler_threads_idle");
+        reg.set_gauge(idle, handlers.idle.load(Ordering::Relaxed) as f64);
         reg.snapshot(SimTime::new(0.0))
     }
 }
@@ -149,21 +158,165 @@ struct ServerInner {
     metrics: ServeMetrics,
     width: Option<usize>,
     guard: RepGuard,
-    local_addr: SocketAddr,
-    shutdown: AtomicBool,
+    handlers: Arc<Handlers>,
+}
+
+/// Handler threads parked in `accept` beyond this many exit once their
+/// connection is answered, so a burst of concurrent clients leaves at
+/// most this many threads behind.
+pub const IDLE_HANDLER_CAP: usize = 16;
+
+/// Read and write timeout of every accepted connection: a client that
+/// stalls mid-request, or stops reading its response, releases its
+/// handler thread after this long instead of pinning it.
+pub const CONNECTION_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The listener and the handler threads serving it. Each thread loops
+/// `accept → handle` on the shared listener; nothing sits between the
+/// two. The thread that takes the last idle slot starts a replacement
+/// before it handles its connection, so no connection waits behind
+/// another and concurrency stays unbounded.
+struct Handlers {
+    listener: TcpListener,
+    addr: SocketAddr,
+    /// Set once by [`stop`](Handlers::stop); a connection accepted after
+    /// it is closed unserved.
+    stopping: AtomicBool,
+    /// Threads parked in `accept`, or started and on their way there.
+    idle: AtomicUsize,
+    started: AtomicU64,
+    /// Where [`Server::run`] waits for `stopping`.
+    stopped: (sync::Mutex<()>, Condvar),
+}
+
+impl Handlers {
+    fn bind(addr: &str) -> io::Result<Handlers> {
+        let listener = TcpListener::bind(addr)?;
+        Ok(Handlers {
+            addr: listener.local_addr()?,
+            listener,
+            stopping: AtomicBool::new(false),
+            idle: AtomicUsize::new(0),
+            started: AtomicU64::new(0),
+            stopped: (sync::Mutex::new(()), Condvar::new()),
+        })
+    }
+
+    /// Starts one handler thread, counted idle before it exists so the
+    /// thread that asked for it cannot start a second one for the same
+    /// slot.
+    fn start<F>(self: &Arc<Self>, serve: &Arc<F>) -> io::Result<()>
+    where
+        F: Fn(&TcpStream) + Send + Sync + 'static,
+    {
+        self.idle.fetch_add(1, Ordering::SeqCst);
+        let (this, serve) = (self.clone(), serve.clone());
+        // Detached: a stop does not wait for handlers in flight, and the
+        // loop catches their panics.
+        match thread::Builder::new().spawn(move || this.accept_loop(&serve)) {
+            Ok(_) => {
+                self.started.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) => {
+                self.idle.fetch_sub(1, Ordering::SeqCst);
+                Err(e)
+            }
+        }
+    }
+
+    /// One handler thread: accept, handle, rejoin the idle set, until
+    /// the daemon stops or the idle set is full. Entered counted idle.
+    fn accept_loop<F>(self: &Arc<Self>, serve: &Arc<F>)
+    where
+        F: Fn(&TcpStream) + Send + Sync + 'static,
+    {
+        loop {
+            // Counted idle before this read, and `stop` sets the flag
+            // before it reads the count: either `stop` sees this thread
+            // and wakes it, or this thread sees the flag.
+            if self.stopping.load(Ordering::SeqCst) {
+                self.idle.fetch_sub(1, Ordering::SeqCst);
+                return;
+            }
+            let Ok((stream, _)) = self.listener.accept() else {
+                continue;
+            };
+            let left = self.idle.fetch_sub(1, Ordering::SeqCst) - 1;
+            if self.stopping.load(Ordering::SeqCst) {
+                // Pass the wake-up on to the next parked thread.
+                if left > 0 {
+                    let _ = TcpStream::connect(self.addr);
+                }
+                return;
+            }
+            if left == 0 {
+                // Without a thread to start, the next connection waits
+                // until one rejoins.
+                let _ = self.start(serve);
+            }
+            let timeouts = stream
+                .set_read_timeout(Some(CONNECTION_TIMEOUT))
+                .and_then(|()| stream.set_write_timeout(Some(CONNECTION_TIMEOUT)));
+            if timeouts.is_ok() {
+                // A panic kills only its own connection; single-flight
+                // followers resolve from the leader token's `Drop`.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| serve(&stream)));
+            }
+            if self.idle.fetch_add(1, Ordering::SeqCst) >= IDLE_HANDLER_CAP {
+                self.idle.fetch_sub(1, Ordering::SeqCst);
+                return;
+            }
+            // Closed only once counted idle again: a client that waits
+            // for the close before its next request finds this thread
+            // free, however late the scheduler runs it.
+            drop(stream);
+        }
+    }
+
+    /// The one stop path, for [`ServerHandle::shutdown`] and
+    /// `POST /shutdown`: no connection accepted from now on is served,
+    /// [`Server::run`] returns, and every parked handler thread is woken
+    /// to exit. A poke connection wakes one; each woken thread pokes the
+    /// next while any are left. Handlers in flight finish on their own.
+    fn stop(&self) {
+        if self.stopping.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if self.idle.load(Ordering::SeqCst) > 0 {
+            let _ = TcpStream::connect(self.addr);
+        }
+        let (lock, cvar) = &self.stopped;
+        let _held = lock.lock().unwrap_or_else(|e| e.into_inner());
+        cvar.notify_all();
+    }
+
+    /// Starts the first handler thread and blocks until
+    /// [`stop`](Handlers::stop); the calling thread never handles a
+    /// connection.
+    fn run<F>(self: &Arc<Self>, serve: F) -> io::Result<()>
+    where
+        F: Fn(&TcpStream) + Send + Sync + 'static,
+    {
+        self.start(&Arc::new(serve))?;
+        let (lock, cvar) = &self.stopped;
+        let mut held = lock.lock().unwrap_or_else(|e| e.into_inner());
+        while !self.stopping.load(Ordering::SeqCst) {
+            held = cvar.wait(held).unwrap_or_else(|e| e.into_inner());
+        }
+        Ok(())
+    }
 }
 
 /// A bound daemon, not yet accepting. [`run`](Server::run) blocks the
 /// caller; [`spawn`](Server::spawn) accepts on a background thread (the
 /// self-test and in-process tests use this).
 pub struct Server {
-    listener: TcpListener,
     inner: Arc<ServerInner>,
 }
 
 /// Handle of a [`spawn`](Server::spawn)ed daemon.
 pub struct ServerHandle {
-    addr: SocketAddr,
     inner: Arc<ServerInner>,
     join: thread::JoinHandle<()>,
 }
@@ -171,15 +324,15 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The daemon's bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.handlers.addr
     }
 
-    /// Stops the accept loop and joins the daemon thread. In-flight
-    /// connection handlers finish on their own threads.
+    /// Stops the daemon as `POST /shutdown` does and joins the thread
+    /// that ran it: once this returns, no new connection is served.
+    /// Handlers in flight finish on their own threads; this does not
+    /// wait for them.
     pub fn shutdown(self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Poke the accept loop awake so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
+        self.inner.handlers.stop();
         let _ = self.join.join();
     }
 }
@@ -187,18 +340,16 @@ impl ServerHandle {
 impl Server {
     /// Binds the listener and opens (warming) the result cache.
     pub fn bind(cfg: &ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
+        let handlers = Handlers::bind(&cfg.addr)?;
         let state_dir = cfg.cache_dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!(
                 "dgsched-serve-{}-{}",
                 std::process::id(),
-                local_addr.port()
+                handlers.addr.port()
             ))
         });
         let cache = ResultCache::open(&state_dir)?;
         Ok(Server {
-            listener,
             inner: Arc::new(ServerInner {
                 cache,
                 flight: SingleFlight::new(),
@@ -206,15 +357,14 @@ impl Server {
                 metrics: ServeMetrics::default(),
                 width: cfg.width,
                 guard: cfg.guard,
-                local_addr,
-                shutdown: AtomicBool::new(false),
+                handlers: Arc::new(handlers),
             }),
         })
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr
+        self.inner.handlers.addr
     }
 
     /// Entries warmed from the cache directory at bind time.
@@ -222,31 +372,26 @@ impl Server {
         self.inner.cache.warmed()
     }
 
-    /// Accepts connections until shutdown, one handler thread per
-    /// connection. A handler that panics kills only its own connection
-    /// (and resolves its single-flight followers with an error).
+    /// Serves connections until shutdown on reused handler threads, each
+    /// accepting its own connections, and blocks the caller, which
+    /// handles none, until then. Every connection gets
+    /// [`CONNECTION_TIMEOUT`] on reads and writes. A handler that panics
+    /// kills only its own connection (and resolves its single-flight
+    /// followers with an error); its thread serves on.
     pub fn run(self) -> io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.inner.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let inner = self.inner.clone();
-            thread::spawn(move || {
-                let _ = handle_connection(&inner, stream);
-            });
-        }
-        Ok(())
+        let inner = self.inner.clone();
+        self.inner.handlers.run(move |stream: &TcpStream| {
+            let _ = handle_connection(&inner, stream);
+        })
     }
 
-    /// Runs the accept loop on a background thread.
+    /// Runs the daemon on a background thread.
     pub fn spawn(self) -> ServerHandle {
-        let addr = self.local_addr();
         let inner = self.inner.clone();
         let join = thread::spawn(move || {
             let _ = self.run();
         });
-        ServerHandle { addr, inner, join }
+        ServerHandle { inner, join }
     }
 }
 
@@ -257,10 +402,10 @@ fn json_error(status: u16, msg: &str) -> (u16, Vec<u8>) {
     (status, body)
 }
 
-fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+fn handle_connection(inner: &ServerInner, stream: &TcpStream) -> io::Result<()> {
+    let request = read_http_request(&mut BufReader::new(stream));
     let mut writer = BufWriter::new(stream);
-    let request = match read_http_request(&mut reader) {
+    let request = match request {
         Ok(r) => r,
         Err(e) => {
             ServeMetrics::bump(&inner.metrics.bad_requests);
@@ -274,18 +419,17 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) -> io::Result<
             write_http_response(&mut writer, 200, "application/json", &[], b"{\"ok\":true}")
         }
         ("GET", "/metrics") => {
-            let body = serde_json::to_vec(&inner.metrics.snapshot(&inner.cache))
+            let body = serde_json::to_vec(&inner.metrics.snapshot(&inner.cache, &inner.handlers))
                 .expect("snapshot serialises");
             write_http_response(&mut writer, 200, "application/json", &[], &body)
         }
         ("POST", "/shutdown") => {
             write_http_response(&mut writer, 200, "application/json", &[], b"{\"ok\":true}")?;
-            inner.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(inner.local_addr);
+            inner.handlers.stop();
             Ok(())
         }
-        ("POST", "/sweep") => handle_run(inner, &request, &mut writer, false),
-        ("POST", "/oracle") => handle_run(inner, &request, &mut writer, true),
+        ("POST", "/sweep") => handle_run(inner, &request, stream, false),
+        ("POST", "/oracle") => handle_run(inner, &request, stream, true),
         _ => {
             ServeMetrics::bump(&inner.metrics.bad_requests);
             let (status, body) = json_error(404, "no such endpoint");
@@ -319,7 +463,7 @@ impl CacheDisposition {
 /// callback. Progress writes ignore errors: a client that hung up must
 /// not abort the sweep — the result still lands in the cache.
 struct SweepConnection<'a> {
-    writer: Mutex<&'a mut BufWriter<TcpStream>>,
+    writer: Mutex<BufWriter<&'a TcpStream>>,
     streaming: bool,
     /// Set once the streaming head has been written — after this point
     /// errors can no longer be reported as an HTTP status.
@@ -333,7 +477,7 @@ impl SweepConnection<'_> {
         }
         let mut w = self.writer.lock();
         let _ = write_http_stream_head(
-            &mut **w,
+            &mut *w,
             "application/x-ndjson",
             &[("x-dgsched-fingerprint", fingerprint)],
         );
@@ -382,7 +526,7 @@ impl SweepConnection<'_> {
             w.flush()
         } else {
             write_http_response(
-                &mut **w,
+                &mut *w,
                 200,
                 "application/json",
                 &[
@@ -406,7 +550,7 @@ impl SweepConnection<'_> {
             w.flush()
         } else {
             let (status, body) = json_error(status, msg);
-            write_http_response(&mut **w, status, "application/json", &[], &body)
+            write_http_response(&mut *w, status, "application/json", &[], &body)
         }
     }
 }
@@ -418,9 +562,9 @@ impl SweepConnection<'_> {
 /// resumes either byte-identically, and both feed and read the
 /// replication index.
 fn handle_run(
-    inner: &Arc<ServerInner>,
+    inner: &ServerInner,
     request: &HttpRequest,
-    writer: &mut BufWriter<TcpStream>,
+    stream: &TcpStream,
     oracle: bool,
 ) -> io::Result<()> {
     let m = &inner.metrics;
@@ -434,7 +578,7 @@ fn handle_run(
         && (request.query_flag("stream")
             || header_value(&request.headers, "accept") == Some("application/x-ndjson"));
     let conn = SweepConnection {
-        writer: Mutex::new(writer),
+        writer: Mutex::new(BufWriter::new(stream)),
         streaming,
         head_sent: AtomicBool::new(false),
     };
@@ -525,7 +669,7 @@ struct Job<'a> {
 /// `run` computes the response bytes, journaled at the given path
 /// (leader) or unjournaled (collision).
 fn serve_job<R>(
-    inner: &Arc<ServerInner>,
+    inner: &ServerInner,
     conn: &SweepConnection<'_>,
     job: &Job<'_>,
     run: R,
@@ -589,7 +733,7 @@ fn run_admitted<T>(
 /// The leader path: admission, the journaled run (under the
 /// fingerprint's journal), cache insert, publish.
 fn run_leader<R>(
-    inner: &Arc<ServerInner>,
+    inner: &ServerInner,
     conn: &SweepConnection<'_>,
     job: &Job<'_>,
     token: LeaderToken,
@@ -658,7 +802,7 @@ where
 /// (the daemon's clamp included) but without touching the stored entry,
 /// the journal keyed by the colliding fingerprint or the index.
 fn run_collision<R>(
-    inner: &Arc<ServerInner>,
+    inner: &ServerInner,
     conn: &SweepConnection<'_>,
     job: &Job<'_>,
     run: R,
@@ -699,7 +843,8 @@ pub(super) fn check_request() -> SweepRequest {
 /// one), round-trip a demo sweep twice and verify the second response is
 /// a byte-identical cache hit, then send the sweep plus one scenario and
 /// verify it is a miss that reuses all 4 journaled replications and
-/// answers the shared scenarios byte-identically. Returns a
+/// answers the shared scenarios byte-identically, and that the four
+/// connections so far reused handler threads. Returns a
 /// human-readable summary, or a description of the first discrepancy.
 pub fn self_check(addr: &str) -> Result<String, String> {
     let cfg = ServeConfig {
@@ -750,6 +895,14 @@ pub fn self_check(addr: &str) -> Result<String, String> {
             .map_err(|e| format!("metrics request failed: {e}"))?;
         let snap: MetricsSnapshot = serde_json::from_slice(&metrics.body)
             .map_err(|e| format!("metrics do not parse: {e}"))?;
+        // Three sweeps and this read, one connection each: a thread per
+        // connection would have started one handler per request.
+        let started = snap.counters.get("serve_handler_threads_started").copied();
+        if started.is_none_or(|n| n >= 4) {
+            return Err(format!(
+                "{started:?} handler threads started for 4 requests: threads are not reused"
+            ));
+        }
         let reused = snap.counters.get("serve_replications_reused").copied();
         if reused != Some(4) {
             return Err(format!(
@@ -773,12 +926,13 @@ pub fn self_check(addr: &str) -> Result<String, String> {
         }
         Ok(format!(
             "round-trip ok at {addr}: miss then byte-identical hit ({} bytes), \
-             then an overlapping miss reusing 4 replications",
-            first.body.len()
+             then an overlapping miss reusing 4 replications, on {} handler threads",
+            first.body.len(),
+            started.unwrap_or_default()
         ))
     })();
     match &outcome {
-        // /shutdown already stopped the accept loop on success; make
+        // /shutdown already stopped the daemon on success; make
         // sure it stops on failure too, then join either way.
         Ok(_) => {
             let _ = handle.join.join();
@@ -1011,6 +1165,88 @@ mod tests {
         );
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Connects, reads the whole reply (empty if the handler died or the
+    /// connection was never served within a second).
+    fn reply(addr: SocketAddr) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let mut buf = Vec::new();
+        let _ = std::io::Read::read_to_end(&mut stream, &mut buf);
+        buf
+    }
+
+    /// A handler that panics kills only its own connection: its thread
+    /// serves on (no third thread is started), the next connection is
+    /// answered, `run` keeps accepting, and `run`'s own thread handles
+    /// none of them.
+    #[test]
+    fn a_panicking_handler_kills_only_its_connection() {
+        let handlers = Arc::new(Handlers::bind("127.0.0.1:0").unwrap());
+        let addr = handlers.addr;
+        let served_on = Arc::new(Mutex::new(Vec::new()));
+        let first = AtomicBool::new(true);
+        let runner = {
+            let (handlers, served_on) = (handlers.clone(), served_on.clone());
+            thread::spawn(move || {
+                handlers.run(move |mut stream: &TcpStream| {
+                    served_on.lock().push(thread::current().id());
+                    if first.swap(false, Ordering::SeqCst) {
+                        panic!("the first connection's handler panics");
+                    }
+                    let _ = stream.write_all(b"ok");
+                })
+            })
+        };
+        assert_eq!(reply(addr), b"");
+        assert_eq!(reply(addr), b"ok");
+        assert_eq!(reply(addr), b"ok");
+        assert_eq!(handlers.started.load(Ordering::SeqCst), 2);
+        assert!(!runner.is_finished(), "run still accepting");
+        let runner_id = runner.thread().id();
+        assert!(served_on.lock().iter().all(|id| *id != runner_id));
+        handlers.stop();
+        runner.join().unwrap().unwrap();
+    }
+
+    /// `stop` wakes every parked handler thread, however many a burst
+    /// left, and no connection made after it is served.
+    #[test]
+    fn stop_wakes_every_idle_handler() {
+        let handlers = Arc::new(Handlers::bind("127.0.0.1:0").unwrap());
+        let addr = handlers.addr;
+        // Six handlers in flight at once: each waits for the other five.
+        let together = Arc::new(std::sync::Barrier::new(6));
+        let runner = {
+            let handlers = handlers.clone();
+            thread::spawn(move || {
+                handlers.run(move |mut stream: &TcpStream| {
+                    together.wait();
+                    let _ = stream.write_all(b"ok");
+                })
+            })
+        };
+        thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| assert_eq!(reply(addr), b"ok"));
+            }
+        });
+        let settled = |idle: usize| {
+            (0..500).any(|_| {
+                thread::sleep(Duration::from_millis(10));
+                handlers.idle.load(Ordering::SeqCst) == idle
+            })
+        };
+        let started = handlers.started.load(Ordering::SeqCst) as usize;
+        assert!(started > 6, "6 concurrent connections on {started} threads");
+        assert!(settled(started), "every thread parks again");
+        handlers.stop();
+        runner.join().unwrap().unwrap();
+        assert!(settled(0), "stop leaves threads parked");
+        assert_eq!(reply(addr), b"", "served after stop");
     }
 
     #[test]

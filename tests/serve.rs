@@ -26,6 +26,7 @@ use dgsched_core::experiment::{
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::protocol::header_value;
+use dgsched_core::serve::server::{CONNECTION_TIMEOUT, IDLE_HANDLER_CAP};
 use dgsched_core::serve::{
     http_request, http_request_streaming, HttpResponse, OracleRequest, SweepRequest, SweepResponse,
 };
@@ -38,6 +39,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_dgsched")
@@ -460,6 +462,101 @@ fn oversized_header_line_is_rejected_and_the_daemon_survives() {
     let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET /healthz");
     assert_eq!(health.status, 200);
     assert_eq!(daemon.counter("serve_bad_requests"), 1);
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client that sends half a request head and stops is answered 400
+/// and cut off once the read timeout passes, instead of pinning its
+/// handler thread; a `/healthz` sent meanwhile is answered at once.
+#[test]
+fn stalled_client_is_cut_off_at_the_read_timeout() {
+    let dir = tmp_dir("stalled");
+    let daemon = Daemon::start(&dir, "1");
+    let opened = Instant::now();
+    let mut stalled = TcpStream::connect(&daemon.addr).expect("connect");
+    stalled
+        .write_all(b"POST /sweep HTTP/1.1\r\ncontent-le")
+        .expect("half a head");
+    let asked = Instant::now();
+    let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET /healthz");
+    assert_eq!(health.status, 200);
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "/healthz waited {:?} behind a stalled client",
+        asked.elapsed()
+    );
+    // Bounded, so a daemon that never times the client out fails here
+    // instead of hanging the test.
+    stalled
+        .set_read_timeout(Some(CONNECTION_TIMEOUT + Duration::from_secs(5)))
+        .expect("client timeout");
+    let mut reply = Vec::new();
+    // A reset after the answer arrived is expected; the bytes read so far
+    // are kept.
+    let _ = stalled.read_to_end(&mut reply);
+    let waited = opened.elapsed();
+    assert!(
+        waited >= CONNECTION_TIMEOUT && waited < CONNECTION_TIMEOUT + Duration::from_secs(5),
+        "closed after {waited:?}"
+    );
+    let text = String::from_utf8_lossy(&reply);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    assert_eq!(daemon.counter("serve_bad_requests"), 1);
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The handler threads that accept connections are reused: fifty
+/// sequential requests start at most three of them, where one thread
+/// per connection would start fifty.
+#[test]
+fn sequential_requests_reuse_handler_threads() {
+    let dir = tmp_dir("reuse");
+    let daemon = Daemon::start(&dir, "1");
+    for _ in 0..50 {
+        let health = http_request(&daemon.addr, "GET", "/healthz", &[], b"").expect("GET");
+        assert_eq!(health.status, 200);
+    }
+    let started = daemon.counter("serve_handler_threads_started");
+    assert!(started <= 3, "{started} handler threads for 51 requests");
+    daemon.kill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Concurrent hits on reused handler threads: 8 clients × 25 hits all
+/// get the computed bytes, every one counts as a hit, and the burst
+/// leaves at most the idle cap of threads parked.
+#[test]
+fn concurrent_hits_are_identical_and_leave_the_idle_cap() {
+    let dir = tmp_dir("burst");
+    let daemon = Daemon::start(&dir, "1");
+    let body = serde_json::to_vec(&small_request()).unwrap();
+    let first = daemon.post("/sweep", &body);
+    assert_eq!(first.status, 200);
+    assert_eq!(
+        header_value(&first.headers, "x-dgsched-cache"),
+        Some("miss")
+    );
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                for _ in 0..25 {
+                    let hit = daemon.post("/sweep", &body);
+                    assert_eq!(header_value(&hit.headers, "x-dgsched-cache"), Some("hit"));
+                    assert!(hit.body == first.body, "a hit served other bytes");
+                }
+            });
+        }
+    });
+    assert_eq!(daemon.counter("serve_cache_hits"), 200);
+    let idle = daemon.metrics()["gauges"]["serve_handler_threads_idle"]
+        .as_f64()
+        .expect("idle gauge");
+    assert!(
+        idle <= IDLE_HANDLER_CAP as f64,
+        "{idle} idle handler threads"
+    );
     daemon.kill();
     std::fs::remove_dir_all(&dir).ok();
 }
